@@ -364,15 +364,7 @@ def _grid_candidates(n, spec):
 
 def _load_k_set(spec, n, base_dir):
     if "file" in spec:
-        path = _resolve(spec["file"], base_dir)
-        try:
-            pts = fileio.read_points_csv(path)
-        except (OSError, ValueError) as e:
-            raise ConfigError(str(e))
-        if pts.shape[1] != n:
-            raise ConfigError(
-                f"{path}: K points have {pts.shape[1]} coordinates, expected {n}")
-        return pts
+        return _load_points(spec, n, base_dir)
     if "sphere" in spec:
         s = spec["sphere"]
         p = _parse_point(s.get("p", [0.0] * n), n, "sphere center")
@@ -406,13 +398,22 @@ def cmd_hull(cfg, out_dir, seed, tols):
         os.path.join(out_dir, "hull_points.csv"), Z,
         extra=[("member", member_col), ("margin", margin_col)])
 
-    # K points that appear among the candidates must be flagged members
-    k_rows = {tuple(np.round(x, 12)) for x in K.view(float).reshape(len(K), -1)}
-    k_in_z_ok = True
-    for i, z in enumerate(Z):
-        if tuple(np.round(z.view(float).ravel(), 12)) in k_rows:
-            if not result.members[i]:
-                k_in_z_ok = False
+    # K points that appear among the candidates must be flagged members.
+    # A per-coordinate prefilter keeps the exact row check to the few
+    # candidates that can match; rounding and == treat -0.0 as 0.0.  A binary
+    # search of the sorted K column needs far less scratch memory than isin.
+    k_flat = np.round(K.view(float).reshape(len(K), -1), 12)
+    k_rows = {tuple(x) for x in k_flat}
+    z_flat = Z.view(float).reshape(len(Z), -1)
+    hit = np.ones(len(Z), dtype=bool)
+    for c in range(z_flat.shape[1]):
+        keys = np.sort(k_flat[:, c])
+        zc = np.round(z_flat[:, c], 12)
+        idx = np.searchsorted(keys, zc)
+        np.minimum(idx, len(keys) - 1, out=idx)
+        hit &= keys[idx] == zc
+    k_in_z_ok = all(result.members[i] for i in np.flatnonzero(hit)
+                    if tuple(np.round(z_flat[i], 12)) in k_rows)
     excluded = [g for g, m, s in zip(result.margins, result.members,
                                      result.singular) if not m and not s]
     summary = {
@@ -476,13 +477,16 @@ def cmd_thm2(cfg, out_dir, seed, tols):
     else:
         b = cfg.get("batch", {})
         run_seed = seed if seed is not None else int(b.get("seed", cfg.get("seed", 0)))
-        rep = hull.run_theorem2_batch(
-            configs=int(b.get("configs", 1000)),
-            seed=run_seed,
-            ns=tuple(int(v) for v in b.get("ns", (2, 3, 4))),
-            k_count=int(b.get("k_count", 200)),
-            z_count=int(b.get("z_count", 50)),
-            r_range=tuple(float(v) for v in b.get("r_range", (0.1, 2.0))))
+        try:
+            rep = hull.run_theorem2_batch(
+                configs=int(b.get("configs", 1000)),
+                seed=run_seed,
+                ns=tuple(int(v) for v in b.get("ns", (2, 3, 4))),
+                k_count=int(b.get("k_count", 200)),
+                z_count=int(b.get("z_count", 50)),
+                r_range=tuple(float(v) for v in b.get("r_range", (0.1, 2.0))))
+        except ValueError as e:
+            raise ConfigError(str(e))
         report = {
             "mode": "batch",
             "seed": run_seed,

@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "format_complex", "parse_complex", "point_to_strings", "parse_point",
-    "write_points_csv", "read_points_csv", "load_json", "dump_json",
+    "write_points_csv", "read_points_csv", "dump_json",
 ]
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -132,11 +132,6 @@ def read_points_csv(path) -> np.ndarray:
     if not pts:
         raise ValueError(f"no points in {path}")
     return np.array(pts, dtype=complex)
-
-
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def dump_json(path, obj):

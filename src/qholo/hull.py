@@ -58,6 +58,19 @@ class Lambda:
         return np.array(self.entries, dtype=complex)
 
 
+def _values(lams, d):
+    """f_lambda(d) row by row; lams and d broadcast over their leading axes."""
+    # einsum skips the (..., n) product temporary of a multiply-then-sum
+    return (np.einsum("...i,...i->...", lams, np.conj(d))
+            / np.sum(np.abs(d) ** 2, axis=-1))
+
+
+def _align(d):
+    """Row-wise unit weights with lambda_i * conj(d_i) = |d_i| (1 where d_i = 0)."""
+    mags = np.abs(d)
+    return np.where(mags > 0, d / np.where(mags > 0, mags, 1.0), 1.0)
+
+
 def basener_value(lam: Lambda, z) -> complex:
     """f_lambda at displacement z from the singular center.
 
@@ -67,10 +80,9 @@ def basener_value(lam: Lambda, z) -> complex:
     z = np.asarray(z, dtype=complex)
     if z.shape != (lam.n,):
         raise ValueError(f"point has shape {z.shape}, expected ({lam.n},)")
-    nsq = float(np.sum(np.abs(z) ** 2))
-    if nsq <= EPS_SING ** 2:
+    if float(np.sum(np.abs(z) ** 2)) <= EPS_SING ** 2:
         raise ValueError("singularity: displacement too close to the center")
-    return complex(np.sum(lam.as_array() * np.conj(z)) / nsq)
+    return complex(_values(lam.as_array(), z))
 
 
 def basener_expr(lam: Lambda, p, n: int) -> ex.Expr:
@@ -78,13 +90,10 @@ def basener_expr(lam: Lambda, p, n: int) -> ex.Expr:
     p = np.asarray(p, dtype=complex)
     if p.shape != (n,):
         raise ValueError(f"center has shape {p.shape}, expected ({n},)")
-    diffs = []
+    num = den = None
     for k in range(n):
         v = ex.Var(n, k + 1)
-        diffs.append(v if p[k] == 0 else v - p[k])
-    num = None
-    den = None
-    for k, d in enumerate(diffs):
+        d = v if p[k] == 0 else v - p[k]
         t_num = complex(lam.entries[k]) * ex.conjugate(d)
         t_den = d * ex.conjugate(d)
         num = t_num if num is None else num + t_num
@@ -102,9 +111,7 @@ def construct_lambda(z, p) -> Lambda:
     d = np.asarray(z, dtype=complex) - np.asarray(p, dtype=complex)
     if float(np.linalg.norm(d)) == 0.0:
         raise ValueError("z equals the center point")
-    mags = np.abs(d)
-    lam = np.where(mags > 0, d / np.where(mags > 0, mags, 1.0), 1.0)
-    return Lambda(lam)
+    return Lambda(_align(d))
 
 
 def random_lambdas(n: int, count: int, rng) -> list:
@@ -172,14 +179,8 @@ def certification_points(n: int, seed: int, count: int = 100,
     measure the arithmetic, not the function.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x63657274]))
-    if center is None:
-        center = np.zeros(n, dtype=complex)
-    center = np.asarray(center, dtype=complex)
-    if avoid is None:
-        avoid = []
-    else:
-        arr = np.asarray(avoid, dtype=complex)
-        avoid = [arr] if arr.ndim == 1 else list(arr)
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=complex)
+    avoid = [] if avoid is None else np.atleast_2d(np.asarray(avoid, dtype=complex))
     out = []
     attempts = 0
     while len(out) < count:
@@ -215,10 +216,8 @@ def discrete_hull(prob: HullProblem) -> HullResult:
     at a K point aborts (the reference maxima would be meaningless); a failure
     at a candidate marks it excluded with margin +inf.
     """
-    k_maxima = []
-    for mem in prob.family:
-        vals = np.abs(ex.eval_batch(mem.expr, prob.K))
-        k_maxima.append(float(np.max(vals)))
+    k_maxima = [float(np.max(np.abs(ex.eval_batch(mem.expr, prob.K))))
+                for mem in prob.family]
 
     m = len(prob.Z)
     cand_vals = np.empty((len(prob.family), m))
@@ -234,10 +233,8 @@ def discrete_hull(prob: HullProblem) -> HullResult:
                     cand_vals[fi, zi] = np.nan
                     sing[zi] = True
 
-    margins = np.full(m, -np.inf)
-    for fi in range(len(prob.family)):
-        margins = np.maximum(margins, cand_vals[fi] - k_maxima[fi])
-    margins = np.where(sing, np.inf, margins)
+    cand_vals -= np.array(k_maxima)[:, None]
+    margins = np.where(sing, np.inf, np.max(cand_vals, axis=0))
     members = (~sing) & (margins <= 0.0)
     return HullResult(members=tuple(bool(b) for b in members),
                       margins=tuple(float(v) for v in margins),
@@ -260,6 +257,13 @@ class Thm2Report:
     forces |f_lambda(z-p)| > max over K, so z is outside the hull.  Slacks are
     the minima of each link over all (z, w); margins are the final separation
     per z.
+
+    A violation is one failing (link, candidate) pair: links 1-3 and 5 and
+    the final margin count once per candidate, link 4 (which involves K
+    alone) once per run, and the radial scaling check once per (candidate,
+    t) for t in (0.5, 2).  The link-2 guard is relative to each candidate's
+    own closed form, the link-4 and link-5 guards to the largest K-side
+    closed form.
     """
 
     n: int
@@ -277,14 +281,18 @@ _REL_GUARD = 1e-9
 def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
     """Verify the separation chain for explicit K and candidate samples.
 
-    Preconditions (reported per offending point): every K point at distance
-    at least r from p; every candidate strictly between 0 and r/sqrt(n).
+    Preconditions (reported per offending point): K and the candidates
+    nonempty, every K point at distance at least r from p, every candidate
+    strictly between 0 and r/sqrt(n).  Violations are counted as described
+    in Thm2Report.
     """
     p = np.asarray(p, dtype=complex)
     K = np.asarray(K, dtype=complex)
     Z = np.asarray(z_samples, dtype=complex)
     if p.shape != (n,):
         raise ValueError(f"center has shape {p.shape}, expected ({n},)")
+    if len(K) == 0 or len(Z) == 0:
+        raise ValueError("K and the candidate set must be nonempty")
 
     dk = K - p[None, :]
     dk_norm = np.linalg.norm(dk, axis=1)
@@ -293,69 +301,44 @@ def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
         raise ValueError(f"K points inside B(p, r): indices {bad_k.tolist()}")
     dz = Z - p[None, :]
     dz_norm = np.linalg.norm(dz, axis=1)
-    limit = r / np.sqrt(n)
-    bad_z = np.nonzero((dz_norm >= limit) | (dz_norm <= 0))[0]
+    bad_z = np.nonzero((dz_norm >= r / np.sqrt(n)) | (dz_norm <= 0))[0]
     if bad_z.size:
         raise ValueError(
             f"candidates outside (0, r/sqrt(n)): indices {bad_z.tolist()}")
 
-    dk_abs_sum = np.sum(np.abs(dk), axis=1)
-    dk_nsq = dk_norm ** 2
-    closed_k = dk_abs_sum / dk_nsq          # the K-side middle expression
-    sqrt_n = np.sqrt(n)
+    closed_k = np.sum(np.abs(dk), axis=1) / dk_norm ** 2   # K-side middle term
+    guard_k = _REL_GUARD * float(np.max(closed_k))
+    k_bound = np.sqrt(n) / dk_norm
 
-    slack1 = np.inf   # evaluated |f_lambda(z-p)| equals its closed form
-    slack2 = np.inf   # sum|d_i|/||d||^2 >= 1/||d||
-    slack3 = np.inf   # 1/||z-p|| > sqrt(n)/||w-p||  (strict)
-    slack4 = np.inf   # sqrt(n)/||w-p|| >= sum|w_i-p_i|/||w-p||^2
-    slack5 = np.inf   # that middle expression >= |f_lambda(w-p)|
-    min_margin = np.inf
-    mono_err = 0.0
-    violations = 0
+    lams = _align(dz)                                      # one lambda per z
+    lhs = np.abs(_values(lams, dz))
+    closed = np.sum(np.abs(dz), axis=1) / dz_norm ** 2
+    # link 1: evaluated |f_lambda(z-p)| equals its closed form
+    err1 = np.abs(lhs - closed) / np.maximum(1.0, closed)
+    # link 2: sum|d_i|/||d||^2 >= 1/||d||
+    s2 = closed - 1.0 / dz_norm
+    # link 3: 1/||z-p|| > sqrt(n)/||w-p||  (strict)
+    s3 = 1.0 / dz_norm - np.max(k_bound)
+    # link 4: sqrt(n)/||w-p|| >= sum|w_i-p_i|/||w-p||^2
+    s4 = float(np.min(k_bound - closed_k))
+    # link 5: that middle expression >= |f_lambda(w-p)|, per (w, z)
+    f_on_k = np.abs(_values(lams[None, :, :], dk[:, None, :]))
+    s5 = np.min(closed_k[:, None] - f_on_k, axis=0)
+    margins = lhs - np.max(f_on_k, axis=0)
+    # radial scaling |f(t d)| t = |f(d)|, per (t, z)
+    ts = np.array([[0.5], [2.0]])
+    scaled = np.abs(_values(lams, ts[..., None] * dz)) * ts
+    mono = np.abs(scaled - lhs) / np.maximum(1.0, lhs)
 
-    slack4 = float(np.min(sqrt_n / dk_norm - closed_k))
-    if slack4 < -_REL_GUARD * float(np.max(closed_k)):
-        violations += 1
-
-    for zi in range(Z.shape[0]):
-        d = dz[zi]
-        lam = construct_lambda(Z[zi], p)
-        lhs = abs(basener_value(lam, d))
-        closed = float(np.sum(np.abs(d))) / (dz_norm[zi] ** 2)
-        err1 = abs(lhs - closed) / max(1.0, closed)
-        slack1 = min(slack1, -err1)
-        if err1 > 1e-12:
-            violations += 1
-        s2 = closed - 1.0 / dz_norm[zi]
-        slack2 = min(slack2, s2)
-        if s2 < -_REL_GUARD * closed:
-            violations += 1
-        s3 = 1.0 / dz_norm[zi] - float(np.max(sqrt_n / dk_norm))
-        slack3 = min(slack3, s3)
-        if s3 <= 0:
-            violations += 1
-        lam_arr = lam.as_array()
-        f_on_k = np.abs(np.conj(dk) @ lam_arr) / dk_nsq
-        s5 = float(np.min(closed_k - f_on_k))
-        slack5 = min(slack5, s5)
-        if s5 < -_REL_GUARD * float(np.max(closed_k)):
-            violations += 1
-        margin = lhs - float(np.max(f_on_k))
-        min_margin = min(min_margin, margin)
-        if margin <= 0:
-            violations += 1
-        for t in (0.5, 2.0):
-            err = abs(abs(basener_value(lam, t * d)) * t - lhs) / max(1.0, lhs)
-            mono_err = max(mono_err, err)
-            if err > 1e-12:
-                violations += 1
-
+    violations = (np.sum(err1 > 1e-12) + np.sum(s2 < -_REL_GUARD * closed)
+                  + np.sum(s3 <= 0) + (s4 < -guard_k) + np.sum(s5 < -guard_k)
+                  + np.sum(margins <= 0) + np.sum(mono > 1e-12))
     return Thm2Report(
-        n=n, z_count=Z.shape[0], k_count=K.shape[0], violations=violations,
-        min_margin=float(min_margin),
-        link_slacks=(float(slack1), float(slack2), float(slack3),
-                     float(slack4), float(slack5)),
-        monotonicity_err=float(mono_err))
+        n=n, z_count=Z.shape[0], k_count=K.shape[0],
+        violations=int(violations), min_margin=float(np.min(margins)),
+        link_slacks=(-float(np.max(err1)), float(np.min(s2)),
+                     float(np.min(s3)), s4, float(np.min(s5))),
+        monotonicity_err=float(np.max(mono)))
 
 
 @dataclass(frozen=True)
@@ -368,26 +351,26 @@ class BatchReport:
 
 
 def _sample_outside_ball(rng, n, p, r, count, halfwidth_factor=2.5):
-    out = []
+    out = np.empty((0, n), dtype=complex)
     while len(out) < count:
         draw = rng.uniform(-halfwidth_factor * r, halfwidth_factor * r,
                            size=(4 * count, 2 * n))
         z = p[None, :] + draw[:, :n] + 1j * draw[:, n:]
         keep = np.linalg.norm(z - p[None, :], axis=1) >= r
-        out.extend(z[keep])
-    return np.array(out[:count])
+        out = np.concatenate([out, z[keep]])
+    return out[:count]
 
 
 def _sample_inner_ball(rng, n, p, radius, count, floor=1e-9):
-    out = []
+    out = np.empty((0, n), dtype=complex)
     while len(out) < count:
         raw = rng.normal(size=(4 * count, 2 * n))
         dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         radii = radius * rng.uniform(0.0, 1.0, size=4 * count) ** (1.0 / (2 * n))
         keep = radii > floor
         pts = p[None, :] + radii[keep, None] * (dirs[keep, :n] + 1j * dirs[keep, n:])
-        out.extend(pts)
-    return np.array(out[:count])
+        out = np.concatenate([out, pts])
+    return out[:count]
 
 
 def sample_sphere(n: int, p, r: float, count: int, seed: int) -> np.ndarray:
@@ -410,74 +393,31 @@ def sample_ball(n: int, p, radius: float, count: int, seed: int,
 def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
                        k_count: int = 200, z_count: int = 50,
                        r_range=(0.1, 2.0)) -> BatchReport:
-    """Randomized sweep of theorem2_experiment-style configurations.
+    """Randomized sweep of theorem2_experiment over sampled configurations.
 
-    Vectorized over K and the candidate batch per configuration so the
-    default 1000-configuration run stays well under a minute.
+    Configuration i draws n = ns[i % len(ns)], a center p, a radius r, K
+    outside B(p, r) and candidates inside B(p, r/sqrt(n)).  The per-run
+    reports fold into one: violations add up (so they count failing (link,
+    candidate) pairs as in Thm2Report), margins and link slacks take the
+    minimum, the monotonicity error the maximum.
     """
-    root = np.random.SeedSequence([seed, 0x74686d32])
-    children = root.spawn(configs)
-    violations = 0
-    min_margin = np.inf
-    slacks = [np.inf] * 5
-    mono_err = 0.0
-    for ci in range(configs):
-        rng = np.random.default_rng(children[ci])
+    if configs < 1:
+        raise ValueError(f"configs must be >= 1, got {configs}")
+    children = np.random.SeedSequence([seed, 0x74686d32]).spawn(configs)
+    reps = []
+    for ci, child in enumerate(children):
+        rng = np.random.default_rng(child)
         n = int(ns[ci % len(ns)])
         p = rng.uniform(-1, 1, size=2 * n)
         p = p[:n] + 1j * p[n:]
         r = float(rng.uniform(*r_range))
         K = _sample_outside_ball(rng, n, p, r, k_count)
         Z = _sample_inner_ball(rng, n, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
-
-        dk = K - p[None, :]
-        dk_norm = np.linalg.norm(dk, axis=1)
-        dk_nsq = dk_norm ** 2
-        closed_k = np.sum(np.abs(dk), axis=1) / dk_nsq
-        dz = Z - p[None, :]
-        dz_norm = np.linalg.norm(dz, axis=1)
-        sqrt_n = np.sqrt(n)
-
-        # lambda per candidate, stacked to (n, z_count)
-        mags = np.abs(dz)
-        lams = np.where(mags > 0, dz / np.where(mags > 0, mags, 1.0), 1.0).T
-        lhs = np.sum(mags, axis=1) / dz_norm ** 2
-        evaluated = np.abs(np.sum(np.conj(dz) * lams.T, axis=1)) / dz_norm ** 2
-        err1 = np.max(np.abs(evaluated - lhs) / np.maximum(1.0, lhs))
-        slacks[0] = min(slacks[0], -float(err1))
-        if err1 > 1e-12:
-            violations += 1
-        s2 = float(np.min(lhs - 1.0 / dz_norm))
-        slacks[1] = min(slacks[1], s2)
-        if s2 < -_REL_GUARD * float(np.max(lhs)):
-            violations += 1
-        s3 = float(np.min(1.0 / dz_norm) - np.max(sqrt_n / dk_norm))
-        slacks[2] = min(slacks[2], s3)
-        if s3 <= 0:
-            violations += 1
-        s4 = float(np.min(sqrt_n / dk_norm - closed_k))
-        slacks[3] = min(slacks[3], s4)
-        if s4 < -_REL_GUARD * float(np.max(closed_k)):
-            violations += 1
-        f_on_k = np.abs(np.conj(dk) @ lams) / dk_nsq[:, None]   # (k, z)
-        s5 = float(np.min(closed_k[:, None] - f_on_k))
-        slacks[4] = min(slacks[4], s5)
-        if s5 < -_REL_GUARD * float(np.max(closed_k)):
-            violations += 1
-        margins = evaluated - np.max(f_on_k, axis=0)
-        m = float(np.min(margins))
-        min_margin = min(min_margin, m)
-        if m <= 0:
-            violations += 1
-        # spot-check radial monotonicity on the first candidate
-        lam0 = Lambda(lams[:, 0])
-        base = abs(basener_value(lam0, dz[0]))
-        for t in (0.5, 2.0):
-            err = abs(abs(basener_value(lam0, t * dz[0])) * t - base) / max(1.0, base)
-            mono_err = max(mono_err, err)
-            if err > 1e-12:
-                violations += 1
-    return BatchReport(configs=configs, violations=violations,
-                       min_margin=float(min_margin),
-                       min_link_slacks=tuple(float(s) for s in slacks),
-                       max_monotonicity_err=float(mono_err))
+        reps.append(theorem2_experiment(n, p, r, K, Z))
+    return BatchReport(
+        configs=configs,
+        violations=sum(rep.violations for rep in reps),
+        min_margin=min(rep.min_margin for rep in reps),
+        min_link_slacks=tuple(float(v) for v in
+                              np.min([rep.link_slacks for rep in reps], axis=0)),
+        max_monotonicity_err=max(rep.monotonicity_err for rep in reps))

@@ -54,9 +54,6 @@ class LeviMatrix:
     def m(self):
         return self.mat.shape[0]
 
-    def norm(self):
-        return float(np.linalg.norm(self.mat))
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -287,10 +284,6 @@ class BoundaryClassification:
     strict_q: int | None
     weak_q: int | None
     n: int
-
-    @property
-    def degenerate(self):
-        return False
 
 
 def classify_boundary_point(phi: Expr, p, ztol: float | None = None,

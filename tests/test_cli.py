@@ -1,10 +1,11 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from qholo import fileio
+from qholo import fileio, hull
 from qholo.cli import run
 
 
@@ -187,19 +188,70 @@ def test_hull_seed_override_changes_family(tmp_path):
     assert s1["family"][0]["k_max"] != s2["family"][0]["k_max"]
 
 
+def _hull_k_on_grid(tmp_path):
+    """A hull config whose K file holds sphere points plus two grid
+    candidates, one written with -0.0 coordinates; returns (cfg, rows)."""
+    cfg = _hull_cfg()
+    out = tmp_path / "grid"
+    assert run(["hull", "--config", _write(tmp_path, "g.json", cfg),
+                "--out", str(out)]) == 0
+    lines = (out / "hull_points.csv").read_text().splitlines()
+    rows = [0, 3]
+    sphere = hull.sample_sphere(2, [0, 0], 1.0, 16, seed=1)
+    k_lines = ["re1,im1,re2,im2"]
+    k_lines += [",".join(repr(float(v)) for c in z for v in (c.real, c.imag))
+                for z in sphere]
+    k_lines.append(",".join(lines[1 + rows[0]].split(",")[:4]))
+    neg = lines[1 + rows[1]].split(",")[:4]
+    assert neg[1] == neg[3] == "0.0"
+    k_lines.append(",".join([neg[0], "-0.0", neg[2], "-0.0"]))
+    (tmp_path / "K.csv").write_text("\n".join(k_lines) + "\n")
+    cfg["K"] = {"file": "K.csv"}
+    return _write(tmp_path, "h.json", cfg), rows
+
+
+def test_hull_k_in_z_flags_members(tmp_path):
+    cfg, _ = _hull_k_on_grid(tmp_path)
+    out = tmp_path / "out"
+    assert run(["hull", "--config", cfg, "--out", str(out)]) == 0
+    summary = _read_json(out, "hull_summary.json")
+    assert summary["k_points"] == 18
+    assert summary["k_in_z_all_member"] is True
+
+
+def test_hull_k_in_z_catches_dropped_member(tmp_path, monkeypatch):
+    # the -0.0 row must match its +0.0 candidate, or the drop goes unseen
+    cfg, rows = _hull_k_on_grid(tmp_path)
+    sweep = hull.discrete_hull
+
+    def dropping(prob):
+        res = sweep(prob)
+        members = list(res.members)
+        assert members[rows[1]]
+        members[rows[1]] = False
+        return dataclasses.replace(res, members=tuple(members))
+
+    monkeypatch.setattr(hull, "discrete_hull", dropping)
+    out = tmp_path / "out"
+    assert run(["hull", "--config", cfg, "--out", str(out)]) == 1
+    assert _read_json(out, "hull_summary.json")["k_in_z_all_member"] is False
+
+
 # ---------------------------------------------------------------------------
 # thm2
 
 
+def _thm2_single_cfg(z_count=20):
+    return {"single": {
+        "n": 2, "p": ["0+0i", "0+0i"], "r": 1.0,
+        "K": {"sphere": {"p": ["0+0i", "0+0i"], "r": 1.0,
+                          "count": 50, "seed": 2}},
+        "z": {"count": z_count, "seed": 3},
+    }}
+
+
 def test_thm2_single(tmp_path):
-    cfg = _write(tmp_path, "t.json", {
-        "single": {
-            "n": 2, "p": ["0+0i", "0+0i"], "r": 1.0,
-            "K": {"sphere": {"p": ["0+0i", "0+0i"], "r": 1.0,
-                              "count": 50, "seed": 2}},
-            "z": {"count": 20, "seed": 3},
-        },
-    })
+    cfg = _write(tmp_path, "t.json", _thm2_single_cfg())
     out = tmp_path / "out"
     assert run(["thm2", "--config", cfg, "--out", str(out)]) == 0
     rep = _read_json(out, "thm2_report.json")
@@ -229,6 +281,30 @@ def test_thm2_precondition_is_config_error(tmp_path):
     out = tmp_path / "out"
     assert run(["thm2", "--config", cfg, "--out", str(out)]) == 2
     assert not (out / "thm2_report.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"batch": {"configs": 0, "seed": 4}},
+    _thm2_single_cfg(z_count=0),
+], ids=["batch", "single"])
+def test_thm2_empty_input_is_config_error(tmp_path, cfg):
+    path = _write(tmp_path, "t.json", cfg)
+    out = tmp_path / "out"
+    assert run(["thm2", "--config", path, "--out", str(out)]) == 2
+    assert not (out / "thm2_report.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"batch": {"configs": 3, "seed": 4}},
+    _thm2_single_cfg(),
+], ids=["batch", "single"])
+def test_thm2_planted_fault_exits_1(tmp_path, monkeypatch, cfg):
+    exact = hull._values
+    monkeypatch.setattr(hull, "_values", lambda lams, d: exact(lams, d) * (1 + 1e-6))
+    path = _write(tmp_path, "t.json", cfg)
+    out = tmp_path / "out"
+    assert run(["thm2", "--config", path, "--out", str(out)]) == 1
+    assert _read_json(out, "thm2_report.json")["violations"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -319,13 +319,60 @@ def test_theorem2_rejects_z_outside():
         hull.theorem2_experiment(n, p, r, K, Z)
 
 
+def test_theorem2_rejects_empty_input():
+    n, r = 2, 1.0
+    p = np.zeros(n, complex)
+    K = hull.sample_sphere(n, p, r, 10, seed=1)
+    Z = hull.sample_ball(n, p, r / np.sqrt(n) * 0.9, 5, seed=2)
+    with pytest.raises(ValueError, match="nonempty"):
+        hull.theorem2_experiment(n, p, r, K[:0], Z)
+    with pytest.raises(ValueError, match="nonempty"):
+        hull.theorem2_experiment(n, p, r, K, Z[:0])
+    with pytest.raises(ValueError, match="configs"):
+        hull.run_theorem2_batch(configs=0)
+
+
 def test_theorem2_batch_small_sweep():
     rep = hull.run_theorem2_batch(configs=20, seed=0)
     assert rep.configs == 20
     assert rep.violations == 0
     assert rep.min_margin > 0
     assert rep.min_link_slacks[2] > 0
-    assert rep.max_monotonicity_err <= 1e-12
+    # scaling by 0.5 and 2 is exact in binary floating point, on every candidate
+    assert rep.max_monotonicity_err == 0.0
+
+
+def test_theorem2_batch_of_one_is_the_single_report(monkeypatch):
+    calls = []
+    single = hull.theorem2_experiment
+
+    def spy(*args):
+        calls.append(args)
+        return single(*args)
+
+    monkeypatch.setattr(hull, "theorem2_experiment", spy)
+    batch = hull.run_theorem2_batch(configs=1, seed=7)
+    (args,) = calls
+    rep = single(*args)
+    assert rep.z_count == 50 and rep.k_count == 200
+    assert batch.violations == rep.violations
+    assert batch.min_margin == rep.min_margin
+    assert batch.min_link_slacks == rep.link_slacks
+    assert batch.max_monotonicity_err == rep.monotonicity_err
+
+
+def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
+    # a relative error of 1e-6 in f_lambda must break link 1 on every candidate
+    exact = hull._values
+    monkeypatch.setattr(hull, "_values", lambda lams, d: exact(lams, d) * (1 + 1e-6))
+    n, r = 2, 1.0
+    p = np.zeros(n, complex)
+    K = hull.sample_sphere(n, p, 1.25, 40, seed=1)
+    Z = hull.sample_ball(n, p, r / np.sqrt(n) * 0.9, 25, seed=2)
+    rep = hull.theorem2_experiment(n, p, r, K, Z)
+    assert rep.violations >= 25
+    assert rep.link_slacks[0] < -1e-12
+    assert hull.run_theorem2_batch(configs=3, seed=0).violations >= 150
 
 
 # ---------------------------------------------------------------------------
