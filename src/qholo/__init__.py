@@ -11,11 +11,11 @@ from .expr import (
     Expr, Const, Var, CVar, Add, Sub, Mul, Div, Pow, Exp, Neg,
     Jet2, ParseError, EvalError,
     parse, to_text, conjugate, eval_value, eval_batch, eval_jet2,
-    finite_diff_jet,
+    eval_jet2_batch, finite_diff_jet,
 )
 from .forms import (
     Form, wedge, dbar_form, ddbar_form, residual_form_from_jet,
-    residual_from_jet, q_holo_residual, minor_oracle_residual,
+    residual_from_jet, q_holo_residual, q_holo_residuals, minor_oracle_residual,
 )
 from .levi import (
     LeviMatrix, Signature, FunctionClassification, BoundaryClassification,
@@ -40,9 +40,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Expr", "Const", "Var", "CVar", "Add", "Sub", "Mul", "Div", "Pow", "Exp",
     "Neg", "Jet2", "ParseError", "EvalError", "parse", "to_text", "conjugate",
-    "eval_value", "eval_batch", "eval_jet2", "finite_diff_jet",
+    "eval_value", "eval_batch", "eval_jet2", "eval_jet2_batch",
+    "finite_diff_jet",
     "Form", "wedge", "dbar_form", "ddbar_form", "residual_form_from_jet",
-    "residual_from_jet", "q_holo_residual", "minor_oracle_residual",
+    "residual_from_jet", "q_holo_residual", "q_holo_residuals",
+    "minor_oracle_residual",
     "LeviMatrix", "Signature", "FunctionClassification",
     "BoundaryClassification", "levi_form", "eig_signature", "signature_oracle",
     "jacobi_eigh", "tangent_frame", "tangent_restrict", "classify_function",

@@ -311,12 +311,10 @@ def cmd_qholo(cfg, out_dir, seed, tols):
         f, _, name, avoid = entries[0]
     pts = _load_points(_require(cfg, "points"), n, cfg["_dir"], avoid=avoid)
     threshold = _tol("threshold", tols, cfg, 1e-8)
-    residuals = []
-    for z in pts:
-        try:
-            residuals.append(float(forms.q_holo_residual(f, z, q)))
-        except ex.EvalError as e:
-            raise ConfigError(f"evaluation failed at {z}: {e}")
+    try:
+        residuals = [float(r) for r in forms.q_holo_residuals(f, pts, q)]
+    except ValueError as e:     # EvalError, or an empty point set
+        raise ConfigError(f"evaluation failed: {e}")
     worst = max(residuals)
     report = {
         "n": n,
@@ -451,13 +449,13 @@ def cmd_thm2(cfg, out_dir, seed, tols):
         zspec = _require(s, "z", "single")
         if not isinstance(zspec, dict):
             raise ConfigError("z must be {'file': csv} or {'count', 'seed'}")
-        if "file" in zspec:
-            Z = _load_points(zspec, n, cfg["_dir"])
-        else:
-            Z = hull.sample_ball(n, p, r / np.sqrt(n) * (1 - 1e-12),
-                                 int(zspec.get("count", 50)),
-                                 int(zspec.get("seed", 0)))
         try:
+            if "file" in zspec:
+                Z = _load_points(zspec, n, cfg["_dir"])
+            else:
+                Z = hull.sample_ball(n, p, r / np.sqrt(n) * (1 - 1e-12),
+                                     int(zspec.get("count", 50)),
+                                     int(zspec.get("seed", 0)))
             rep = hull.theorem2_experiment(n, p, r, K, Z)
         except ValueError as e:
             raise ConfigError(str(e))

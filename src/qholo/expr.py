@@ -4,7 +4,9 @@ The expression language is deliberately small: rational operations, integer
 powers, and exp, over variables and their conjugates.  Every expression can be
 evaluated to a second-order Wirtinger jet (value, both gradient blocks, all
 three second-derivative blocks) by exact forward-mode propagation, treating
-z and conj(z) as independent coordinates.
+z and conj(z) as independent coordinates.  Evaluation compiles a tree to a
+post-order tape, and one interpreter runs the tape over a batch of points,
+for values or for 2-jets; single-point evaluation is a batch of one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "CVar", "Add", "Sub", "Mul", "Div", "Pow", "Exp",
     "Neg", "Jet2", "ParseError", "EvalError", "parse", "to_text", "conjugate",
-    "eval_value", "eval_batch", "eval_jet2", "finite_diff_jet",
+    "eval_value", "eval_batch", "eval_jet2", "eval_jet2_batch", "finite_diff_jet",
 ]
 
 # Denominators with modulus at or below this abort evaluation.
@@ -481,6 +483,220 @@ def _fmt(e, ctx):
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# An expression is lowered to a linear post-order tape (one instruction per
+# distinct subtree) and a single interpreter runs the tape over a batch of
+# points, either for values alone or for full 2-jets in forward (Taylor)
+# mode.  A batch 2-jet is a triple (v, G, H): v (m,) values, G (m, 2n) the
+# gradient in the coordinates (z, conj z) and H (m, 2n, 2n) the Hessian in
+# those coordinates, so h_zz, h_zzb and h_zbzb are its upper blocks.  One
+# array per order keeps the number of numpy calls per instruction small; the
+# lower-left block (the transpose of h_zzb) is computed but never read.
+
+_CONST, _VAR, _CVAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _EXP = range(10)
+_OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
+           Sub: _SUB, Mul: _MUL, Div: _DIV, Pow: _POW, Exp: _EXP}
+
+# Rows per 2-jet chunk are _BUDGET // n^2, which bounds the interpreter's
+# scratch memory (a few (rows, 2n, 2n) arrays per live slot) at any n.  At
+# 4096, a 1500-point n=2 sweep peaked about 2 MB (5%) higher in RSS than
+# point-by-point evaluation; at 1024 it is within 0.5 MB.
+_BUDGET = 1024
+
+
+def _compile(e):
+    """Lower e to a post-order tape, walking the tree without recursion.
+
+    Instruction k is (opcode, argument slots, payload, slots whose last use
+    is k) and writes slot k; the last slot holds the result.  Payloads: the
+    constant, the 0-based variable index, the exponent, or for a division
+    its node (named in error messages).  Structurally equal subtrees share
+    one slot.
+    """
+    tape = []
+    slot_of = {}        # id(node) -> slot
+    numbered = {}       # (opcode, argument slots, payload key) -> slot
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in slot_of:
+            stack.pop()
+            continue
+        op = _OPCODE.get(type(node))
+        if op is None:
+            raise TypeError(f"not an Expr node: {node!r}")
+        payload = key = None
+        if _ADD <= op <= _DIV:
+            a, b = slot_of.get(id(node.left)), slot_of.get(id(node.right))
+            if b is None:
+                stack.append(node.right)
+            if a is None:
+                stack.append(node.left)
+            if a is None or b is None:
+                continue
+            args = (a, b)
+            if op == _DIV:
+                payload = node
+        elif op == _NEG or op == _EXP or op == _POW:
+            arg = node.base if op == _POW else node.arg
+            a = slot_of.get(id(arg))
+            if a is None:
+                stack.append(arg)
+                continue
+            args = (a,)
+            if op == _POW:
+                payload = key = node.exponent
+        else:
+            args = ()
+            if op == _CONST:
+                payload, key = node.value, repr(node.value)  # keeps -0.0 apart
+            else:
+                payload = key = node.index - 1
+        stack.pop()
+        slot = numbered.setdefault((op, args, key), len(tape))
+        if slot == len(tape):
+            tape.append((op, args, payload))
+        slot_of[id(node)] = slot
+    last_use = {}
+    for k, (_, args, _) in enumerate(tape):
+        for a in args:
+            last_use[a] = k
+    return [(op, args, payload,
+             tuple(a for a in dict.fromkeys(args) if last_use[a] == k))
+            for k, (op, args, payload) in enumerate(tape)]
+
+
+def _outer(a, b):
+    """Row-wise outer products of two (m, k) arrays."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _jet_product(a, b):
+    av, ag, ah = a
+    bv, bg, bh = b
+    h = ah * bv[:, None, None]      # summed in place: fewer (m, 2n, 2n) temporaries
+    h += _outer(ag, bg)
+    h += _outer(bg, ag)
+    h += av[:, None, None] * bh
+    return (av * bv, ag * bv[:, None] + av[:, None] * bg, h)
+
+
+def _jet_reciprocal(b):
+    bv, bg, bh = b
+    iv = 1.0 / bv
+    iv2 = iv * iv
+    iv3 = iv2 * iv
+    return (iv, -bg * iv2[:, None],
+            2.0 * _outer(bg, bg) * iv3[:, None, None] - bh * iv2[:, None, None])
+
+
+def _jet_power(a, k):
+    av, ag, ah = a
+    if k == 0:
+        return (np.ones_like(av), np.zeros_like(ag), np.zeros_like(ah))
+    if k == 1:
+        return a
+    c1 = k * av ** (k - 1)
+    c2 = k * (k - 1) * av ** (k - 2)
+    return (av ** k, c1[:, None] * ag,
+            c2[:, None, None] * _outer(ag, ag) + c1[:, None, None] * ah)
+
+
+def _jet_exp(a):
+    av, ag, ah = a
+    u = np.exp(av)
+    return (u, u[:, None] * ag, u[:, None, None] * (_outer(ag, ag) + ah))
+
+
+def _divisor_check(d, node):
+    if np.any(np.abs(d) <= EPS_DIV):
+        raise EvalError(f"division by near-zero in '{to_text(node)}'")
+
+
+def _leaf(op, index_or_value, pts, zeros):
+    """Values (zeros is None) or batch 2-jets of a constant or a coordinate;
+    zeros holds shared zero G and H blocks."""
+    m, n = pts.shape
+    if op == _CONST:
+        v = np.full(m, index_or_value, dtype=complex)
+    elif op == _VAR:
+        v = pts[:, index_or_value].copy()
+    else:
+        v = np.conj(pts[:, index_or_value])
+    if zeros is None:
+        return v
+    zero_g, zero_h = zeros
+    if op == _CONST:
+        return (v, zero_g, zero_h)
+    g = zero_g.copy()
+    g[:, index_or_value if op == _VAR else n + index_or_value] = 1.0
+    return (v, g, zero_h)
+
+
+def _value_op(op, payload, out, a, b=None):
+    """One values step.  out is the buffer of an operand that dies here (or
+    None); sums and negations, which round the same either way, write the
+    result into it.  Products stay out of place: numpy multiplies a
+    one-element array in place with different rounding."""
+    if op == _MUL:
+        return a * b
+    if op == _ADD:
+        return np.add(a, b, out=out)
+    if op == _SUB:
+        return np.subtract(a, b, out=out)
+    if op == _DIV:
+        _divisor_check(b, payload)
+        return a / b
+    if op == _NEG:
+        return np.negative(a, out=out)
+    if op == _POW:
+        return a ** payload
+    return np.exp(a)
+
+
+def _jet_op(op, payload, a, b=None):
+    if op == _MUL:
+        return _jet_product(a, b)
+    if op == _ADD:
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    if op == _SUB:
+        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    if op == _DIV:
+        _divisor_check(b[0], payload)
+        return _jet_product(a, _jet_reciprocal(b))
+    if op == _NEG:
+        return (-a[0], -a[1], -a[2])
+    if op == _POW:
+        return _jet_power(a, payload)
+    return _jet_exp(a)
+
+
+def _run(tape, pts, jets):
+    """Interpret the tape over the rows of pts: (m,) values, or the batch
+    2-jet (v, G, H) when jets is true.  Raises EvalError at a near-zero
+    divisor in any row; overflow is left to the caller's finiteness check.
+
+    Operands reach each step only through the slots and the call's
+    arguments, so a freed slot's arrays are released at once.  In values
+    mode every slot owns its array, so a step writes its result into an
+    operand that dies there; jets share zero blocks and are not reused.
+    """
+    m, n = pts.shape
+    zeros = ((np.zeros((m, 2 * n), dtype=complex),
+              np.zeros((m, 2 * n, 2 * n), dtype=complex)) if jets else None)
+    slots = [None] * len(tape)
+    for k, (op, args, payload, free) in enumerate(tape):
+        if op <= _CVAR:
+            slots[k] = _leaf(op, payload, pts, zeros)
+        elif jets:
+            slots[k] = _jet_op(op, payload, *[slots[a] for a in args])
+        else:
+            slots[k] = _value_op(op, payload, slots[free[0]] if free else None,
+                                 *[slots[a] for a in args])
+        for a in free:
+            slots[a] = None
+    return slots[-1]
+
 
 def _as_point(z, n):
     z = np.asarray(z, dtype=complex)
@@ -491,57 +707,30 @@ def _as_point(z, n):
     return z
 
 
-def eval_value(e: Expr, z) -> complex:
-    """Evaluate just the value of e at point z (length-n complex vector)."""
-    z = _as_point(z, e.n)
+def _as_points(pts, n):
+    pts = np.asarray(pts, dtype=complex)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise ValueError(f"points have shape {pts.shape}, expected (m, {n})")
+    return pts
+
+
+def _values(e, pts):
     # overflow surfaces as a raised EvalError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        v = complex(_eval_batch(e, z[None, :])[0])
-    if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-        raise EvalError(f"non-finite value while evaluating '{to_text(e)}'")
-    return v
-
-
-def eval_batch(e: Expr, pts) -> np.ndarray:
-    """Evaluate values of e at many points at once; pts has shape (m, n)."""
-    pts = np.asarray(pts, dtype=complex)
-    if pts.ndim != 2 or pts.shape[1] != e.n:
-        raise ValueError(f"points have shape {pts.shape}, expected (m, {e.n})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval_batch(e, pts)
+        out = _run(_compile(e), pts, jets=False)
     if not np.all(np.isfinite(out)):
         raise EvalError(f"non-finite value while evaluating '{to_text(e)}'")
     return out
 
 
-def _eval_batch(e, pts):
-    t = type(e)
-    if t is Const:
-        return np.full(pts.shape[0], e.value, dtype=complex)
-    if t is Var:
-        return pts[:, e.index - 1].copy()
-    if t is CVar:
-        return np.conj(pts[:, e.index - 1])
-    if t is Neg:
-        return -_eval_batch(e.arg, pts)
-    if t is Add:
-        return _eval_batch(e.left, pts) + _eval_batch(e.right, pts)
-    if t is Sub:
-        return _eval_batch(e.left, pts) - _eval_batch(e.right, pts)
-    if t is Mul:
-        return _eval_batch(e.left, pts) * _eval_batch(e.right, pts)
-    if t is Div:
-        num = _eval_batch(e.left, pts)
-        den = _eval_batch(e.right, pts)
-        small = np.abs(den) <= EPS_DIV
-        if np.any(small):
-            raise EvalError(f"division by near-zero in '{to_text(e)}'")
-        return num / den
-    if t is Pow:
-        return _eval_batch(e.base, pts) ** e.exponent
-    if t is Exp:
-        return np.exp(_eval_batch(e.arg, pts))
-    raise TypeError(f"not an Expr node: {e!r}")
+def eval_value(e: Expr, z) -> complex:
+    """Evaluate just the value of e at point z (length-n complex vector)."""
+    return complex(_values(e, _as_point(z, e.n)[None, :])[0])
+
+
+def eval_batch(e: Expr, pts) -> np.ndarray:
+    """Evaluate values of e at many points at once; pts has shape (m, n)."""
+    return _values(e, _as_points(pts, e.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -568,114 +757,48 @@ class Jet2:
         return abs(self.value.imag) <= tol * max(1.0, abs(self.value.real))
 
 
-def _jet_zero(n):
-    return (0j, np.zeros(n, complex), np.zeros(n, complex),
-            np.zeros((n, n), complex), np.zeros((n, n), complex),
-            np.zeros((n, n), complex))
-
-
-def _jet_mul(a, b):
-    av, agz, agzb, azz, azzb, azbzb = a
-    bv, bgz, bgzb, bzz, bzzb, bzbzb = b
-    v = av * bv
-    gz = agz * bv + av * bgz
-    gzb = agzb * bv + av * bgzb
-    zz = azz * bv + np.outer(agz, bgz) + np.outer(bgz, agz) + av * bzz
-    zzb = azzb * bv + np.outer(agz, bgzb) + np.outer(bgz, agzb) + av * bzzb
-    zbzb = azbzb * bv + np.outer(agzb, bgzb) + np.outer(bgzb, agzb) + av * bzbzb
-    return (v, gz, gzb, zz, zzb, zbzb)
-
-
-def _jet_recip(b, node):
-    bv, bgz, bgzb, bzz, bzzb, bzbzb = b
-    if abs(bv) <= EPS_DIV:
-        raise EvalError(f"division by near-zero in '{to_text(node)}'")
-    iv = 1.0 / bv
-    iv2 = iv * iv
-    iv3 = iv2 * iv
-    v = iv
-    gz = -bgz * iv2
-    gzb = -bgzb * iv2
-    zz = 2.0 * np.outer(bgz, bgz) * iv3 - bzz * iv2
-    zzb = 2.0 * np.outer(bgz, bgzb) * iv3 - bzzb * iv2
-    zbzb = 2.0 * np.outer(bgzb, bgzb) * iv3 - bzbzb * iv2
-    return (v, gz, gzb, zz, zzb, zbzb)
-
-
-def _jet(e, z):
+def _jet_blocks(e, pts):
+    """Batch 2-jets as six read-only blocks; pts is an (m, n) array."""
     n = e.n
-    t = type(e)
-    if t is Const:
-        out = _jet_zero(n)
-        return (e.value,) + out[1:]
-    if t is Var:
-        v, gz, gzb, zz, zzb, zbzb = _jet_zero(n)
-        gz = gz.copy()
-        gz[e.index - 1] = 1.0
-        return (z[e.index - 1], gz, gzb, zz, zzb, zbzb)
-    if t is CVar:
-        v, gz, gzb, zz, zzb, zbzb = _jet_zero(n)
-        gzb = gzb.copy()
-        gzb[e.index - 1] = 1.0
-        return (z[e.index - 1].conjugate(), gz, gzb, zz, zzb, zbzb)
-    if t is Neg:
-        return tuple(-part for part in _jet(e.arg, z))
-    if t is Add:
-        a = _jet(e.left, z)
-        b = _jet(e.right, z)
-        return tuple(x + y for x, y in zip(a, b))
-    if t is Sub:
-        a = _jet(e.left, z)
-        b = _jet(e.right, z)
-        return tuple(x - y for x, y in zip(a, b))
-    if t is Mul:
-        return _jet_mul(_jet(e.left, z), _jet(e.right, z))
-    if t is Div:
-        return _jet_mul(_jet(e.left, z), _jet_recip(_jet(e.right, z), e))
-    if t is Pow:
-        a = _jet(e.base, z)
-        av, agz, agzb, azz, azzb, azbzb = a
-        k = e.exponent
-        if k == 0:
-            out = _jet_zero(n)
-            return (1.0 + 0j,) + out[1:]
-        if k == 1:
-            return a
-        v = av ** k
-        c1 = k * av ** (k - 1)
-        c2 = k * (k - 1) * av ** (k - 2)
-        gz = c1 * agz
-        gzb = c1 * agzb
-        zz = c2 * np.outer(agz, agz) + c1 * azz
-        zzb = c2 * np.outer(agz, agzb) + c1 * azzb
-        zbzb = c2 * np.outer(agzb, agzb) + c1 * azbzb
-        return (v, gz, gzb, zz, zzb, zbzb)
-    if t is Exp:
-        a = _jet(e.arg, z)
-        av, agz, agzb, azz, azzb, azbzb = a
-        u = np.exp(av)
-        gz = u * agz
-        gzb = u * agzb
-        zz = u * (np.outer(agz, agz) + azz)
-        zzb = u * (np.outer(agz, agzb) + azzb)
-        zbzb = u * (np.outer(agzb, agzb) + azbzb)
-        return (u, gz, gzb, zz, zzb, zbzb)
-    raise TypeError(f"not an Expr node: {e!r}")
+    tape = _compile(e)
+    rows = max(1, _BUDGET // (n * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(pts) <= rows:
+            v, g, h = _run(tape, pts, jets=True)
+        else:
+            m = len(pts)
+            v = np.empty(m, dtype=complex)
+            g = np.empty((m, 2 * n), dtype=complex)
+            h = np.empty((m, 2 * n, 2 * n), dtype=complex)
+            for lo in range(0, m, rows):
+                v[lo:lo + rows], g[lo:lo + rows], h[lo:lo + rows] = _run(
+                    tape, pts[lo:lo + rows], jets=True)
+    blocks = (v, g[:, :n], g[:, n:], h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise EvalError(f"non-finite jet while evaluating '{to_text(e)}'")
+    for b in blocks:
+        b.flags.writeable = False
+    return blocks
+
+
+def eval_jet2_batch(e: Expr, pts) -> tuple:
+    """Exact forward-mode 2-jets of e at the rows of pts, shape (m, n).
+
+    Returns the read-only blocks (value, g_z, g_zb, h_zz, h_zzb, h_zbzb) of
+    Jet2 with a leading point axis: shapes (m,), (m, n) and (m, n, n).  Row k
+    equals eval_jet2(e, pts[k]) exactly.  A near-zero divisor or a non-finite
+    entry in any row raises EvalError; non-finite input raises ValueError.
+    """
+    pts = _as_points(pts, e.n)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points have non-finite coordinates")
+    return _jet_blocks(e, pts)
 
 
 def eval_jet2(e: Expr, z) -> Jet2:
     """Exact forward-mode second-order Wirtinger jet of e at point z."""
-    z = _as_point(z, e.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, gz, gzb, zz, zzb, zbzb = _jet(e, z)
-    v = complex(v)
-    blocks = (gz, gzb, zz, zzb, zbzb)
-    if not (np.isfinite(v.real) and np.isfinite(v.imag)
-            and all(np.all(np.isfinite(b)) for b in blocks)):
-        raise EvalError(f"non-finite jet while evaluating '{to_text(e)}'")
-    for b in blocks:
-        b.flags.writeable = False
-    return Jet2(v, *blocks)
+    v, *blocks = _jet_blocks(e, _as_point(z, e.n)[None, :])
+    return Jet2(complex(v[0]), *(b[0] for b in blocks))
 
 
 # ---------------------------------------------------------------------------

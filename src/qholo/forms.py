@@ -19,11 +19,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .expr import Expr, Jet2, eval_jet2
+from .expr import Expr, Jet2, eval_jet2, eval_jet2_batch
 
 __all__ = [
     "Form", "wedge", "dbar_form", "ddbar_form", "residual_from_jet",
-    "q_holo_residual", "minor_oracle_residual",
+    "q_holo_residual", "q_holo_residuals", "minor_oracle_residual",
 ]
 
 
@@ -167,6 +167,15 @@ def q_holo_residual(e: Expr, z, q: int) -> float:
     q may exceed the dimension; the residual is then zero by degree.
     """
     return residual_from_jet(eval_jet2(e, z), q)
+
+
+def q_holo_residuals(e: Expr, pts, q: int) -> np.ndarray:
+    """q_holo_residual at every row of pts (shape (m, n)), from one batch of
+    jets; row k equals q_holo_residual(e, pts[k], q)."""
+    value, *blocks = eval_jet2_batch(e, pts)
+    return np.array([
+        residual_from_jet(Jet2(complex(value[k]), *(b[k] for b in blocks)), q)
+        for k in range(len(value))], dtype=float)
 
 
 def minor_oracle_residual(e: Expr, z, q: int) -> float:

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .forms import q_holo_residual
+# q_holo_residual stays bound here: perfbench/test_perfbench.py checks that its
+# tracer wraps this binding.
+from .forms import q_holo_residual, q_holo_residuals  # noqa: F401
 
 __all__ = [
     "Lambda", "FamilyMember", "HullProblem", "HullResult", "Thm2Report",
@@ -159,9 +161,7 @@ def certify_member(e: ex.Expr, q: int, sample_pts, tol: float = 1e-8,
     Raises ValueError when the measured bound exceeds tol: the family must be
     certified, not assumed.
     """
-    worst = 0.0
-    for z in np.asarray(sample_pts, dtype=complex):
-        worst = max(worst, q_holo_residual(e, z, q))
+    worst = float(np.max(q_holo_residuals(e, sample_pts, q), initial=0.0))
     if worst > tol:
         raise ValueError(
             f"family member {name or ex.to_text(e)!r} failed certification: "
@@ -362,6 +362,8 @@ def _sample_outside_ball(rng, n, p, r, count, halfwidth_factor=2.5):
 
 
 def _sample_inner_ball(rng, n, p, radius, count, floor=1e-9):
+    if not radius > floor:      # no draw could be kept
+        raise ValueError(f"ball radius {radius} must exceed the floor {floor}")
     out = np.empty((0, n), dtype=complex)
     while len(out) < count:
         raw = rng.normal(size=(4 * count, 2 * n))
@@ -384,7 +386,10 @@ def sample_sphere(n: int, p, r: float, count: int, seed: int) -> np.ndarray:
 
 def sample_ball(n: int, p, radius: float, count: int, seed: int,
                 floor: float = 1e-9) -> np.ndarray:
-    """Uniform sample of the punctured ball B(p, radius) minus B(p, floor)."""
+    """Uniform sample of the punctured ball B(p, radius) minus B(p, floor).
+
+    Raises ValueError unless radius > floor.
+    """
     p = np.asarray(p, dtype=complex)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62616c6c]))
     return _sample_inner_ball(rng, n, p, radius, count, floor=floor)
@@ -400,9 +405,18 @@ def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
     reports fold into one: violations add up (so they count failing (link,
     candidate) pairs as in Thm2Report), margins and link slacks take the
     minimum, the monotonicity error the maximum.
+
+    Raises ValueError, before any sampling, when configs < 1, ns is empty or
+    holds an n < 1, or r_range is not a finite (lo, hi) with 0 < lo <= hi.
     """
     if configs < 1:
         raise ValueError(f"configs must be >= 1, got {configs}")
+    if len(ns) == 0 or min(ns) < 1:
+        raise ValueError(f"ns must be nonempty with every n >= 1, got {list(ns)}")
+    if not (len(r_range) == 2 and np.all(np.isfinite(r_range))
+            and 0 < r_range[0] <= r_range[1]):
+        raise ValueError(
+            f"r_range must be finite with 0 < lo <= hi, got {list(r_range)}")
     children = np.random.SeedSequence([seed, 0x74686d32]).spawn(configs)
     reps = []
     for ci, child in enumerate(children):

@@ -9,11 +9,12 @@ eigensolver (oracle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, eval_jet2
+from .expr import Expr, eval_jet2, eval_jet2_batch
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
@@ -92,10 +93,14 @@ def levi_form(phi: Expr, z, imag_tol: float = 1e-9) -> LeviMatrix:
     signature meaning.
     """
     j = eval_jet2(phi, z)
-    if abs(j.value.imag) > imag_tol * max(1.0, abs(j.value.real)):
+    return _real_levi_form(j.value, j.h_zzb, imag_tol)
+
+
+def _real_levi_form(value, h_zzb, imag_tol=1e-9):
+    if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
         raise ValueError(
-            f"function is not real-valued at the point: value {j.value}")
-    return LeviMatrix(j.h_zzb)
+            f"function is not real-valued at the point: value {value}")
+    return LeviMatrix(h_zzb)
 
 
 def jacobi_eigh(h, tol: float = 1e-13, max_sweeps: int = 60):
@@ -259,9 +264,9 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
     pts = [np.asarray(p, dtype=complex) for p in points]
     if not pts:
         raise ValueError("need at least one point")
-    for p in pts:
-        h = levi_form(f, p)
-        sig = eig_signature(h, ztol)
+    values, _, _, _, h_zzb, _ = eval_jet2_batch(f, np.array(pts))
+    for value, h in zip(values, h_zzb):
+        sig = eig_signature(_real_levi_form(complex(value), h), ztol)
         sigs.append(sig)
         qs.append(n - sig.n_pos + 1)
     return FunctionClassification(
@@ -321,8 +326,12 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
 
     Each draw starts uniform in the box around `center` and iterates the
     first-order zero-finding step z <- z - phi(z) conj(g)/(2 ||g||^2) with the
-    step length capped, until |phi| <= eps_bdry.  Non-converging draws are
-    discarded; the generator is deterministic in `seed`.
+    step length capped, until |phi| <= eps_bdry; a draw that has not
+    converged after max_iter steps, or meets a vanishing gradient, is
+    discarded.  The result is the first `count` converged draws in draw
+    order, and sampling stalls (RuntimeError) when 60 * count draws yield
+    fewer.  Draws run in blocks, each Newton step over all live draws of a
+    block at once; the generator is deterministic in `seed`.
     """
     n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
@@ -330,31 +339,37 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
         center = np.zeros(n, dtype=complex)
     center = np.asarray(center, dtype=complex)
     out = []
-    attempts = 0
+    drawn = 0
+    limit = 60 * count
     cap = 0.5 * box
     while len(out) < count:
-        attempts += 1
-        if attempts > 60 * count:
+        if drawn >= limit:
             raise RuntimeError(
                 f"boundary sampling stalled: {len(out)}/{count} points after "
-                f"{attempts} draws")
-        x = rng.uniform(-box, box, size=2 * n)
-        z = center + x[:n] + 1j * x[n:]
+                f"{drawn + 1} draws")
+        need = count - len(out)
+        # enough draws for the acceptance rate seen so far (1/60 at worst)
+        rate = max(len(out) / drawn if drawn else 1.0, 1.0 / 60.0)
+        block = min(limit - drawn, math.ceil(need / rate))
+        drawn += block
+        x = rng.uniform(-box, box, size=(block, 2 * n))
+        z = center + x[:, :n] + 1j * x[:, n:]
+        converged = np.zeros(block, dtype=bool)
+        live = np.arange(block)
         for _ in range(max_iter):
-            j = eval_jet2(phi, z)
-            if abs(j.value) <= eps_bdry:
+            if live.size == 0:
                 break
-            g = np.asarray(j.g_z)
-            gn2 = float(np.vdot(g, g).real)
-            if gn2 <= EPS_GRAD ** 2:
-                break
-            step = j.value.real * np.conj(g) / (2.0 * gn2)
-            slen = float(np.linalg.norm(step))
-            if slen > cap:
-                step *= cap / slen
-            z = z - step
-        else:
-            continue
-        if abs(eval_jet2(phi, z).value) <= eps_bdry:
-            out.append(z)
+            value, g = eval_jet2_batch(phi, z[live])[:2]
+            done = np.abs(value) <= eps_bdry
+            converged[live[done]] = True
+            gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+            step_on = ~done & (gn2 > EPS_GRAD ** 2)
+            live, value, g, gn2 = (live[step_on], value[step_on], g[step_on],
+                                   gn2[step_on])
+            step = value.real[:, None] * np.conj(g) / (2.0 * gn2[:, None])
+            slen = np.linalg.norm(step, axis=1)
+            long_ = slen > cap
+            step[long_] *= (cap / slen[long_])[:, None]
+            z[live] = z[live] - step
+        out.extend(z[np.flatnonzero(converged)[:need]])
     return np.array(out)

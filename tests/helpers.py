@@ -10,6 +10,7 @@ import numpy as np
 
 from qholo import expr as ex
 from qholo.forms import q_holo_residual
+from qholo.levi import EPS_BDRY, EPS_GRAD
 
 
 def _re(e):
@@ -182,3 +183,43 @@ def certified_sample(rng, n_max=4, residual_tol=1e-10, max_tries=200):
         if q_holo_residual(e, z, q) <= residual_tol:
             return e, z, q
     raise RuntimeError("certified sample generation stalled")
+
+
+def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
+                              max_iter=100, center=None):
+    """Scalar reference for levi.sample_boundary: one draw at a time, one
+    eval_jet2 per Newton step, the same rng stream and acceptance rule."""
+    n = phi.n
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
+    if center is None:
+        center = np.zeros(n, dtype=complex)
+    center = np.asarray(center, dtype=complex)
+    out = []
+    attempts = 0
+    cap = 0.5 * box
+    while len(out) < count:
+        attempts += 1
+        if attempts > 60 * count:
+            raise RuntimeError(
+                f"boundary sampling stalled: {len(out)}/{count} points after "
+                f"{attempts} draws")
+        x = rng.uniform(-box, box, size=2 * n)
+        z = center + x[:n] + 1j * x[n:]
+        for _ in range(max_iter):
+            j = ex.eval_jet2(phi, z)
+            if abs(j.value) <= eps_bdry:
+                break
+            g = np.asarray(j.g_z)
+            gn2 = float(np.vdot(g, g).real)
+            if gn2 <= EPS_GRAD ** 2:
+                break
+            step = j.value.real * np.conj(g) / (2.0 * gn2)
+            slen = float(np.linalg.norm(step))
+            if slen > cap:
+                step *= cap / slen
+            z = z - step
+        else:
+            continue
+        if abs(ex.eval_jet2(phi, z).value) <= eps_bdry:
+            out.append(z)
+    return np.array(out)

@@ -59,6 +59,14 @@ def test_levi_function_mode(tmp_path):
     assert rep["overall_q"] == 1
 
 
+def test_levi_function_not_real_valued_is_config_error(tmp_path):
+    cfg = _write(tmp_path, "f.json", {"n": 1, "function": "z1",
+                                      "points": [["0.5+0.5i"]]})
+    out = tmp_path / "out"
+    assert run(["levi", "--config", cfg, "--out", str(out)]) == 2
+    assert not (out / "levi_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -288,6 +296,20 @@ def test_thm2_precondition_is_config_error(tmp_path):
     _thm2_single_cfg(z_count=0),
 ], ids=["batch", "single"])
 def test_thm2_empty_input_is_config_error(tmp_path, cfg):
+    path = _write(tmp_path, "t.json", cfg)
+    out = tmp_path / "out"
+    assert run(["thm2", "--config", path, "--out", str(out)]) == 2
+    assert not (out / "thm2_report.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"batch": {"ns": []}},
+    {"batch": {"configs": 2, "ns": [0]}},
+    {"batch": {"configs": 2, "r_range": [0.0, 0.0]}},
+    {"single": {**_thm2_single_cfg()["single"], "r": 0.0}},
+], ids=["batch-no-ns", "batch-n0", "batch-r0", "single-r0"])
+def test_thm2_invalid_config_is_config_error(tmp_path, cfg):
+    # unvalidated, these crash or sample forever
     path = _write(tmp_path, "t.json", cfg)
     out = tmp_path / "out"
     assert run(["thm2", "--config", path, "--out", str(out)]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_expr, random_pair
+from helpers import _well_conditioned, random_expr, random_pair
 from qholo import expr as ex
 
 
@@ -227,6 +227,71 @@ def test_eval_batch_matches_scalar():
             assert abs(batch[k] - v) <= 1e-12 * max(1.0, abs(v))
 
 
+_BLOCKS = ("g_z", "g_zb", "h_zz", "h_zzb", "h_zbzb")
+
+
+def _same_bits(a, b):
+    a, b = (np.ascontiguousarray(np.asarray(x, dtype=complex)) for x in (a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_rows_are_scalar_jets(e, pts, batch):
+    for k, p in enumerate(pts):
+        j = ex.eval_jet2(e, p)
+        assert _same_bits(batch[0][k], j.value)
+        for block, name in zip(batch[1:], _BLOCKS):
+            assert _same_bits(block[k], getattr(j, name)), name
+
+
+def test_jet2_batch_rows_match_scalar_and_oracle():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        e, z = random_pair(rng)
+        n = e.n
+        near = 1e-3 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+        pts = np.concatenate([z[None, :], z[None, :] + near])
+        batch = ex.eval_jet2_batch(e, pts)
+        assert [b.shape for b in batch] == [(7,), (7, n), (7, n), (7, n, n),
+                                            (7, n, n), (7, n, n)]
+        _assert_rows_are_scalar_jets(e, pts, batch)
+        for k, p in enumerate(pts):
+            if _well_conditioned(e, p, rng):
+                row = ex.Jet2(complex(batch[0][k]), *(b[k] for b in batch[1:]))
+                assert _jet_rel_err(row, ex.finite_diff_jet(e, p, h=1e-4)) <= 1e-5
+
+
+def test_jet2_batch_across_chunks_equals_rows():
+    n = 4
+    e = ex.parse("exp(z1*conj(z2))/(2+abs2(z3))+z4^3*conj(z1)-re(z2*z4)", n)
+    rows = ex._BUDGET // n ** 2
+    m = 2 * rows + 17                   # two full chunks and a partial one
+    rng = np.random.default_rng(67)
+    pts = rng.uniform(-1, 1, size=(m, n)) + 1j * rng.uniform(-1, 1, size=(m, n))
+    _assert_rows_are_scalar_jets(e, pts, ex.eval_jet2_batch(e, pts))
+
+
+def test_jet2_batch_with_a_pole_raises():
+    e = ex.parse("1/z1+z2", 2)
+    pts = np.array([[1.0, 0.0], [0.5j, 1.0], [0.0, 2.0]], dtype=complex)
+    assert ex.eval_jet2_batch(e, pts[:2])[0].shape == (2,)
+    with pytest.raises(ex.EvalError):
+        ex.eval_jet2_batch(e, pts)
+    with pytest.raises(ex.EvalError):
+        ex.eval_batch(e, pts)
+
+
+def test_deep_tree_evaluates_without_recursion():
+    terms = 5000
+    e = ex.parse("+".join(["z1"] * terms), 2)
+    z = np.array([1.0 + 2.0j, -0.5j])
+    assert ex.eval_batch(e, z[None, :])[0] == terms * z[0]
+    j = ex.eval_jet2(e, z)
+    assert j.value == terms * z[0]
+    assert np.array_equal(j.g_z, [terms, 0])
+    for name in ("g_zb", "h_zz", "h_zzb", "h_zbzb"):
+        assert not np.any(getattr(j, name))
+
+
 def test_division_by_near_zero_raises():
     e = ex.parse("1/z1", 1)
     with pytest.raises(ex.EvalError):
@@ -251,9 +316,15 @@ def test_nonfinite_point_rejected():
     e = ex.parse("z1", 1)
     with pytest.raises(ValueError):
         ex.eval_jet2(e, np.array([complex(math.nan, 0)]))
+    with pytest.raises(ValueError):
+        ex.eval_jet2_batch(e, np.array([[0.5], [complex(math.nan, 0)]]))
 
 
 def test_jet_arrays_read_only():
     j = ex.eval_jet2(ex.parse("z1*conj(z1)", 1), np.array([1.0 + 0j]))
     with pytest.raises(ValueError):
         j.h_zzb[0, 0] = 5.0
+    batch = ex.eval_jet2_batch(ex.parse("z1*conj(z1)", 1), np.array([[1.0 + 0j]]))
+    for block in batch:
+        with pytest.raises(ValueError):
+            block[0] = 5.0

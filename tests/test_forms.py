@@ -4,7 +4,8 @@ import pytest
 from helpers import certified_sample, random_pair
 from qholo import expr as ex
 from qholo.forms import (Form, dbar_form, ddbar_form, minor_oracle_residual,
-                         q_holo_residual, residual_from_jet, wedge)
+                         q_holo_residual, q_holo_residuals, residual_from_jet,
+                         wedge)
 
 
 def _form(n, a, b, coeffs):
@@ -178,6 +179,16 @@ def test_q1_equivalence_exact():
         e, z = random_pair(rng, n_max=4, depth_max=5)
         j = ex.eval_jet2(e, z)
         assert q_holo_residual(e, z, 1) == float(np.max(np.abs(j.g_zb)))
+
+
+def test_batched_residuals_equal_pointwise():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        e, z = random_pair(rng, n_max=4, depth_max=5)
+        q = int(rng.integers(1, e.n + 1))
+        pts = z[None, :] + 1e-3 * rng.standard_normal((5, e.n))
+        got = q_holo_residuals(e, pts, q)
+        assert got.tolist() == [q_holo_residual(e, p, q) for p in pts]
 
 
 def test_wedge_vs_minor_oracle():

@@ -332,6 +332,23 @@ def test_theorem2_rejects_empty_input():
         hull.run_theorem2_batch(configs=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"ns": ()}, "ns"),
+    ({"ns": (2, 0)}, "ns"),
+    ({"r_range": (0.0, 0.0)}, "r_range"),
+    ({"r_range": (1.0, 0.5)}, "r_range"),
+    ({"r_range": (0.1, float("inf"))}, "r_range"),
+], ids=["ns-empty", "ns-zero", "r-zero", "r-reversed", "r-infinite"])
+def test_theorem2_batch_rejects_invalid_config(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        hull.run_theorem2_batch(configs=2, **kwargs)
+
+
+def test_sample_ball_rejects_radius_at_floor():
+    with pytest.raises(ValueError, match="floor"):
+        hull.sample_ball(2, np.zeros(2), 0.0, 5, seed=1)
+
+
 def test_theorem2_batch_small_sweep():
     rep = hull.run_theorem2_batch(configs=20, seed=0)
     assert rep.configs == 20

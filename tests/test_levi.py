@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_unitary
+from helpers import random_hermitian, random_unitary, sample_boundary_reference
 from qholo import expr as ex
 from qholo import levi
+from qholo.peak import ModelDomain
 
 
 def test_levi_form_identity():
@@ -218,6 +219,39 @@ def test_sample_boundary_deterministic_and_on_surface():
     assert float(np.max(vals)) <= 1e-10
     c = levi.sample_boundary(phi, 40, seed=6)
     assert not np.array_equal(a, c)
+
+
+def _sphere(n):
+    return ex.parse("+".join(f"abs2(z{k + 1})" for k in range(n)) + "-1", n)
+
+
+_ELLIPSOID3 = ModelDomain.ellipsoid([1.0, 1.5, 2.0], [0.2, -0.3, 0.5])
+
+
+@pytest.mark.parametrize("phi, kwargs", [
+    (_sphere(2), {"count": 40, "seed": 5}),
+    (_sphere(3), {"count": 40, "seed": 8}),
+    (_sphere(4), {"count": 40, "seed": 9}),
+    # few Newton steps: most draws fail, so several blocks are drawn
+    (_sphere(2), {"count": 30, "seed": 4, "max_iter": 4}),
+    # the boundary point of the acceptance peak fixture
+    (_ELLIPSOID3.phi, {"count": 1, "seed": 11, "box": _ELLIPSOID3.box_halfwidth,
+                       "center": _ELLIPSOID3.box_center}),
+], ids=["sphere2", "sphere3", "sphere4", "sphere2-blocks", "ellipsoid3-seed11"])
+def test_sample_boundary_matches_scalar_reference(phi, kwargs):
+    got = levi.sample_boundary(phi, **kwargs)
+    want = sample_boundary_reference(phi, **kwargs)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
+def test_sample_boundary_stalls_like_scalar_reference():
+    kwargs = {"count": 5, "seed": 4, "max_iter": 3}
+    with pytest.raises(RuntimeError) as got:
+        levi.sample_boundary(_sphere(2), **kwargs)
+    with pytest.raises(RuntimeError) as want:
+        sample_boundary_reference(_sphere(2), **kwargs)
+    assert str(got.value) == str(want.value)
 
 
 def test_default_ztol_scales():
