@@ -484,10 +484,9 @@ def _fmt(e, ctx):
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# An expression is lowered to a linear post-order tape (one instruction per
-# distinct subtree) and a single interpreter runs the tape over a batch of
-# points, either for values alone or for full 2-jets in forward (Taylor)
-# mode.  A batch 2-jet is a triple (v, G, H): v (m,) values, G (m, 2n) the
+# An expression is lowered once to a linear post-order tape (one instruction
+# per node) and a single interpreter runs the tape over a batch of points,
+# either for values alone or for full 2-jets in forward (Taylor) mode.  A batch 2-jet is a triple (v, G, H): v (m,) values, G (m, 2n) the
 # gradient in the coordinates (z, conj z) and H (m, 2n, 2n) the Hessian in
 # those coordinates, so h_zz, h_zzb and h_zbzb are its upper blocks.  One
 # array per order keeps the number of numpy calls per instruction small; the
@@ -510,12 +509,11 @@ def _compile(e):
     Instruction k is (opcode, argument slots, payload, slots whose last use
     is k) and writes slot k; the last slot holds the result.  Payloads: the
     constant, the 0-based variable index, the exponent, or for a division
-    its node (named in error messages).  Structurally equal subtrees share
-    one slot.
+    its node (named in error messages).  A node reached along several paths
+    of the tree gets one slot.
     """
     tape = []
     slot_of = {}        # id(node) -> slot
-    numbered = {}       # (opcode, argument slots, payload key) -> slot
     stack = [e]
     while stack:
         node = stack[-1]
@@ -525,7 +523,7 @@ def _compile(e):
         op = _OPCODE.get(type(node))
         if op is None:
             raise TypeError(f"not an Expr node: {node!r}")
-        payload = key = None
+        payload = None
         if _ADD <= op <= _DIV:
             a, b = slot_of.get(id(node.left)), slot_of.get(id(node.right))
             if b is None:
@@ -545,18 +543,13 @@ def _compile(e):
                 continue
             args = (a,)
             if op == _POW:
-                payload = key = node.exponent
+                payload = node.exponent
         else:
             args = ()
-            if op == _CONST:
-                payload, key = node.value, repr(node.value)  # keeps -0.0 apart
-            else:
-                payload = key = node.index - 1
+            payload = node.value if op == _CONST else node.index - 1
         stack.pop()
-        slot = numbered.setdefault((op, args, key), len(tape))
-        if slot == len(tape):
-            tape.append((op, args, payload))
-        slot_of[id(node)] = slot
+        slot_of[id(node)] = len(tape)
+        tape.append((op, args, payload))
     last_use = {}
     for k, (_, args, _) in enumerate(tape):
         for a in args:
@@ -564,6 +557,24 @@ def _compile(e):
     return [(op, args, payload,
              tuple(a for a in dict.fromkeys(args) if last_use[a] == k))
             for k, (op, args, payload) in enumerate(tape)]
+
+
+# Tapes of recently evaluated expressions, keyed by node identity.  Each
+# entry holds its node, so the id cannot be reused while the entry lives.
+_TAPES = {}
+_TAPES_MAX = 64
+
+
+def _tape(e):
+    """The compiled tape of e, compiled on first use."""
+    hit = _TAPES.get(id(e))
+    if hit is not None:
+        return hit[1]
+    tape = _compile(e)
+    if len(_TAPES) >= _TAPES_MAX:
+        del _TAPES[next(iter(_TAPES))]
+    _TAPES[id(e)] = (e, tape)
+    return tape
 
 
 def _outer(a, b):
@@ -633,22 +644,18 @@ def _leaf(op, index_or_value, pts, zeros):
     return (v, g, zero_h)
 
 
-def _value_op(op, payload, out, a, b=None):
-    """One values step.  out is the buffer of an operand that dies here (or
-    None); sums and negations, which round the same either way, write the
-    result into it.  Products stay out of place: numpy multiplies a
-    one-element array in place with different rounding."""
+def _value_op(op, payload, a, b=None):
     if op == _MUL:
         return a * b
     if op == _ADD:
-        return np.add(a, b, out=out)
+        return a + b
     if op == _SUB:
-        return np.subtract(a, b, out=out)
+        return a - b
     if op == _DIV:
         _divisor_check(b, payload)
         return a / b
     if op == _NEG:
-        return np.negative(a, out=out)
+        return -a
     if op == _POW:
         return a ** payload
     return np.exp(a)
@@ -677,9 +684,7 @@ def _run(tape, pts, jets):
     divisor in any row; overflow is left to the caller's finiteness check.
 
     Operands reach each step only through the slots and the call's
-    arguments, so a freed slot's arrays are released at once.  In values
-    mode every slot owns its array, so a step writes its result into an
-    operand that dies there; jets share zero blocks and are not reused.
+    arguments, so a freed slot's arrays are released at once.
     """
     m, n = pts.shape
     zeros = ((np.zeros((m, 2 * n), dtype=complex),
@@ -691,8 +696,7 @@ def _run(tape, pts, jets):
         elif jets:
             slots[k] = _jet_op(op, payload, *[slots[a] for a in args])
         else:
-            slots[k] = _value_op(op, payload, slots[free[0]] if free else None,
-                                 *[slots[a] for a in args])
+            slots[k] = _value_op(op, payload, *[slots[a] for a in args])
         for a in free:
             slots[a] = None
     return slots[-1]
@@ -717,7 +721,7 @@ def _as_points(pts, n):
 def _values(e, pts):
     # overflow surfaces as a raised EvalError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _run(_compile(e), pts, jets=False)
+        out = _run(_tape(e), pts, jets=False)
     if not np.all(np.isfinite(out)):
         raise EvalError(f"non-finite value while evaluating '{to_text(e)}'")
     return out
@@ -760,7 +764,7 @@ class Jet2:
 def _jet_blocks(e, pts):
     """Batch 2-jets as six read-only blocks; pts is an (m, n) array."""
     n = e.n
-    tape = _compile(e)
+    tape = _tape(e)
     rows = max(1, _BUDGET // (n * n))
     with np.errstate(over="ignore", invalid="ignore"):
         if len(pts) <= rows:

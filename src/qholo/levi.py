@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, eval_jet2, eval_jet2_batch
+from .expr import EvalError, Expr, eval_jet2, eval_jet2_batch
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
@@ -319,6 +319,29 @@ def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
         strict_q=strict_q, weak_q=weak_q, n=n)
 
 
+def _project(phi, z, eps_bdry, max_iter, cap):
+    """Damped zero-finding steps on the rows of z, in place, all live rows at
+    once; returns which rows converged."""
+    converged = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        value, g = eval_jet2_batch(phi, z[live])[:2]
+        done = np.abs(value) <= eps_bdry
+        converged[live[done]] = True
+        gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+        step_on = ~done & (gn2 > EPS_GRAD ** 2)
+        live, value, g, gn2 = (live[step_on], value[step_on], g[step_on],
+                               gn2[step_on])
+        step = value.real[:, None] * np.conj(g) / (2.0 * gn2[:, None])
+        slen = np.linalg.norm(step, axis=1)
+        long_ = slen > cap
+        step[long_] *= (cap / slen[long_])[:, None]
+        z[live] = z[live] - step
+    return converged
+
+
 def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
                     eps_bdry: float = EPS_BDRY, max_iter: int = 100,
                     center=None) -> np.ndarray:
@@ -331,7 +354,10 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
     discarded.  The result is the first `count` converged draws in draw
     order, and sampling stalls (RuntimeError) when 60 * count draws yield
     fewer.  Draws run in blocks, each Newton step over all live draws of a
-    block at once; the generator is deterministic in `seed`.
+    block at once; the generator is deterministic in `seed`.  A block may
+    hold draws past the count-th convergence; when the block raises
+    EvalError its draws are redone one at a time up to that convergence, so
+    only a draw the sampler needs can raise.
     """
     n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
@@ -354,22 +380,15 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
         drawn += block
         x = rng.uniform(-box, box, size=(block, 2 * n))
         z = center + x[:, :n] + 1j * x[:, n:]
-        converged = np.zeros(block, dtype=bool)
-        live = np.arange(block)
-        for _ in range(max_iter):
-            if live.size == 0:
-                break
-            value, g = eval_jet2_batch(phi, z[live])[:2]
-            done = np.abs(value) <= eps_bdry
-            converged[live[done]] = True
-            gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
-            step_on = ~done & (gn2 > EPS_GRAD ** 2)
-            live, value, g, gn2 = (live[step_on], value[step_on], g[step_on],
-                                   gn2[step_on])
-            step = value.real[:, None] * np.conj(g) / (2.0 * gn2[:, None])
-            slen = np.linalg.norm(step, axis=1)
-            long_ = slen > cap
-            step[long_] *= (cap / slen[long_])[:, None]
-            z[live] = z[live] - step
+        try:
+            converged = _project(phi, z, eps_bdry, max_iter, cap)
+        except EvalError:
+            z = center + x[:, :n] + 1j * x[:, n:]
+            converged = np.zeros(block, dtype=bool)
+            for i in range(block):
+                converged[i] = _project(phi, z[i:i + 1], eps_bdry, max_iter, cap)[0]
+                if converged[i] and np.count_nonzero(converged) == need:
+                    break
         out.extend(z[np.flatnonzero(converged)[:need]])
     return np.array(out)
+

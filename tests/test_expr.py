@@ -292,6 +292,27 @@ def test_deep_tree_evaluates_without_recursion():
         assert not np.any(getattr(j, name))
 
 
+def test_each_expression_compiles_once(monkeypatch):
+    compiled = []
+    compile_ = ex._compile
+    monkeypatch.setattr(ex, "_compile", lambda e: compiled.append(e) or compile_(e))
+    monkeypatch.setattr(ex, "_TAPES", {})
+    e = ex.parse("z1*conj(z2)+exp(z2)", 2)
+    z = np.array([0.5 + 0.25j, -1.0j])
+    for _ in range(3):
+        ex.eval_value(e, z)
+        ex.eval_jet2(e, z)
+    ex.eval_batch(e, z[None, :])
+    assert compiled == [e]
+    # a full cache drops its oldest tape; the expressions still evaluate
+    others = [ex.parse(f"z1+{k}", 2) for k in range(ex._TAPES_MAX)]
+    for k, f in enumerate(others):
+        assert ex.eval_value(f, z) == z[0] + k
+    assert len(ex._TAPES) == ex._TAPES_MAX
+    assert ex.eval_value(e, z) == ex.eval_batch(e, z[None, :])[0]
+    assert compiled.count(e) == 2
+
+
 def test_division_by_near_zero_raises():
     e = ex.parse("1/z1", 1)
     with pytest.raises(ex.EvalError):

@@ -228,6 +228,26 @@ def test_hull_marks_singular_candidates():
     assert res.margins[0] == np.inf
 
 
+def test_hull_poles_on_a_grid_of_several_chunks():
+    # poles in the first, a middle and the last (partial) chunk of the
+    # fallback sweep; every other row keeps its row-by-row margin
+    lam = hull.Lambda([1.0, 1.0])
+    p = np.array([0.25 + 0j, -0.5j])
+    rng = np.random.default_rng(4)
+    m = 3 * hull._FALLBACK_ROWS + 17
+    Z = p + rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    poles = [3, hull._FALLBACK_ROWS + 5, m - 1]
+    Z[poles] = p
+    f = hull.basener_expr(lam, p, 2)
+    prob = hull.build_problem(2, _disc_points(16), Z, [(f, 2, "f", p)], seed=0)
+    res = hull.discrete_hull(prob)
+    assert np.flatnonzero(res.singular).tolist() == poles
+    rows = [i for i in range(m) if i not in poles]
+    want = [np.abs(ex.eval_value(f, Z[i])) - res.k_maxima[0] for i in rows]
+    assert [res.margins[i] for i in rows] == want
+    assert all(res.margins[i] == np.inf for i in poles)
+
+
 def test_hull_excludes_punctured_inner_ball():
     # each candidate in B(p, r/sqrt(n)) \ {p} is excluded by its own witness
     n, r = 2, 1.0

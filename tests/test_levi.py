@@ -254,6 +254,49 @@ def test_sample_boundary_stalls_like_scalar_reference():
     assert str(got.value) == str(want.value)
 
 
+# The unit sphere, with a term that is 0 where it evaluates and raises
+# EvalError for draws with |z1 - 2| above about 4 (2% of the box).
+_SPHERE2_RAISING = ex.parse("abs2(z1)+abs2(z2)-1+0*(1/exp(-14*abs2(z1-2)))", 2)
+
+
+def test_sample_boundary_raises_only_for_draws_it_needs():
+    # seed 9: the reference stops before its first raising draw, but a later
+    # block, sized by the acceptance rate, holds one and is redone draw by
+    # draw
+    kwargs = {"count": 5, "seed": 9, "max_iter": 5}
+    got = levi.sample_boundary(_SPHERE2_RAISING, **kwargs)
+    want = sample_boundary_reference(_SPHERE2_RAISING, **kwargs)
+    assert got.shape == want.shape == (5, 2)
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+    # seed 0: the reference reaches a raising draw, and so does the sampler
+    kwargs["seed"] = 0
+    with pytest.raises(ex.EvalError):
+        sample_boundary_reference(_SPHERE2_RAISING, **kwargs)
+    with pytest.raises(ex.EvalError):
+        levi.sample_boundary(_SPHERE2_RAISING, **kwargs)
+
+
+def test_sample_boundary_redoes_a_raising_block_from_its_draws(monkeypatch):
+    # the first block raises at its second Newton step; redone from the
+    # draws' starting points, no draw gets more than max_iter steps
+    batch = levi.eval_jet2_batch
+    calls = []
+
+    def raises_once(phi, pts):
+        calls.append(len(pts))
+        if len(calls) == 2:
+            assert len(pts) > 1
+            raise ex.EvalError("injected")
+        return batch(phi, pts)
+
+    monkeypatch.setattr(levi, "eval_jet2_batch", raises_once)
+    kwargs = {"count": 30, "seed": 4, "max_iter": 4}
+    got = levi.sample_boundary(_sphere(2), **kwargs)
+    want = sample_boundary_reference(_sphere(2), **kwargs)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+
+
 def test_default_ztol_scales():
     h = levi.LeviMatrix(np.eye(3))
     assert levi.default_ztol(h) == pytest.approx(1e-8 * np.sqrt(3))
