@@ -19,9 +19,9 @@ from .forms import (
 )
 from .levi import (
     LeviMatrix, Signature, FunctionClassification, BoundaryClassification,
-    levi_form, eig_signature, signature_oracle, jacobi_eigh, tangent_frame,
-    tangent_restrict, classify_function, classify_boundary_point,
-    sample_boundary, default_ztol,
+    levi_form, eig_signature, signature_oracle, tangent_frame,
+    tangent_restrict, restricted_levi_form, classify_function,
+    classify_boundary_point, sample_boundary, default_ztol,
 )
 from .hull import (
     Lambda, FamilyMember, HullProblem, HullResult, Thm2Report, BatchReport,
@@ -47,8 +47,9 @@ __all__ = [
     "minor_oracle_residual",
     "LeviMatrix", "Signature", "FunctionClassification",
     "BoundaryClassification", "levi_form", "eig_signature", "signature_oracle",
-    "jacobi_eigh", "tangent_frame", "tangent_restrict", "classify_function",
-    "classify_boundary_point", "sample_boundary", "default_ztol",
+    "tangent_frame", "tangent_restrict", "restricted_levi_form",
+    "classify_function", "classify_boundary_point", "sample_boundary",
+    "default_ztol",
     "Lambda", "FamilyMember", "HullProblem", "HullResult", "Thm2Report",
     "BatchReport", "basener_value", "basener_expr", "construct_lambda",
     "random_lambdas", "certify_member", "certification_points",

@@ -48,6 +48,14 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
+def _positive_int(value, what):
+    """A whole number >= 1 from the config; anything else is a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 1 <= value < math.inf or value != int(value)):
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _parse_expr(text, n):
     try:
         return ex.parse(text, n)
@@ -142,7 +150,10 @@ def cmd_levi(cfg, out_dir, seed, tols):
             raise ConfigError(f"bad matrix entry: {e}")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ConfigError(f"matrix must be square, got shape {mat.shape}")
-        h = levi.LeviMatrix(mat)
+        try:
+            h = levi.LeviMatrix(mat)
+        except ValueError as e:
+            raise ConfigError(f"bad matrix: {e}")
         ztol = _tol("ztol", tols, cfg, levi.default_ztol(h))
         sig = levi.eig_signature(h, ztol)
         report = {
@@ -159,7 +170,7 @@ def cmd_levi(cfg, out_dir, seed, tols):
                 failures.append(
                     f"signature {sig.as_tuple()} != expected {want}")
     elif "function" in cfg:
-        n = int(_require(cfg, "n"))
+        n = _positive_int(_require(cfg, "n"), "n")
         f = _parse_expr(cfg["function"], n)
         pts = _load_points(_require(cfg, "points"), n, cfg["_dir"])
         ztol = cfg.get("ztol")
@@ -202,10 +213,10 @@ def cmd_levi(cfg, out_dir, seed, tols):
 
 def cmd_classify(cfg, out_dir, seed, tols):
     """Boundary classification of a domain model at sampled boundary points."""
-    n = int(_require(cfg, "n"))
+    n = _positive_int(_require(cfg, "n"), "n")
     name = cfg.get("name", "domain")
     phi = _parse_expr(_require(cfg, "defining"), n)
-    count = int(_require(cfg, "boundary_samples"))
+    count = _positive_int(_require(cfg, "boundary_samples"), "boundary_samples")
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
     box = float(cfg.get("box", 2.0))
     ztol = tols.get("ztol", cfg.get("ztol"))
@@ -294,7 +305,7 @@ def _family_from_config(entry, n, base_dir, default_seed):
 
 def cmd_qholo(cfg, out_dir, seed, tols):
     """Pointwise q-holomorphicity residual sweep against a threshold."""
-    n = int(_require(cfg, "n"))
+    n = _positive_int(_require(cfg, "n"), "n")
     q = int(_require(cfg, "q"))
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
@@ -374,7 +385,7 @@ def _load_k_set(spec, n, base_dir):
 
 def cmd_hull(cfg, out_dir, seed, tols):
     """Outer hull approximation of K against a certified finite family."""
-    n = int(_require(cfg, "n"))
+    n = _positive_int(_require(cfg, "n"), "n")
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
     members = []
     for entry in _require(cfg, "family"):
@@ -442,7 +453,7 @@ def cmd_thm2(cfg, out_dir, seed, tols):
     """Separation experiment: randomized batch or one explicit configuration."""
     if "single" in cfg:
         s = cfg["single"]
-        n = int(_require(s, "n", "single"))
+        n = _positive_int(_require(s, "n", "single"), "n")
         p = _parse_point(_require(s, "p", "single"), n, "center")
         r = float(_require(s, "r", "single"))
         K = _load_k_set(_require(s, "K", "single"), n, cfg["_dir"])
@@ -509,7 +520,7 @@ def _load_domain(spec, base_dir):
     model = spec.get("model")
     try:
         if model == "ball":
-            n = int(_require(spec, "n", "domain"))
+            n = _positive_int(_require(spec, "n", "domain"), "n")
             center = (_parse_point(spec["center"], n) if "center" in spec
                       else None)
             return peak.ModelDomain.ball(n, radius=float(spec.get("radius", 1.0)),
@@ -520,7 +531,7 @@ def _load_domain(spec, base_dir):
             return peak.ModelDomain.ellipsoid(a, b)
         if model is not None:
             raise ConfigError(f"unknown domain model {model!r}")
-        n = int(_require(spec, "n", "domain"))
+        n = _positive_int(_require(spec, "n", "domain"), "n")
         phi = _parse_expr(_require(spec, "defining", "domain"), n)
         return peak.ModelDomain.from_expr(
             n, phi, float(_require(spec, "box", "domain")),
@@ -542,9 +553,9 @@ def cmd_peak(cfg, out_dir, seed, tols):
     if r != "auto":
         r = float(r)
     samples = cfg.get("samples", {})
-    boundary = int(samples.get("boundary", 200))
-    interior = int(samples.get("interior", 200))
-    tube = int(samples.get("tube", 500))
+    boundary = _positive_int(samples.get("boundary", 200), "samples.boundary")
+    interior = _positive_int(samples.get("interior", 200), "samples.interior")
+    tube = _positive_int(samples.get("tube", 500), "samples.tube")
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
 
     base = {

@@ -245,6 +245,9 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([a-z][a-z0-9]*)|([+\-*/^()]
 
 _FUNCTIONS = ("conj", "re", "im", "abs2", "exp")
 _VAR_RE = re.compile(r"z([0-9]+)$")
+# Deepest nesting of parentheses, calls and unary minus the parser accepts;
+# it keeps the recursive descent far from Python's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -280,13 +283,15 @@ class _Parser:
 
     Subtrees whose leaves are all constants fold into a single constant for
     +, -, *, / and unary minus, so complex literals like (2+3*i) parse to one
-    Const node and the printer round-trips.
+    Const node and the printer round-trips.  Every nesting level passes
+    through parse_base, which counts them against MAX_NESTING.
     """
 
     def __init__(self, toks, n):
         self.toks = toks
         self.n = n
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.k]
@@ -329,6 +334,15 @@ class _Parser:
         return e
 
     def parse_base(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.peek()[2])
+        e = self._parse_base()
+        self.depth -= 1
+        return e
+
+    def _parse_base(self):
         kind, value, pos = self.advance()
         if kind == "num":
             return Const(self.n, complex(value))

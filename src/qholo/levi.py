@@ -2,8 +2,8 @@
 
 The mixed second-derivative block of a real-valued function is a Hermitian
 matrix; its counts of positive, negative, and near-zero eigenvalues drive
-every classification here.  Two independent engines compute signatures: a
-cyclic complex Jacobi diagonalization (primary) and a real-embedding
+every classification here.  Two independent engines compute signatures:
+LAPACK's complex Hermitian eigensolver (primary) and a real-embedding
 eigensolver (oracle).
 """
 
@@ -18,8 +18,8 @@ from .expr import EvalError, Expr, eval_jet2, eval_jet2_batch
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
-    "levi_form", "jacobi_eigh", "eig_signature", "signature_oracle",
-    "tangent_frame", "tangent_restrict", "classify_function",
+    "levi_form", "eig_signature", "signature_oracle", "tangent_frame",
+    "tangent_restrict", "restricted_levi_form", "classify_function",
     "classify_boundary_point", "sample_boundary", "describe_q",
 ]
 
@@ -34,7 +34,9 @@ class LeviMatrix:
 
     herm_dev records the relative deviation of the input from Hermitian
     symmetry (Frobenius norms); inputs beyond EPS_HERM indicate a caller bug
-    but are still symmetrized rather than rejected.
+    but are still symmetrized rather than rejected.  A non-finite entry, or
+    an overflow while symmetrizing or taking norms, raises ValueError: no
+    eigensolver gives a meaningful signature for such a matrix.
     """
 
     mat: np.ndarray
@@ -44,9 +46,14 @@ class LeviMatrix:
         a = np.asarray(mat, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        sym = (a + a.conj().T) / 2.0
-        scale = max(1.0, float(np.linalg.norm(a)))
-        dev = float(np.linalg.norm(a - a.conj().T)) / scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (a + a.conj().T) / 2.0
+            norm = float(np.linalg.norm(a))
+            dev = float(np.linalg.norm(a - a.conj().T)) / max(1.0, norm)
+        if not (math.isfinite(norm) and math.isfinite(dev)
+                and np.isfinite(sym).all()):
+            raise ValueError(
+                "matrix has a non-finite entry or overflows double precision")
         sym.flags.writeable = False
         object.__setattr__(self, "mat", sym)
         object.__setattr__(self, "herm_dev", dev)
@@ -103,65 +110,6 @@ def _real_levi_form(value, h_zzb, imag_tol=1e-9):
     return LeviMatrix(h_zzb)
 
 
-def jacobi_eigh(h, tol: float = 1e-13, max_sweeps: int = 60):
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (vals, vecs) with h ~ vecs @ diag(vals) @ vecs.conj().T, running
-    sweeps until the off-diagonal Frobenius norm is at most tol * ||h||.
-    Raises ArithmeticError (reporting the residual) if the cap is hit.
-    """
-    a = _as_matrix(h).copy()
-    m = a.shape[0]
-    vecs = np.eye(m, dtype=complex)
-    scale = float(np.linalg.norm(a))
-    if m == 1 or scale == 0.0:
-        return a.diagonal().real.copy(), vecs
-
-    def offdiag():
-        off = a - np.diag(a.diagonal())
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        if offdiag() <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                beta = a[p, q]
-                absb = abs(beta)
-                if absb <= 1e-300:
-                    continue
-                phase = beta / absb
-                alpha = a[p, p].real
-                gamma = a[q, q].real
-                tau = (alpha - gamma) / (2.0 * absb)
-                # smaller-angle root of t^2 + 2 tau t - 1 = 0, stable form
-                sgn = 1.0 if tau >= 0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary rotation R: R[p,p]=c, R[p,q]=-s*phase,
-                # R[q,p]=s*conj(phase), R[q,q]=c; apply a <- R† a R
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p + s * np.conj(phase) * vcol_q
-                vecs[:, q] = -s * phase * vcol_p + c * vcol_q
-    else:
-        raise ArithmeticError(
-            f"Jacobi did not converge in {max_sweeps} sweeps; "
-            f"off-diagonal residual {offdiag():.3e} (target {tol * scale:.3e})")
-    return a.diagonal().real.copy(), vecs
-
-
 def _count(vals, ztol):
     n_pos = int(np.sum(vals > ztol))
     n_neg = int(np.sum(vals < -ztol))
@@ -169,13 +117,12 @@ def _count(vals, ztol):
 
 
 def eig_signature(h, ztol: float | None = None) -> Signature:
-    """Eigenvalue signature via the complex Jacobi engine."""
+    """Eigenvalue signature via LAPACK's complex Hermitian eigensolver."""
     if ztol is None:
         ztol = default_ztol(h)
     if ztol < 0:
         raise ValueError("ztol must be nonnegative")
-    vals, _ = jacobi_eigh(h)
-    return _count(vals, ztol)
+    return _count(np.linalg.eigvalsh(_as_matrix(h)), ztol)
 
 
 def signature_oracle(h, ztol: float | None = None) -> Signature:
@@ -228,6 +175,25 @@ def tangent_restrict(h, g, pivot: int = 0) -> LeviMatrix:
     if b.shape[0] != mat.shape[0]:
         raise ValueError("gradient and matrix dimensions differ")
     return LeviMatrix(b.conj().T @ mat @ b)
+
+
+def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8):
+    """Levi form of phi at a boundary point, restricted to the complex tangent
+    space: returns (g, frame, restricted) with g the holomorphic gradient,
+    frame the tangent_frame(g) columns and restricted = frame* H frame.
+
+    Raises ValueError when phi is not real-valued at p, when |phi(p)| >
+    eps_bdry (p is not on the boundary), or when the gradient is degenerate.
+    """
+    j = eval_jet2(phi, p)
+    h = _real_levi_form(j.value, j.h_zzb)
+    if abs(j.value) > eps_bdry:
+        raise ValueError(
+            f"point is not on the boundary: |phi(p)| = {abs(j.value):.3e} "
+            f"> {eps_bdry}")
+    g = np.asarray(j.g_z)
+    frame = tangent_frame(g)
+    return g, frame, LeviMatrix(frame.conj().T @ h.mat @ frame)
 
 
 def describe_q(q: int, n: int) -> str:
@@ -296,19 +262,12 @@ def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
     """Restricted-signature classification of a smooth boundary point.
 
     Requires |phi(p)| <= eps_bdry (point on the zero set) and a
-    nondegenerate gradient.  With n_pos positive restricted eigenvalues the
-    minimal strict q is n - n_pos; the weak variant also counts zeros.
+    nondegenerate gradient (see restricted_levi_form).  With n_pos positive
+    restricted eigenvalues the minimal strict q is n - n_pos; the weak
+    variant also counts zeros.
     """
     p = np.asarray(p, dtype=complex)
-    j = eval_jet2(phi, p)
-    if abs(j.value.imag) > 1e-9 * max(1.0, abs(j.value.real)):
-        raise ValueError(f"function is not real-valued at the point: {j.value}")
-    if abs(j.value) > eps_bdry:
-        raise ValueError(
-            f"point is not on the boundary: |phi(p)| = {abs(j.value):.3e} "
-            f"> {eps_bdry}")
-    g = np.asarray(j.g_z)
-    restricted = tangent_restrict(LeviMatrix(j.h_zzb), g)
+    g, _, restricted = restricted_levi_form(phi, p, eps_bdry)
     sig = eig_signature(restricted, ztol)
     n = phi.n
     strict_q = n - sig.n_pos if sig.n_pos >= 1 else None

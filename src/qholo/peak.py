@@ -195,18 +195,10 @@ def select_slice(dom: ModelDomain, p, q: int, ztol: float | None = None) -> Slic
     n = dom.n
     if not 1 <= q <= n - 1:
         raise ValueError(f"q must be in [1, {n - 1}] for slice selection")
-    p = np.asarray(p, dtype=complex)
-    j = ex.eval_jet2(dom.phi, p)
-    if abs(j.value) > 1e-8:
-        raise ValueError(f"point is not on the boundary: phi(p) = {j.value}")
-    g = np.asarray(j.g_z)
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= levi.EPS_GRAD:
-        raise ValueError("degenerate gradient at the boundary point")
-    nu = np.conj(g) / gnorm
-    frame = levi.tangent_frame(g)
-    restricted = levi.LeviMatrix(frame.conj().T @ np.asarray(j.h_zzb) @ frame)
-    vals, vecs = levi.jacobi_eigh(restricted)
+    g, frame, restricted = levi.restricted_levi_form(
+        dom.phi, np.asarray(p, dtype=complex))
+    nu = np.conj(g) / float(np.linalg.norm(g))
+    vals, vecs = np.linalg.eigh(restricted.mat)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]

@@ -10,7 +10,7 @@ import numpy as np
 
 from qholo import expr as ex
 from qholo.forms import q_holo_residual
-from qholo.levi import EPS_BDRY, EPS_GRAD
+from qholo.levi import EPS_BDRY, EPS_GRAD, _as_matrix
 
 
 def _re(e):
@@ -120,6 +120,67 @@ def random_pair(rng, n_max=4, depth_max=6, allow_div=True):
 def random_hermitian(rng, m, scale=1.0):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return scale * (a + a.conj().T) / 2.0
+
+
+# A third signature engine for the tests, independent of LAPACK (which the
+# library's primary uses) and of the library's real-embedding oracle.
+def jacobi_eigh(h, tol: float = 1e-13, max_sweeps: int = 60):
+    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
+
+    Returns (vals, vecs) with h ~ vecs @ diag(vals) @ vecs.conj().T, running
+    sweeps until the off-diagonal Frobenius norm is at most tol * ||h||.
+    Raises ArithmeticError (reporting the residual) if the cap is hit.
+    """
+    a = _as_matrix(h).copy()
+    m = a.shape[0]
+    vecs = np.eye(m, dtype=complex)
+    scale = float(np.linalg.norm(a))
+    if m == 1 or scale == 0.0:
+        return a.diagonal().real.copy(), vecs
+
+    def offdiag():
+        off = a - np.diag(a.diagonal())
+        return float(np.linalg.norm(off))
+
+    for _ in range(max_sweeps):
+        if offdiag() <= tol * scale:
+            break
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                beta = a[p, q]
+                absb = abs(beta)
+                if absb <= 1e-300:
+                    continue
+                phase = beta / absb
+                alpha = a[p, p].real
+                gamma = a[q, q].real
+                tau = (alpha - gamma) / (2.0 * absb)
+                # smaller-angle root of t^2 + 2 tau t - 1 = 0, stable form
+                sgn = 1.0 if tau >= 0 else -1.0
+                t = sgn / (abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # unitary rotation R: R[p,p]=c, R[p,q]=-s*phase,
+                # R[q,p]=s*conj(phase), R[q,q]=c; apply a <- R† a R
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p + s * np.conj(phase) * col_q
+                a[:, q] = -s * phase * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p + s * phase * row_q
+                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vcol_p = vecs[:, p].copy()
+                vcol_q = vecs[:, q].copy()
+                vecs[:, p] = c * vcol_p + s * np.conj(phase) * vcol_q
+                vecs[:, q] = -s * phase * vcol_p + c * vcol_q
+    else:
+        raise ArithmeticError(
+            f"Jacobi did not converge in {max_sweeps} sweeps; "
+            f"off-diagonal residual {offdiag():.3e} (target {tol * scale:.3e})")
+    return a.diagonal().real.copy(), vecs
 
 
 def random_unitary(rng, m, reflections=3):

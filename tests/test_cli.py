@@ -20,6 +20,15 @@ def _read_json(out_dir, name):
         return json.load(fh)
 
 
+def _assert_config_error(tmp_path, capsys, command, cfg):
+    """Exit 2 with a one-line message, and nothing written."""
+    path = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # levi
 
@@ -44,6 +53,13 @@ def test_levi_matrix_expectation_failure_still_writes(tmp_path):
     out = tmp_path / "out"
     assert run(["levi", "--config", cfg, "--out", str(out)]) == 1
     assert (out / "levi_report.json").exists()
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), 1e308],
+                         ids=["nan", "inf", "overflow"])
+def test_levi_non_finite_matrix_is_config_error(tmp_path, capsys, entry):
+    _assert_config_error(tmp_path, capsys, "levi",
+                         {"matrix": [[entry, 0.0], [0.0, 1.0]]})
 
 
 def test_levi_function_mode(tmp_path):
@@ -86,6 +102,12 @@ def test_classify_sphere(tmp_path):
     assert rep["n"] == 2
     assert len(rep["points"]) == 8
     assert all(pt["strict_q"] == 1 for pt in rep["points"])
+
+
+@pytest.mark.parametrize("count", [-3, 0], ids=["negative", "zero"])
+def test_classify_nonpositive_samples_is_config_error(tmp_path, capsys, count):
+    _assert_config_error(tmp_path, capsys, "classify", {
+        "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": count})
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +382,46 @@ def test_peak_bad_q_is_config_error(tmp_path):
     assert run(["peak", "--config", cfg, "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    {"domain": {"model": "ball", "n": 3}, "p": ["1", "0", "0"], "q": 2,
+     "samples": {"interior": -5}},
+    {"domain": {"model": "ball", "n": 3}, "p": ["1", "0", "0"], "q": 2,
+     "samples": {"boundary": 0}},
+], ids=["interior-negative", "boundary-zero"])
+def test_peak_nonpositive_samples_is_config_error(tmp_path, capsys, cfg):
+    _assert_config_error(tmp_path, capsys, "peak", cfg)
+
+
 # ---------------------------------------------------------------------------
 # driver-level errors
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("levi", {"n": 0, "function": "z1", "points": [["0"]]}),
+    ("levi", {"n": 1.5, "function": "z1", "points": [["0"]]}),
+    ("classify", {"n": 0, "defining": "z1", "boundary_samples": 3}),
+    ("qholo", {"n": 0, "q": 1, "function": "z1", "points": [["0"]]}),
+    ("qholo", {"n": "2", "q": 1, "function": "z1", "points": [["0", "0"]]}),
+    ("qholo", {"n": 0, "q": 1, "function": {"builtin": "basener"},
+               "points": {"random": {"count": 3}}}),
+    ("hull", {"n": 0, "family": [{"builtin": "basener"}],
+              "K": {"sphere": {"r": 1.0}},
+              "candidates": {"grid": {"halfwidth": 1.0, "per_axis": 2}}}),
+    ("thm2", {"single": {"n": 0, "p": [], "r": 1.0,
+                         "K": {"sphere": {"r": 2.0}}, "z": {"count": 5}}}),
+    ("peak", {"domain": {"model": "ball", "n": 0}, "p": [], "q": 1}),
+    ("peak", {"domain": {"n": 0, "defining": "z1", "box": 1.0}, "p": [],
+              "q": 1}),
+], ids=["levi", "levi-fraction", "classify", "qholo", "qholo-string",
+        "qholo-basener", "hull", "thm2", "peak-ball", "peak-custom"])
+def test_bad_dimension_is_config_error(tmp_path, capsys, command, cfg):
+    _assert_config_error(tmp_path, capsys, command, cfg)
+
+
+def test_overdeep_expression_is_config_error(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, "qholo", {
+        "n": 1, "q": 1, "function": "(" * 3000 + "z1" + ")" * 3000,
+        "points": [["0.1"]]})
 
 
 def test_malformed_json_reports_position(tmp_path, capsys):

@@ -35,6 +35,24 @@ def test_parse_rejects_malformed(bad):
         ex.parse(bad, 2)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "z1" + ")" * 3000,
+    "exp(" * 400 + "z1" + ")" * 400,
+    "-" * 3000 + "z1",
+], ids=["parentheses", "calls", "unary-minus"])
+def test_parse_rejects_overdeep_nesting(text):
+    with pytest.raises(ex.ParseError, match="nesting deeper"):
+        ex.parse(text, 1)
+
+
+def test_parse_accepts_nesting_up_to_the_cap():
+    k = ex.MAX_NESTING
+    e = ex.parse("(" * (k - 1) + "z1" + ")" * (k - 1), 1)
+    assert e == ex.Var(1, 1)
+    with pytest.raises(ex.ParseError):
+        ex.parse("(" * k + "z1" + ")" * k, 1)
+
+
 def test_parse_imaginary_unit_and_folding():
     e = ex.parse("(2+3*i)*z1", 1)
     assert isinstance(e, ex.Mul)

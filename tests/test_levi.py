@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_unitary, sample_boundary_reference
+from helpers import (
+    jacobi_eigh, random_hermitian, random_unitary, sample_boundary_reference,
+)
 from qholo import expr as ex
 from qholo import levi
 from qholo.peak import ModelDomain
@@ -40,6 +42,13 @@ def test_levi_matrix_symmetrizes_and_reports():
         levi.LeviMatrix(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308],
+                         ids=["nan", "inf", "overflow"])
+def test_levi_matrix_rejects_non_finite(entry):
+    with pytest.raises(ValueError, match="non-finite"):
+        levi.LeviMatrix([[entry, 0.0], [0.0, 1.0]])
+
+
 def test_signature_fixtures():
     sig = levi.eig_signature(levi.LeviMatrix(np.diag([1.0, -2.0, 0.0])), 1e-8)
     assert sig.as_tuple() == (1, 1, 1)
@@ -51,7 +60,7 @@ def test_signature_fixtures():
 
 def test_jacobi_matches_characteristic_roots():
     # [[2, i], [-i, 2]]: (2-x)^2 - 1 = 0, eigenvalues 1 and 3
-    vals, vecs = levi.jacobi_eigh(levi.LeviMatrix([[2.0, 1j], [-1j, 2.0]]))
+    vals, vecs = jacobi_eigh(levi.LeviMatrix([[2.0, 1j], [-1j, 2.0]]))
     assert np.allclose(sorted(vals), [1.0, 3.0], atol=1e-12)
     h = np.array([[2.0, 1j], [-1j, 2.0]])
     for k in range(2):
@@ -66,13 +75,17 @@ def test_signature_oracle_fixtures():
 
 
 def test_signature_engines_agree():
+    # LAPACK primary, real-embedding oracle and the test-only Jacobi engine
     rng = np.random.default_rng(3)
     for _ in range(250):
         m = int(rng.integers(1, 9))
         h = levi.LeviMatrix(random_hermitian(rng, m))
         a = levi.eig_signature(h, 1e-8)
         b = levi.signature_oracle(h, 1e-8)
-        assert a.as_tuple() == b.as_tuple()
+        vals, _ = jacobi_eigh(h)
+        c = (int(np.sum(vals > 1e-8)), int(np.sum(vals < -1e-8)),
+             int(np.sum(np.abs(vals) <= 1e-8)))
+        assert a.as_tuple() == b.as_tuple() == c
 
 
 def test_signature_unitary_invariance():
@@ -91,7 +104,7 @@ def test_jacobi_diagonalizes():
     for _ in range(50):
         m = int(rng.integers(1, 9))
         h = random_hermitian(rng, m)
-        vals, vecs = levi.jacobi_eigh(levi.LeviMatrix(h))
+        vals, vecs = jacobi_eigh(levi.LeviMatrix(h))
         scale = max(1.0, float(np.linalg.norm(h)))
         assert np.linalg.norm(h @ vecs - vecs * vals[None, :]) <= 1e-11 * scale
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(m)) <= 1e-12 * m

@@ -5,6 +5,8 @@ import pytest
 
 import qholo.expr as ex
 import qholo.peak as pk
+from helpers import jacobi_eigh
+from qholo import levi
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,19 @@ def test_select_slice_mixed_signature_boundary():
     assert abs(abs(info.tangent_vectors[1, 0]) - 1.0) <= 1e-12
     with pytest.raises(ValueError, match="insufficient positive"):
         pk.select_slice(dom, p, 1)
+
+
+def test_select_slice_matches_jacobi_eigenvectors():
+    # the ellipsoid3 fixture of acceptance criterion 7
+    dom = pk.ModelDomain.ellipsoid([1.0, 1.5, 2.0], [0.2, -0.3, 0.5])
+    p = dom.sample_boundary(1, seed=11)[0]
+    info = pk.select_slice(dom, p, 1)
+    _, frame, restricted = levi.restricted_levi_form(dom.phi, p)
+    vals, vecs = jacobi_eigh(restricted)
+    order = np.argsort(-vals, kind="stable")
+    assert np.max(np.abs(info.eigenvalues - vals[order])) <= 1e-12
+    lifted = pk._canonical_phases(frame @ vecs[:, order[:2]])
+    assert np.max(np.abs(info.tangent_vectors - lifted)) <= 1e-12
 
 
 def test_select_slice_rejects_bad_inputs():
