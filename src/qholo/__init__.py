@@ -1,7 +1,7 @@
 """Levi forms, q-holomorphicity residuals, discrete hulls, peak extensions.
 
 The package is organized around one expression DSL (`expr`) whose two-jets
-feed everything else: exterior-algebra residuals (`forms`), signature-based
+feed everything else: q-holomorphicity residuals (`forms`), signature-based
 convexity classification (`levi`), discrete hull experiments (`hull`), and
 the peak-extension pipeline on model domains (`peak`).  `cli` wraps the lot
 behind deterministic, config-driven subcommands.
@@ -14,7 +14,6 @@ from .expr import (
     eval_jet2_batch, finite_diff_jet,
 )
 from .forms import (
-    Form, wedge, dbar_form, ddbar_form, residual_form_from_jet,
     residual_from_jet, q_holo_residual, q_holo_residuals, minor_oracle_residual,
 )
 from .levi import (
@@ -42,7 +41,6 @@ __all__ = [
     "Neg", "Jet2", "ParseError", "EvalError", "parse", "to_text", "conjugate",
     "eval_value", "eval_batch", "eval_jet2", "eval_jet2_batch",
     "finite_diff_jet",
-    "Form", "wedge", "dbar_form", "ddbar_form", "residual_form_from_jet",
     "residual_from_jet", "q_holo_residual", "q_holo_residuals",
     "minor_oracle_residual",
     "LeviMatrix", "Signature", "FunctionClassification",

@@ -212,30 +212,47 @@ def conjugate(e: Expr) -> Expr:
     """Syntactic conjugate: constants conjugated, z_k and conj(z_k) swapped.
 
     Evaluating the result at any point gives the complex conjugate of
-    evaluating e at that point.
+    evaluating e at that point.  The tree is walked without recursion, and a
+    node reached along several paths is conjugated once.
     """
-    t = type(e)
-    if t is Const:
-        return Const(e.n, e.value.conjugate())
-    if t is Var:
-        return CVar(e.n, e.index)
-    if t is CVar:
-        return Var(e.n, e.index)
-    if t is Neg:
-        return Neg(e.n, conjugate(e.arg))
-    if t is Exp:
-        return Exp(e.n, conjugate(e.arg))
-    if t is Pow:
-        return Pow(e.n, conjugate(e.base), e.exponent)
-    if t is Add:
-        return Add(e.n, conjugate(e.left), conjugate(e.right))
-    if t is Sub:
-        return Sub(e.n, conjugate(e.left), conjugate(e.right))
-    if t is Mul:
-        return Mul(e.n, conjugate(e.left), conjugate(e.right))
-    if t is Div:
-        return Div(e.n, conjugate(e.left), conjugate(e.right))
-    raise TypeError(f"not an Expr node: {e!r}")
+    done = {}           # id(node) -> its conjugate
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        t = type(node)
+        if t not in _CHILDREN:
+            raise TypeError(f"not an Expr node: {node!r}")
+        args = [getattr(node, a) for a in _CHILDREN[t]]
+        todo = [a for a in args if id(a) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if t is Const:
+            done[id(node)] = Const(node.n, node.value.conjugate())
+        elif t is Var or t is CVar:
+            done[id(node)] = (CVar if t is Var else Var)(node.n, node.index)
+        elif t is Pow:
+            done[id(node)] = Pow(node.n, done[id(node.base)], node.exponent)
+        else:
+            done[id(node)] = t(node.n, *(done[id(a)] for a in args))
+    return done[id(e)]
+
+
+_CHILDREN = {Const: (), Var: (), CVar: (), Neg: ("arg",), Exp: ("arg",),
+             Pow: ("base",), Add: ("left", "right"), Sub: ("left", "right"),
+             Mul: ("left", "right"), Div: ("left", "right")}
+
+
+def _tree_size(e, limit):
+    """Nodes of e counted along every path, stopping once past limit."""
+    count = 0
+    stack = [e]
+    while stack and count <= limit:
+        node = stack.pop()
+        count += 1
+        stack.extend(getattr(node, a) for a in _CHILDREN[type(node)])
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +265,11 @@ _VAR_RE = re.compile(r"z([0-9]+)$")
 # Deepest nesting of parentheses, calls and unary minus the parser accepts;
 # it keeps the recursive descent far from Python's recursion limit.
 MAX_NESTING = 100
+# Most nodes a parsed tree may have, counted along every path.  Each token
+# counts one, and re, im and abs2, which hold their argument and its
+# conjugate, add the argument's size, so nesting them (which doubles the tree
+# per level) is refused before the copy is built.
+MAX_NODES = 20_000
 
 
 def _tokenize(text):
@@ -284,7 +306,8 @@ class _Parser:
     Subtrees whose leaves are all constants fold into a single constant for
     +, -, *, / and unary minus, so complex literals like (2+3*i) parse to one
     Const node and the printer round-trips.  Every nesting level passes
-    through parse_base, which counts them against MAX_NESTING.
+    through parse_base, which counts them against MAX_NESTING; the tokens
+    and the arguments re, im and abs2 copy count against MAX_NODES.
     """
 
     def __init__(self, toks, n):
@@ -292,6 +315,7 @@ class _Parser:
         self.n = n
         self.k = 0
         self.depth = 0
+        self.copied = 0     # nodes re, im and abs2 added by copying
 
     def peek(self):
         return self.toks[self.k]
@@ -375,6 +399,11 @@ class _Parser:
             self.expect("(", f"'(' after '{name}'")
             arg = self.parse_expr()
             self.expect(")", "')'")
+            if name in ("re", "im", "abs2"):
+                self.copied += _tree_size(arg, MAX_NODES)
+                if self.k + self.copied > MAX_NODES:
+                    raise ParseError(
+                        f"expression expands past {MAX_NODES} nodes", pos)
             return self._apply(name, arg)
         raise ParseError(f"unknown identifier '{name}'", pos)
 
@@ -457,42 +486,50 @@ def _const_text(c):
 # Operator tightness used for minimal parenthesization.  A child is wrapped
 # when its own level is below the level its slot requires.
 _LEVEL = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 2, Pow: 3}
+# Binary operators: symbol and the levels their left and right slots require.
+_INFIX = {Add: ("+", 1, 2), Sub: ("-", 1, 2), Mul: ("*", 2, 3),
+          Div: ("/", 2, 3)}
 
 
 def to_text(e: Expr) -> str:
     """Render to parseable text; parse(to_text(e), e.n) rebuilds e for every
-    tree whose constant-only subtrees are already folded (as parse produces)."""
-    return _fmt(e, 0)
+    tree whose constant-only subtrees are already folded (as parse produces).
 
-
-def _fmt(e, ctx):
-    t = type(e)
-    if t is Const:
-        txt, level = _const_text(e.value)
-        return f"({txt})" if level < ctx else txt
-    if t is Var:
-        txt = f"z{e.index}"
-    elif t is CVar:
-        txt = f"conj(z{e.index})"
-    elif t is Exp:
-        txt = f"exp({_fmt(e.arg, 0)})"
-    elif t is Neg:
-        txt = "-" + _fmt(e.arg, 4)
-    elif t is Pow:
-        txt = f"{_fmt(e.base, 4)}^{e.exponent}"
-    elif t is Add:
-        txt = f"{_fmt(e.left, 1)}+{_fmt(e.right, 2)}"
-    elif t is Sub:
-        txt = f"{_fmt(e.left, 1)}-{_fmt(e.right, 2)}"
-    elif t is Mul:
-        txt = f"{_fmt(e.left, 2)}*{_fmt(e.right, 3)}"
-    elif t is Div:
-        txt = f"{_fmt(e.left, 2)}/{_fmt(e.right, 3)}"
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
-    if _LEVEL.get(t, 4) < ctx:
-        return f"({txt})"
-    return txt
+    Pieces are emitted left to right from an explicit stack of pending
+    strings and (node, context level) pairs, so deep trees do not recurse.
+    """
+    out = []
+    stack = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, ctx = item
+        t = type(node)
+        if t is Const:
+            txt, level = _const_text(node.value)
+            out.append(f"({txt})" if level < ctx else txt)
+            continue
+        if t is Var:
+            pieces = [f"z{node.index}"]
+        elif t is CVar:
+            pieces = [f"conj(z{node.index})"]
+        elif t is Exp:
+            pieces = ["exp(", (node.arg, 0), ")"]
+        elif t is Neg:
+            pieces = ["-", (node.arg, 4)]
+        elif t is Pow:
+            pieces = [(node.base, 4), f"^{node.exponent}"]
+        elif t in _INFIX:
+            sym, left, right = _INFIX[t]
+            pieces = [(node.left, left), sym, (node.right, right)]
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        if _LEVEL.get(t, 4) < ctx:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ oracles inside their validity region without ever looking at the quantity
 under test.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from qholo import expr as ex
+from qholo.expr import Jet2
 from qholo.forms import q_holo_residual
 from qholo.levi import EPS_BDRY, EPS_GRAD, _as_matrix
 
@@ -181,6 +184,137 @@ def jacobi_eigh(h, tol: float = 1e-13, max_sweeps: int = 60):
             f"Jacobi did not converge in {max_sweeps} sweeps; "
             f"off-diagonal residual {offdiag():.3e} (target {tol * scale:.3e})")
     return a.diagonal().real.copy(), vecs
+
+
+# A third residual engine for the tests: the sparse dict-keyed exterior
+# algebra, independent of the library's dense gather engine and of its
+# Laplace-minor oracle.  It also carries the wedge algebra tests.
+@dataclass(frozen=True)
+class Form:
+    """(a,b)-covector in dimension n with sparse canonical coefficients.
+
+    Keys of coeffs are pairs (I, J) of strictly increasing 1-based index
+    tuples with len(I) = a and len(J) = b; absent keys are zero.  Bidegrees
+    exceeding n are permitted only for the zero form (empty coeffs).
+    """
+
+    n: int
+    a: int
+    b: int
+    coeffs: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.n < 1 or self.a < 0 or self.b < 0:
+            raise ValueError("invalid form shape")
+        clean = {}
+        for (i_idx, j_idx), c in self.coeffs.items():
+            i_idx = tuple(i_idx)
+            j_idx = tuple(j_idx)
+            if len(i_idx) != self.a or len(j_idx) != self.b:
+                raise ValueError(f"key {(i_idx, j_idx)} has wrong arity")
+            for idx in (i_idx, j_idx):
+                if any(not 1 <= k <= self.n for k in idx):
+                    raise ValueError(f"index out of range in {idx}")
+                if any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
+                    raise ValueError(f"non-canonical index tuple {idx}")
+            c = complex(c)
+            if c != 0:
+                clean[(i_idx, j_idx)] = c
+        if clean and (self.a > self.n or self.b > self.n):
+            raise ValueError("bidegree exceeds dimension for a nonzero form")
+        object.__setattr__(self, "coeffs", clean)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def sup_coeff(self) -> float:
+        """Largest coefficient modulus over canonical components.
+
+        Moduli go through numpy so the q = 1 residual agrees bit-for-bit
+        with the gradient block it is computed from.
+        """
+        if not self.coeffs:
+            return 0.0
+        return float(np.max(np.abs(np.array(list(self.coeffs.values()),
+                                            dtype=complex))))
+
+    def __add__(self, other):
+        if (self.n, self.a, self.b) != (other.n, other.a, other.b):
+            raise ValueError("can only add forms of equal dimension and bidegree")
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, 0j) + c
+        return Form(self.n, self.a, self.b, out)
+
+    def __rmul__(self, scalar):
+        scalar = complex(scalar)
+        return Form(self.n, self.a, self.b,
+                    {k: scalar * c for k, c in self.coeffs.items()})
+
+
+def _merge_sign(first, second):
+    """Parity sign of sorting the concatenation of two disjoint sorted tuples."""
+    inversions = 0
+    for x in first:
+        for y in second:
+            if x > y:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def wedge(u: Form, v: Form) -> Form:
+    """Antisymmetric bilinear product; bidegrees add.
+
+    Sign convention: the basis monomial is dz_I wedge dconj(z)_J with both
+    tuples ascending, so moving v's dz block past u's dconj block contributes
+    (-1)^(a2*b1) before the two merge sorts.
+    """
+    if u.n != v.n:
+        raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
+    a = u.a + v.a
+    b = u.b + v.b
+    if a > u.n or b > u.n:
+        return Form(u.n, a, b, {})
+    swap = -1 if (v.a * u.b) % 2 else 1
+    out = {}
+    for (i1, j1), c1 in u.coeffs.items():
+        for (i2, j2), c2 in v.coeffs.items():
+            if set(i1) & set(i2) or set(j1) & set(j2):
+                continue
+            sign = swap * _merge_sign(i1, i2) * _merge_sign(j1, j2)
+            key = (tuple(sorted(i1 + i2)), tuple(sorted(j1 + j2)))
+            out[key] = out.get(key, 0j) + sign * c1 * c2
+    return Form(u.n, a, b, out)
+
+
+def dbar_form(j: Jet2) -> Form:
+    """The (0,1) form sum_k (df/dconj(z_k)) dconj(z_k) at the jet's point."""
+    n = j.n
+    coeffs = {((), (k + 1,)): j.g_zb[k] for k in range(n) if j.g_zb[k] != 0}
+    return Form(n, 0, 1, coeffs)
+
+
+def ddbar_form(j: Jet2) -> Form:
+    """The (1,1) form sum_{k,l} (d2f/dz_k dconj(z_l)) dz_k wedge dconj(z_l)."""
+    n = j.n
+    coeffs = {}
+    for k in range(n):
+        for l in range(n):
+            c = j.h_zzb[k, l]
+            if c != 0:
+                coeffs[((k + 1,), (l + 1,))] = c
+    return Form(n, 1, 1, coeffs)
+
+
+def residual_form_from_jet(j: Jet2, q: int) -> Form:
+    """dbar(f) wedge ddbar(f)^(q-1) as a Form, by iterated wedging."""
+    if not isinstance(q, int) or q < 1:
+        raise ValueError("q must be a positive integer")
+    acc = dbar_form(j)
+    eta = ddbar_form(j)
+    for _ in range(q - 1):
+        acc = wedge(acc, eta)
+    return acc
 
 
 def random_unitary(rng, m, reflections=3):

@@ -424,6 +424,23 @@ def test_overdeep_expression_is_config_error(tmp_path, capsys):
         "points": [["0.1"]]})
 
 
+def test_nested_copies_past_the_node_cap_are_config_error(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, "qholo", {
+        "n": 1, "q": 1, "function": "re(" * 30 + "z1" + ")" * 30,
+        "points": [["0.1"]]})
+
+
+def test_qholo_long_sum_exits_0(tmp_path):
+    text = "+".join(["z1"] * 5000)
+    cfg = _write(tmp_path, "q.json", {
+        "n": 1, "q": 1, "function": text, "points": [["0.1"], ["0.2+0.3i"]]})
+    out = tmp_path / "out"
+    assert run(["qholo", "--config", cfg, "--out", str(out)]) == 0
+    rep = _read_json(out, "qholo_report.json")
+    assert rep["function"] == text
+    assert rep["passed"] is True
+
+
 def test_malformed_json_reports_position(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 2, "q": }')

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,26 @@ def test_parse_accepts_nesting_up_to_the_cap():
     assert e == ex.Var(1, 1)
     with pytest.raises(ex.ParseError):
         ex.parse("(" * k + "z1" + ")" * k, 1)
+
+
+def test_parse_caps_the_expanded_node_count():
+    e = ex.parse("re(" * 8 + "z1" + ")" * 8, 1)
+    assert ex._tree_size(e, ex.MAX_NODES) < ex.MAX_NODES
+    assert abs(ex.eval_value(e, [0.3 + 0.4j]) - 0.3) <= 1e-15
+    for f in ("re(", "im(", "abs2("):
+        t0 = time.monotonic()
+        with pytest.raises(ex.ParseError, match="expands past"):
+            ex.parse(f * 30 + "z1" + ")" * 30, 1)
+        assert time.monotonic() - t0 < 1.0, f
+
+
+def test_deep_trees_print_and_conjugate_without_recursion():
+    text = "+".join(["z1"] * 5000)
+    assert ex.to_text(ex.parse(text, 1)) == text
+    e = ex.parse("conj(" + "+".join(["z1"] * 3000) + ")", 1)
+    assert ex.to_text(e) == "+".join(["conj(z1)"] * 3000)
+    assert ex.eval_value(e, [1.0 + 2.0j]) == 3000 - 6000j
+    assert ex.to_text(ex.conjugate(e)) == "+".join(["z1"] * 3000)
 
 
 def test_parse_imaginary_unit_and_folding():
