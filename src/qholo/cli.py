@@ -401,11 +401,10 @@ def cmd_hull(cfg, out_dir, seed, tols):
     except (ValueError, ex.EvalError) as e:
         raise ConfigError(str(e))
 
-    member_col = [int(m) for m in result.members]
-    margin_col = [float(g) for g in result.margins]
     fileio.write_points_csv(
         os.path.join(out_dir, "hull_points.csv"), Z,
-        extra=[("member", member_col), ("margin", margin_col)])
+        extra=[("member", result.members.astype(int)),
+               ("margin", result.margins)])
 
     # K points that appear among the candidates must be flagged members.
     # A per-coordinate prefilter keeps the exact row check to the few
@@ -423,18 +422,18 @@ def cmd_hull(cfg, out_dir, seed, tols):
         hit &= keys[idx] == zc
     k_in_z_ok = all(result.members[i] for i in np.flatnonzero(hit)
                     if tuple(np.round(z_flat[i], 12)) in k_rows)
-    excluded = [g for g, m, s in zip(result.margins, result.members,
-                                     result.singular) if not m and not s]
+    excluded = result.margins[~result.members & ~result.singular]
+    members = int(np.count_nonzero(result.members))
     summary = {
         "n": n,
         "label": "outer hull approximation",
         "seed": run_seed,
         "candidates": len(Z),
         "k_points": len(K),
-        "members": int(sum(member_col)),
-        "excluded": int(len(Z) - sum(member_col)),
-        "singular": int(sum(result.singular)),
-        "min_margin_excluded": _jnum(min(excluded)) if excluded else None,
+        "members": members,
+        "excluded": len(Z) - members,
+        "singular": int(np.count_nonzero(result.singular)),
+        "min_margin_excluded": _jnum(excluded.min()) if excluded.size else None,
         "k_in_z_all_member": bool(k_in_z_ok),
         "family": [{
             "name": m.name,

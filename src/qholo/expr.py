@@ -39,7 +39,7 @@ class EvalError(ValueError):
     """Numeric failure during evaluation (near-zero division, overflow)."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Expr:
     """Base node.  All nodes carry the ambient dimension n and are immutable."""
 
@@ -94,8 +94,28 @@ class Expr:
     def __str__(self):
         return to_text(self)
 
+    def __eq__(self, other):
+        """Structural equality, walked without recursion."""
+        if not isinstance(other, Expr):
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()        # (id, id) pairs already compared
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or a.n != b.n or _data(a) != _data(b):
+                return False
+            stack.extend(zip(_kids(a), _kids(b)))
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self):
+        # structurally equal trees print alike (to_text prints -0.0 as 0)
+        return hash((self.n, to_text(self)))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
     value: complex
 
@@ -107,8 +127,8 @@ class Const(Expr):
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Expr):
+@dataclass(frozen=True, slots=True, eq=False)
+class _Indexed(Expr):
     index: int  # 1-based
 
     def __post_init__(self):
@@ -117,20 +137,20 @@ class Var(Expr):
             raise ValueError(f"variable index {self.index} out of range 1..{self.n}")
 
 
-@dataclass(frozen=True, slots=True)
-class CVar(Expr):
+class Var(_Indexed):
+    """The variable z_index."""
+
+    __slots__ = ()
+
+
+class CVar(_Indexed):
     """Conjugated variable conj(z_index)."""
 
-    index: int
-
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        if not 1 <= self.index <= self.n:
-            raise ValueError(f"variable index {self.index} out of range 1..{self.n}")
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Add(Expr):
+@dataclass(frozen=True, slots=True, eq=False)
+class _Binary(Expr):
     left: Expr
     right: Expr
 
@@ -140,40 +160,23 @@ class Add(Expr):
         self._check_same_n(self.right)
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.left)
-        self._check_same_n(self.right)
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.left)
-        self._check_same_n(self.right)
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.left)
-        self._check_same_n(self.right)
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+class Div(_Binary):
+    __slots__ = ()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -187,8 +190,8 @@ class Pow(Expr):
             raise ValueError("negative integer exponent not allowed; use division")
 
 
-@dataclass(frozen=True, slots=True)
-class Exp(Expr):
+@dataclass(frozen=True, slots=True, eq=False)
+class _Unary(Expr):
     arg: Expr
 
     def __post_init__(self):
@@ -196,52 +199,73 @@ class Exp(Expr):
         self._check_same_n(self.arg)
 
 
-@dataclass(frozen=True, slots=True)
-class Neg(Expr):
-    arg: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.arg)
+
+class Neg(_Unary):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Conjugation
 
-def conjugate(e: Expr) -> Expr:
+def conjugate(e: Expr, memo=None) -> Expr:
     """Syntactic conjugate: constants conjugated, z_k and conj(z_k) swapped.
 
     Evaluating the result at any point gives the complex conjugate of
     evaluating e at that point.  The tree is walked without recursion, and a
-    node reached along several paths is conjugated once.
+    node reached along several paths is conjugated once.  A memo dict shared
+    across calls maps id(node) to its conjugate both ways, so a conjugate of
+    a conjugate is its source and no node is conjugated twice; it holds every
+    node it names, so the ids stay valid while it lives.
     """
-    done = {}           # id(node) -> its conjugate
+    done = {} if memo is None else memo
     stack = [e]
     while stack:
         node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
         t = type(node)
         if t not in _CHILDREN:
             raise TypeError(f"not an Expr node: {node!r}")
-        args = [getattr(node, a) for a in _CHILDREN[t]]
+        args = _kids(node)
         todo = [a for a in args if id(a) not in done]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
         if t is Const:
-            done[id(node)] = Const(node.n, node.value.conjugate())
+            conj = Const(node.n, node.value.conjugate())
         elif t is Var or t is CVar:
-            done[id(node)] = (CVar if t is Var else Var)(node.n, node.index)
+            conj = (CVar if t is Var else Var)(node.n, node.index)
         elif t is Pow:
-            done[id(node)] = Pow(node.n, done[id(node.base)], node.exponent)
+            conj = Pow(node.n, done[id(node.base)], node.exponent)
         else:
-            done[id(node)] = t(node.n, *(done[id(a)] for a in args))
+            conj = t(node.n, *(done[id(a)] for a in args))
+        done[id(node)] = conj
+        done[id(conj)] = node
     return done[id(e)]
 
 
 _CHILDREN = {Const: (), Var: (), CVar: (), Neg: ("arg",), Exp: ("arg",),
              Pow: ("base",), Add: ("left", "right"), Sub: ("left", "right"),
              Mul: ("left", "right"), Div: ("left", "right")}
+
+
+def _kids(node):
+    return [getattr(node, a) for a in _CHILDREN[type(node)]]
+
+
+def _data(node):
+    """What a node holds besides n and its children."""
+    t = type(node)
+    if t is Const:
+        return node.value
+    if t is Var or t is CVar:
+        return node.index
+    return node.exponent if t is Pow else None
 
 
 def _tree_size(e, limit):
@@ -316,6 +340,7 @@ class _Parser:
         self.k = 0
         self.depth = 0
         self.copied = 0     # nodes re, im and abs2 added by copying
+        self.conj_memo = {}     # shared by every conjugate of this parse
 
     def peek(self):
         return self.toks[self.k]
@@ -410,17 +435,16 @@ class _Parser:
     def _apply(self, name, arg):
         if name == "exp":
             return Exp(self.n, arg)
+        conj = conjugate(arg, self.conj_memo)
         if name == "conj":
-            return conjugate(arg)
+            return conj
         # re, im, abs2 desugar into z / conj(z) algebra.
         if name == "abs2":
-            return self._fold2(Mul, arg, conjugate(arg))
+            return self._fold2(Mul, arg, conj)
         if name == "re":
-            return self._fold2(Div, self._fold2(Add, arg, conjugate(arg)),
-                               Const(self.n, 2))
+            return self._fold2(Div, self._fold2(Add, arg, conj), Const(self.n, 2))
         # im(e) = (e - conj e) / 2i
-        return self._fold2(Div, self._fold2(Sub, arg, conjugate(arg)),
-                           Const(self.n, 2j))
+        return self._fold2(Div, self._fold2(Sub, arg, conj), Const(self.n, 2j))
 
     def _fold2(self, node, a, b):
         if type(a) is Const and type(b) is Const:
@@ -574,33 +598,17 @@ def _compile(e):
         op = _OPCODE.get(type(node))
         if op is None:
             raise TypeError(f"not an Expr node: {node!r}")
-        payload = None
-        if _ADD <= op <= _DIV:
-            a, b = slot_of.get(id(node.left)), slot_of.get(id(node.right))
-            if b is None:
-                stack.append(node.right)
-            if a is None:
-                stack.append(node.left)
-            if a is None or b is None:
-                continue
-            args = (a, b)
-            if op == _DIV:
-                payload = node
-        elif op == _NEG or op == _EXP or op == _POW:
-            arg = node.base if op == _POW else node.arg
-            a = slot_of.get(id(arg))
-            if a is None:
-                stack.append(arg)
-                continue
-            args = (a,)
-            if op == _POW:
-                payload = node.exponent
-        else:
-            args = ()
-            payload = node.value if op == _CONST else node.index - 1
+        kids = _kids(node)
+        todo = [k for k in kids if id(k) not in slot_of]
+        if todo:
+            stack.extend(reversed(todo))        # left operand first
+            continue
         stack.pop()
+        payload = node if op == _DIV else _data(node)
+        if op == _VAR or op == _CVAR:
+            payload -= 1
         slot_of[id(node)] = len(tape)
-        tape.append((op, args, payload))
+        tape.append((op, tuple(slot_of[id(k)] for k in kids), payload))
     last_use = {}
     for k, (_, args, _) in enumerate(tape):
         for a in args:

@@ -83,27 +83,43 @@ def _csv_header(n: int) -> list:
     return cols
 
 
+# Rows formatted and written per block, so the text in memory stays small.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _format_column(col, fmt):
+    """fmt of each value of col, computed once per distinct value."""
+    uniq, inv = np.unique(col, return_inverse=True)
+    return map(list(map(fmt, uniq.tolist())).__getitem__, inv.tolist())
+
+
 def write_points_csv(path, points, extra=None):
     """Rows re1,im1,...,reN,imN plus optional named extra columns.
 
-    extra: list of (name, sequence) pairs appended after the coordinates.
+    extra: list of (name, sequence) pairs appended after the coordinates,
+    one value per row.  An extra column must be all-integer (bools included)
+    or all-float.  Floats print as repr with -0.0 flushed to 0.0, other
+    values as str.  The text is built a column at a time and written a block
+    of rows at a time.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    n = points.shape[1]
-    header = _csv_header(n)
+    m, n = points.shape
     extra = extra or []
-    header += [name for name, _ in extra]
+    coords = np.ascontiguousarray(points).view(float) + 0.0   # re1, im1, ...
+    cols = [(col, repr) for col in coords.T]
+    for name, vals in extra:
+        col = np.asarray(vals)
+        if len(col) != m:
+            raise ValueError(f"extra column {name!r} has {len(col)} values "
+                             f"for {m} rows")
+        cols.append((col + 0.0, repr) if col.dtype.kind == "f" else (col, str))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i, z in enumerate(points):
-            row = []
-            for c in z:
-                row.extend([repr(_clean(c.real)), repr(_clean(c.imag))])
-            for _, vals in extra:
-                v = vals[i]
-                row.append(repr(_clean(v)) if isinstance(v, float) else str(v))
-            w.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(
+            _csv_header(n) + [name for name, _ in extra])
+        for lo in range(0, m, _CSV_BLOCK_ROWS):
+            text = [_format_column(col[lo:lo + _CSV_BLOCK_ROWS], fmt)
+                    for col, fmt in cols]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def read_points_csv(path) -> np.ndarray:

@@ -61,10 +61,13 @@ class Lambda:
 
 
 def _values(lams, d):
-    """f_lambda(d) row by row; lams and d broadcast over their leading axes."""
-    # einsum skips the (..., n) product temporary of a multiply-then-sum
-    return (np.einsum("...i,...i->...", lams, np.conj(d))
-            / np.sum(np.abs(d) ** 2, axis=-1))
+    """f_lambda(d) for every lambda row of lams at every row of d.
+
+    lams (..., L, n) and d (..., D, n), leading axes broadcast, give the
+    (..., D, L) table, one batched matmul; L = D = 1 evaluates one pair.
+    """
+    w = np.conj(d) / np.sum(np.abs(d) ** 2, axis=-1)[..., None]
+    return w @ np.swapaxes(lams, -1, -2)
 
 
 def _align(d):
@@ -84,7 +87,7 @@ def basener_value(lam: Lambda, z) -> complex:
         raise ValueError(f"point has shape {z.shape}, expected ({lam.n},)")
     if float(np.sum(np.abs(z) ** 2)) <= EPS_SING ** 2:
         raise ValueError("singularity: displacement too close to the center")
-    return complex(_values(lam.as_array(), z))
+    return complex(_values(lam.as_array()[None], z[None])[0, 0])
 
 
 def basener_expr(lam: Lambda, p, n: int) -> ex.Expr:
@@ -148,9 +151,11 @@ class HullProblem:
 
 @dataclass(frozen=True)
 class HullResult:
-    members: tuple          # bool per candidate
-    margins: tuple          # max_f (|f(z)| - max_K |f|); +inf when singular
-    singular: tuple         # evaluation failed at the candidate
+    """Per-candidate read-only arrays and the per-member K maxima."""
+
+    members: np.ndarray     # bool per candidate
+    margins: np.ndarray     # max_f (|f(z)| - max_K |f|); +inf when singular
+    singular: np.ndarray    # bool: evaluation failed at the candidate
     k_maxima: tuple         # per family member
 
 
@@ -253,9 +258,9 @@ def discrete_hull(prob: HullProblem) -> HullResult:
     cand_vals -= np.array(k_maxima)[:, None]
     margins = np.where(sing, np.inf, np.max(cand_vals, axis=0))
     members = (~sing) & (margins <= 0.0)
-    return HullResult(members=tuple(bool(b) for b in members),
-                      margins=tuple(float(v) for v in margins),
-                      singular=tuple(bool(b) for b in sing),
+    for arr in (members, margins, sing):
+        arr.setflags(write=False)
+    return HullResult(members=members, margins=margins, singular=sing,
                       k_maxima=tuple(k_maxima))
 
 
@@ -301,7 +306,7 @@ def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
     Preconditions (reported per offending point): K and the candidates
     nonempty, every K point at distance at least r from p, every candidate
     strictly between 0 and r/sqrt(n).  Violations are counted as described
-    in Thm2Report.
+    in Thm2Report.  This is the stacked chain for a stack of one.
     """
     p = np.asarray(p, dtype=complex)
     K = np.asarray(K, dtype=complex)
@@ -310,52 +315,65 @@ def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
         raise ValueError(f"center has shape {p.shape}, expected ({n},)")
     if len(K) == 0 or len(Z) == 0:
         raise ValueError("K and the candidate set must be nonempty")
+    return _chain(n, np.array([r]), (K - p)[None], (Z - p)[None])[0]
 
-    dk = K - p[None, :]
-    dk_norm = np.linalg.norm(dk, axis=1)
-    bad_k = np.nonzero(dk_norm < r * (1 - 1e-12))[0]
-    if bad_k.size:
-        raise ValueError(f"K points inside B(p, r): indices {bad_k.tolist()}")
-    dz = Z - p[None, :]
-    dz_norm = np.linalg.norm(dz, axis=1)
-    bad_z = np.nonzero((dz_norm >= r / np.sqrt(n)) | (dz_norm <= 0))[0]
-    if bad_z.size:
-        raise ValueError(
-            f"candidates outside (0, r/sqrt(n)): indices {bad_z.tolist()}")
 
-    closed_k = np.sum(np.abs(dk), axis=1) / dk_norm ** 2   # K-side middle term
-    guard_k = _REL_GUARD * float(np.max(closed_k))
+def _chain(n, r, dk, dz) -> list:
+    """The separation chain for a stack of configurations of one dimension n.
+
+    r (C,) radii, dk = K - p (C, k, n) and dz = Z - p (C, z, n); returns one
+    Thm2Report per configuration.  Every reduction runs within one
+    configuration, so a report does not depend on the stack it came in.
+    """
+    dk_norm = np.linalg.norm(dk, axis=-1)
+    dz_norm = np.linalg.norm(dz, axis=-1)
+    for bad, what in ((dk_norm < r[:, None] * (1 - 1e-12), "K points inside B(p, r)"),
+                      ((dz_norm >= r[:, None] / np.sqrt(n)) | (dz_norm <= 0),
+                       "candidates outside (0, r/sqrt(n))")):
+        if bad.any():
+            raise ValueError(
+                f"{what}: indices {np.flatnonzero(bad[bad.any(axis=1)][0]).tolist()}")
+
+    closed_k = np.sum(np.abs(dk), axis=-1) / dk_norm ** 2  # K-side middle term
+    guard_k = _REL_GUARD * np.max(closed_k, axis=1)
     k_bound = np.sqrt(n) / dk_norm
 
     lams = _align(dz)                                      # one lambda per z
-    lhs = np.abs(_values(lams, dz))
-    closed = np.sum(np.abs(dz), axis=1) / dz_norm ** 2
+    # |f_lambda(t (z-p))| t at t = 1 and, for the radial scaling check, 0.5, 2
+    ts = np.array([1.0, 0.5, 2.0])[:, None, None]
+    scaled = np.abs(_values(lams[..., None, :],
+                            (ts[..., None] * dz)[..., None, :])[..., 0, 0]) * ts
+    lhs = scaled[0]
+    closed = np.sum(np.abs(dz), axis=-1) / dz_norm ** 2
     # link 1: evaluated |f_lambda(z-p)| equals its closed form
     err1 = np.abs(lhs - closed) / np.maximum(1.0, closed)
     # link 2: sum|d_i|/||d||^2 >= 1/||d||
     s2 = closed - 1.0 / dz_norm
     # link 3: 1/||z-p|| > sqrt(n)/||w-p||  (strict)
-    s3 = 1.0 / dz_norm - np.max(k_bound)
+    s3 = 1.0 / dz_norm - np.max(k_bound, axis=1, keepdims=True)
     # link 4: sqrt(n)/||w-p|| >= sum|w_i-p_i|/||w-p||^2
-    s4 = float(np.min(k_bound - closed_k))
+    s4 = np.min(k_bound - closed_k, axis=1)
     # link 5: that middle expression >= |f_lambda(w-p)|, per (w, z)
-    f_on_k = np.abs(_values(lams[None, :, :], dk[:, None, :]))
-    s5 = np.min(closed_k[:, None] - f_on_k, axis=0)
-    margins = lhs - np.max(f_on_k, axis=0)
+    f_on_k = np.abs(_values(lams, dk))
+    s5 = np.min(closed_k[..., None] - f_on_k, axis=1)
+    margins = lhs - np.max(f_on_k, axis=1)
     # radial scaling |f(t d)| t = |f(d)|, per (t, z)
-    ts = np.array([[0.5], [2.0]])
-    scaled = np.abs(_values(lams, ts[..., None] * dz)) * ts
-    mono = np.abs(scaled - lhs) / np.maximum(1.0, lhs)
+    mono = np.abs(scaled[1:] - lhs) / np.maximum(1.0, lhs)
 
-    violations = (np.sum(err1 > 1e-12) + np.sum(s2 < -_REL_GUARD * closed)
-                  + np.sum(s3 <= 0) + (s4 < -guard_k) + np.sum(s5 < -guard_k)
-                  + np.sum(margins <= 0) + np.sum(mono > 1e-12))
-    return Thm2Report(
-        n=n, z_count=Z.shape[0], k_count=K.shape[0],
-        violations=int(violations), min_margin=float(np.min(margins)),
-        link_slacks=(-float(np.max(err1)), float(np.min(s2)),
-                     float(np.min(s3)), s4, float(np.min(s5))),
-        monotonicity_err=float(np.max(mono)))
+    violations = (np.sum(err1 > 1e-12, axis=1)
+                  + np.sum(s2 < -_REL_GUARD * closed, axis=1)
+                  + np.sum(s3 <= 0, axis=1) + (s4 < -guard_k)
+                  + np.sum(s5 < -guard_k[:, None], axis=1)
+                  + np.sum(margins <= 0, axis=1) + np.sum(mono > 1e-12, axis=(0, 2)))
+    slacks = np.stack([-np.max(err1, axis=1), np.min(s2, axis=1),
+                       np.min(s3, axis=1), s4, np.min(s5, axis=1)], axis=1)
+    return [Thm2Report(n=n, z_count=dz.shape[1], k_count=dk.shape[1],
+                       violations=v, min_margin=mm, link_slacks=tuple(ls),
+                       monotonicity_err=me)
+            for v, mm, ls, me in zip(violations.tolist(),
+                                     np.min(margins, axis=1).tolist(),
+                                     slacks.tolist(),
+                                     np.max(mono, axis=(0, 2)).tolist())]
 
 
 @dataclass(frozen=True)
@@ -412,6 +430,11 @@ def sample_ball(n: int, p, radius: float, count: int, seed: int,
     return _sample_inner_ball(rng, n, p, radius, count, floor=floor)
 
 
+# (K point, candidate) pairs per stack of configurations in the batched chain;
+# its largest tables are a few times this many floats.
+_STACK_PAIRS = 2 ** 17
+
+
 def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
                        k_count: int = 200, z_count: int = 50,
                        r_range=(0.1, 2.0)) -> BatchReport:
@@ -421,13 +444,18 @@ def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
     outside B(p, r) and candidates inside B(p, r/sqrt(n)).  The per-run
     reports fold into one: violations add up (so they count failing (link,
     candidate) pairs as in Thm2Report), margins and link slacks take the
-    minimum, the monotonicity error the maximum.
+    minimum, the monotonicity error the maximum.  Configurations of equal n
+    go through the chain together, about _STACK_PAIRS (K point, candidate)
+    pairs at a time; each draws from its own seed in its own order.
 
-    Raises ValueError, before any sampling, when configs < 1, ns is empty or
-    holds an n < 1, or r_range is not a finite (lo, hi) with 0 < lo <= hi.
+    Raises ValueError, before any sampling, when configs, k_count or z_count
+    is < 1, ns is empty or holds an n < 1, or r_range is not a finite
+    (lo, hi) with 0 < lo <= hi.
     """
     if configs < 1:
         raise ValueError(f"configs must be >= 1, got {configs}")
+    if k_count < 1 or z_count < 1:
+        raise ValueError("K and the candidate set must be nonempty")
     if len(ns) == 0 or min(ns) < 1:
         raise ValueError(f"ns must be nonempty with every n >= 1, got {list(ns)}")
     if not (len(r_range) == 2 and np.all(np.isfinite(r_range))
@@ -435,16 +463,23 @@ def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
         raise ValueError(
             f"r_range must be finite with 0 < lo <= hi, got {list(r_range)}")
     children = np.random.SeedSequence([seed, 0x74686d32]).spawn(configs)
+    stack = max(1, _STACK_PAIRS // (k_count * z_count))
     reps = []
-    for ci, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        n = int(ns[ci % len(ns)])
-        p = rng.uniform(-1, 1, size=2 * n)
-        p = p[:n] + 1j * p[n:]
-        r = float(rng.uniform(*r_range))
-        K = _sample_outside_ball(rng, n, p, r, k_count)
-        Z = _sample_inner_ball(rng, n, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
-        reps.append(theorem2_experiment(n, p, r, K, Z))
+    for j, n in enumerate(int(v) for v in ns):
+        mine = children[j::len(ns)]         # configuration i has n = ns[i % len(ns)]
+        for lo in range(0, len(mine), stack):
+            rs, dks, dzs = [], [], []
+            for child in mine[lo:lo + stack]:
+                rng = np.random.default_rng(child)
+                p = rng.uniform(-1, 1, size=2 * n)
+                p = p[:n] + 1j * p[n:]
+                r = float(rng.uniform(*r_range))
+                K = _sample_outside_ball(rng, n, p, r, k_count)
+                Z = _sample_inner_ball(rng, n, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
+                rs.append(r)
+                dks.append(K - p)
+                dzs.append(Z - p)
+            reps.extend(_chain(n, np.array(rs), np.stack(dks), np.stack(dzs)))
     return BatchReport(
         configs=configs,
         violations=sum(rep.violations for rep in reps),

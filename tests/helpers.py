@@ -6,13 +6,16 @@ oracles inside their validity region without ever looking at the quantity
 under test.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from qholo import expr as ex
 from qholo.expr import Jet2
+from qholo.fileio import _clean, _csv_header
 from qholo.forms import q_holo_residual
+from qholo.hull import _REL_GUARD, Thm2Report, _align
 from qholo.levi import EPS_BDRY, EPS_GRAD, _as_matrix
 
 
@@ -418,3 +421,74 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
         if abs(ex.eval_jet2(phi, z).value) <= eps_bdry:
             out.append(z)
     return np.array(out)
+
+
+# The row-by-row CSV writer the library's column-wise one replaced, kept as
+# the byte-for-byte reference for its output.
+def write_points_csv_reference(path, points, extra=None):
+    """Rows re1,im1,...,reN,imN plus optional named extra columns.
+
+    extra: list of (name, sequence) pairs appended after the coordinates.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=complex))
+    n = points.shape[1]
+    header = _csv_header(n)
+    extra = extra or []
+    header += [name for name, _ in extra]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for i, z in enumerate(points):
+            row = []
+            for c in z:
+                row.extend([repr(_clean(c.real)), repr(_clean(c.imag))])
+            for _, vals in extra:
+                v = vals[i]
+                row.append(repr(_clean(v)) if isinstance(v, float) else str(v))
+            w.writerow(row)
+
+
+# The per-configuration separation chain the stacked one replaced, with its
+# row-wise einsum evaluator, kept as the reference for its reports.
+def _values_reference(lams, d):
+    """f_lambda(d) row by row; lams and d broadcast over their leading axes."""
+    return (np.einsum("...i,...i->...", lams, np.conj(d))
+            / np.sum(np.abs(d) ** 2, axis=-1))
+
+
+def theorem2_reference(n, p, r, K, z_samples):
+    p = np.asarray(p, dtype=complex)
+    K = np.asarray(K, dtype=complex)
+    Z = np.asarray(z_samples, dtype=complex)
+    dk = K - p[None, :]
+    dk_norm = np.linalg.norm(dk, axis=1)
+    dz = Z - p[None, :]
+    dz_norm = np.linalg.norm(dz, axis=1)
+
+    closed_k = np.sum(np.abs(dk), axis=1) / dk_norm ** 2   # K-side middle term
+    guard_k = _REL_GUARD * float(np.max(closed_k))
+    k_bound = np.sqrt(n) / dk_norm
+
+    lams = _align(dz)                                      # one lambda per z
+    lhs = np.abs(_values_reference(lams, dz))
+    closed = np.sum(np.abs(dz), axis=1) / dz_norm ** 2
+    err1 = np.abs(lhs - closed) / np.maximum(1.0, closed)
+    s2 = closed - 1.0 / dz_norm
+    s3 = 1.0 / dz_norm - np.max(k_bound)
+    s4 = float(np.min(k_bound - closed_k))
+    f_on_k = np.abs(_values_reference(lams[None, :, :], dk[:, None, :]))
+    s5 = np.min(closed_k[:, None] - f_on_k, axis=0)
+    margins = lhs - np.max(f_on_k, axis=0)
+    ts = np.array([[0.5], [2.0]])
+    scaled = np.abs(_values_reference(lams, ts[..., None] * dz)) * ts
+    mono = np.abs(scaled - lhs) / np.maximum(1.0, lhs)
+
+    violations = (np.sum(err1 > 1e-12) + np.sum(s2 < -_REL_GUARD * closed)
+                  + np.sum(s3 <= 0) + (s4 < -guard_k) + np.sum(s5 < -guard_k)
+                  + np.sum(margins <= 0) + np.sum(mono > 1e-12))
+    return Thm2Report(
+        n=n, z_count=Z.shape[0], k_count=K.shape[0],
+        violations=int(violations), min_margin=float(np.min(margins)),
+        link_slacks=(-float(np.max(err1)), float(np.min(s2)),
+                     float(np.min(s3)), s4, float(np.min(s5))),
+        monotonicity_err=float(np.max(mono)))

@@ -256,10 +256,10 @@ def test_hull_k_in_z_catches_dropped_member(tmp_path, monkeypatch):
 
     def dropping(prob):
         res = sweep(prob)
-        members = list(res.members)
+        members = res.members.copy()
         assert members[rows[1]]
         members[rows[1]] = False
-        return dataclasses.replace(res, members=tuple(members))
+        return dataclasses.replace(res, members=members)
 
     monkeypatch.setattr(hull, "discrete_hull", dropping)
     out = tmp_path / "out"

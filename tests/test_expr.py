@@ -74,6 +74,40 @@ def test_deep_trees_print_and_conjugate_without_recursion():
     assert ex.to_text(ex.conjugate(e)) == "+".join(["z1"] * 3000)
 
 
+def test_nested_conj_cancels_while_parsing():
+    # each conj( used to copy its whole argument: ~2 s at k = 60
+    s = "+".join(["z1", "2*conj(z2)"] * 2000)
+    z = [0.3 - 1.1j, 2.0 + 0.5j]
+    for k, plain in ((60, s), (59, f"conj({s})")):
+        text = "conj(" * k + s + ")" * k
+        for _ in range(3):      # up to three tries, against scheduling noise
+            t0 = time.monotonic()
+            e = ex.parse(text, 2)
+            took = time.monotonic() - t0
+            if took < 0.2:
+                break
+        assert took < 0.2, k
+        want = ex.parse(plain, 2)
+        assert e == want
+        assert ex.eval_value(e, z) == ex.eval_value(want, z)
+    # a conjugate of a conjugate through a shared memo is its source
+    memo = {}
+    e = ex.parse("exp(z1)*conj(z2)+3", 2)
+    assert ex.conjugate(ex.conjugate(e, memo), memo) is e
+
+
+def test_deep_tree_equality_and_hash_without_recursion():
+    text = "+".join(["z1"] * 4000)
+    a, b = ex.parse(text, 1), ex.parse(text, 1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != ex.parse(text + "+z1", 1)
+    assert a != ex.parse(text[:-2] + "conj(z1)", 1)
+    assert ex.parse("z1^2", 1) != ex.parse("z1^3", 1)
+    assert ex.Var(2, 1) != ex.CVar(2, 1) and ex.Var(2, 1) != ex.Var(2, 2)
+    assert ex.Const(1, 2.0) != 2.0
+
+
 def test_parse_imaginary_unit_and_folding():
     e = ex.parse("(2+3*i)*z1", 1)
     assert isinstance(e, ex.Mul)

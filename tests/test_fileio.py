@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qholo import fileio
 
+from helpers import write_points_csv_reference
+
 
 @pytest.mark.parametrize("text,want", [
     ("1+2i", 1 + 2j),
@@ -82,6 +84,60 @@ def test_csv_extra_columns_ignored_on_read(tmp_path):
     assert text.splitlines()[0] == "re1,im1,re2,im2,member,margin"
     back = fileio.read_points_csv(path)
     assert np.array_equal(back, pts)
+
+
+_SPECIALS = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-320,
+                      1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3])
+
+
+def _random_points(rng, m, n):
+    # a mix of normal draws and the special values, -0.0 on both parts
+    parts = rng.normal(size=(m, 2 * n)) * 10.0 ** rng.integers(-5, 6, size=(m, 2 * n))
+    pick = rng.random(size=parts.shape) < 0.3
+    parts[pick] = rng.choice(_SPECIALS, size=int(pick.sum()))
+    pts = np.empty((m, n), dtype=complex)
+    pts.real, pts.imag = parts[:, 0::2], parts[:, 1::2]
+    return pts
+
+
+@pytest.mark.parametrize("m", [0, 1, fileio._CSV_BLOCK_ROWS + 1, 2 * fileio._CSV_BLOCK_ROWS])
+def test_csv_writer_matches_row_by_row_reference(tmp_path, m):
+    rng = np.random.default_rng(m)
+    n = 3
+    pts = _random_points(rng, m, n)
+    pts[:1] = complex(-0.0, -0.0)
+    pts[1::3] = pts[:1]         # grid-like repeats, as the hull writes
+    floats = rng.choice(_SPECIALS, size=m) * rng.choice([1.0, 1e-3, 0.5], size=m)
+    extra = [
+        ("member", (rng.random(m) < 0.5).astype(int)),          # int array
+        ("flag", [bool(b) for b in rng.random(m) < 0.5]),       # bool list
+        ("count", [int(k) for k in rng.integers(-3, 2**62, size=m)]),
+        ("big", [2**70 + k for k in range(m)]),                 # past int64
+        ("margin", floats),                                     # float array
+        ("slack", floats.tolist()),                             # float list
+        ("mask", rng.random(m) < 0.5),                          # bool array
+        ("level", rng.choice([0.25, -0.0, 1e-300, np.nan], size=m)),  # repeats
+    ]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    fileio.write_points_csv(got, pts, extra=extra)
+    write_points_csv_reference(want, pts, extra=extra)
+    assert got.read_bytes() == want.read_bytes()
+    fileio.write_points_csv(got, pts)
+    write_points_csv_reference(want, pts)
+    assert got.read_bytes() == want.read_bytes()
+    if m == 0:
+        with pytest.raises(ValueError, match="no points"):
+            fileio.read_points_csv(got)
+    else:
+        back = fileio.read_points_csv(got)
+        # -0.0 is written as 0.0, nan only equals nan
+        assert np.array_equal(back, pts + 0.0, equal_nan=True)
+
+
+def test_csv_writer_rejects_short_extra_column(tmp_path):
+    with pytest.raises(ValueError, match="has 1 values for 2 rows"):
+        fileio.write_points_csv(tmp_path / "x.csv", [[1j], [2j]],
+                                extra=[("member", [1])])
 
 
 def test_csv_rejects_bad_header(tmp_path):

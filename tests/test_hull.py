@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qholo.expr as ex
 import qholo.hull as hull
+from helpers import theorem2_reference
 from qholo.forms import q_holo_residual
 
 
@@ -211,8 +212,10 @@ def test_hull_circle_excludes_outside():
     prob = hull.build_problem(2, K, Z, [(ex.parse("z1", 2), 1, "z1", None)],
                               seed=0)
     res = hull.discrete_hull(prob)
-    assert res.members == (True, True, False, False)
+    assert res.members.tolist() == [True, True, False, False]
     assert res.margins[2] == pytest.approx(0.2, abs=1e-12)
+    with pytest.raises(ValueError, match="read-only"):
+        res.members[0] = False
 
 
 def test_hull_marks_singular_candidates():
@@ -223,8 +226,8 @@ def test_hull_marks_singular_candidates():
     members = [(hull.basener_expr(lam, p, 2), 2, "f", p)]
     prob = hull.build_problem(2, K, Z, members, seed=0)
     res = hull.discrete_hull(prob)
-    assert res.singular == (True, False)
-    assert res.members[0] is False
+    assert res.singular.tolist() == [True, False]
+    assert res.members.tolist()[0] is False
     assert res.margins[0] == np.inf
 
 
@@ -381,21 +384,71 @@ def test_theorem2_batch_small_sweep():
 
 def test_theorem2_batch_of_one_is_the_single_report(monkeypatch):
     calls = []
-    single = hull.theorem2_experiment
+    chain = hull._chain
 
     def spy(*args):
         calls.append(args)
-        return single(*args)
+        return chain(*args)
 
-    monkeypatch.setattr(hull, "theorem2_experiment", spy)
+    monkeypatch.setattr(hull, "_chain", spy)
     batch = hull.run_theorem2_batch(configs=1, seed=7)
-    (args,) = calls
-    rep = single(*args)
+    ((n, r, dk, dz),) = calls
+    # K - 0 and Z - 0 are the displacements themselves
+    rep = hull.theorem2_experiment(n, np.zeros(n, complex), r[0], dk[0], dz[0])
     assert rep.z_count == 50 and rep.k_count == 200
     assert batch.violations == rep.violations
     assert batch.min_margin == rep.min_margin
     assert batch.min_link_slacks == rep.link_slacks
     assert batch.max_monotonicity_err == rep.monotonicity_err
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_theorem2_experiment_is_its_slice_of_the_stacked_chain(n):
+    rng = np.random.default_rng(n)
+    configs = []
+    for i in range(5):
+        p = rng.normal(size=n) + 1j * rng.normal(size=n)
+        r = float(rng.uniform(0.1, 2.0))
+        K = hull.sample_sphere(n, p, r * rng.uniform(1.0, 3.0), 30 + 7 * n, seed=i)
+        Z = hull.sample_ball(n, p, r / np.sqrt(n) * 0.99, 11, seed=100 + i)
+        configs.append((p, r, K, Z))
+    stacked = hull._chain(n, np.array([c[1] for c in configs]),
+                          np.stack([K - p for p, _, K, _ in configs]),
+                          np.stack([Z - p for p, _, _, Z in configs]))
+    for (p, r, K, Z), rep in zip(configs, stacked):
+        assert hull.theorem2_experiment(n, p, r, K, Z) == rep
+    assert all(rep.violations == 0 for rep in stacked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_theorem2_experiment_matches_the_per_configuration_reference(n):
+    # the matmul table sums in another order than the reference's einsum:
+    # values agree to a few ulps of the closed forms, which are O(1/r) here
+    rng = np.random.default_rng(40 + n)
+    for i in range(6):
+        p = rng.normal(size=n) + 1j * rng.normal(size=n)
+        r = float(rng.uniform(0.1, 2.0))
+        K = hull.sample_sphere(n, p, r * rng.uniform(1.0, 3.0), 40, seed=i)
+        Z = hull.sample_ball(n, p, r / np.sqrt(n) * 0.999, 15, seed=50 + i)
+        got = hull.theorem2_experiment(n, p, r, K, Z)
+        want = theorem2_reference(n, p, r, K, Z)
+        assert (got.violations, got.z_count, got.k_count) == (want.violations, 15, 40)
+        tol = 64 * np.finfo(float).eps / r
+        assert abs(got.min_margin - want.min_margin) <= tol
+        assert np.max(np.abs(np.subtract(got.link_slacks, want.link_slacks))) <= tol
+        assert got.monotonicity_err == want.monotonicity_err == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 105])
+def test_theorem2_batch_does_not_depend_on_the_stack_size(monkeypatch, seed):
+    # stacks of one configuration, of five (the last one partial), of all
+    kw = dict(configs=40, seed=seed, ns=(2, 3, 9), k_count=60, z_count=20)
+    reps = []
+    for stack in (1, 5, 40):
+        monkeypatch.setattr(hull, "_STACK_PAIRS", stack * 60 * 20)
+        reps.append(hull.run_theorem2_batch(**kw))
+    assert reps[0] == reps[1] == reps[2]
+    assert reps[0].configs == 40 and reps[0].violations == 0
 
 
 def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
