@@ -48,11 +48,19 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
-def _positive_int(value, what):
-    """A whole number >= 1 from the config; anything else is a ConfigError."""
+# Resource cap on the sampled point counts classify.boundary_samples and
+# points.random.count, as the hull grid has its 2M-point cap.
+MAX_SAMPLES = 100_000
+
+
+def _positive_int(value, what, cap=math.inf):
+    """A whole number in [1, cap] from the config; anything else is a
+    ConfigError."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not 1 <= value < math.inf or value != int(value)):
         raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    if value > cap:
+        raise ConfigError(f"{what} must be at most {cap}, got {value!r}")
     return int(value)
 
 
@@ -105,7 +113,7 @@ def _jnum(x):
 
 
 def _random_points(n, spec, avoid=None):
-    count = int(spec.get("count", 100))
+    count = _positive_int(spec.get("count", 100), "random.count", MAX_SAMPLES)
     seed = int(spec.get("seed", 0))
     halfwidth = float(spec.get("halfwidth", 2.0))
     center = _parse_point(spec["center"], n) if "center" in spec else None
@@ -216,7 +224,8 @@ def cmd_classify(cfg, out_dir, seed, tols):
     n = _positive_int(_require(cfg, "n"), "n")
     name = cfg.get("name", "domain")
     phi = _parse_expr(_require(cfg, "defining"), n)
-    count = _positive_int(_require(cfg, "boundary_samples"), "boundary_samples")
+    count = _positive_int(_require(cfg, "boundary_samples"), "boundary_samples",
+                          MAX_SAMPLES)
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
     box = float(cfg.get("box", 2.0))
     ztol = tols.get("ztol", cfg.get("ztol"))
@@ -224,13 +233,14 @@ def cmd_classify(cfg, out_dir, seed, tols):
         pts = levi.sample_boundary(phi, count, run_seed, box=box)
     except (ValueError, ex.EvalError, RuntimeError) as e:
         raise ConfigError(f"boundary sampling failed: {e}")
+    try:
+        classes = levi.classify_boundary_point(phi, pts, ztol=ztol)
+    except (ValueError, ex.EvalError) as e:
+        raise ConfigError(
+            f"classification failed at {pts[getattr(e, 'row', 0)]}: {e}")
     entries = []
     strict_qs = []
-    for p in pts:
-        try:
-            c = levi.classify_boundary_point(phi, p, ztol=ztol)
-        except (ValueError, ex.EvalError) as e:
-            raise ConfigError(f"classification failed at {p}: {e}")
+    for c in classes:
         entries.append({
             "point": fileio.point_to_strings(c.point),
             "gradient": fileio.point_to_strings(c.gradient),

@@ -6,7 +6,12 @@ evaluated to a second-order Wirtinger jet (value, both gradient blocks, all
 three second-derivative blocks) by exact forward-mode propagation, treating
 z and conj(z) as independent coordinates.  Evaluation compiles a tree to a
 post-order tape, and one interpreter runs the tape over a batch of points,
-for values or for 2-jets; single-point evaluation is a batch of one.
+for values, for values and gradients (1-jets), or for 2-jets; single-point
+evaluation is a batch of one.
+
+A divisor of modulus at most EPS_DIV = 1e-300 raises EvalError.  The guard
+is absolute: a divisor that is zero in exact arithmetic but cancels only to
+roundoff (say 1e-17) passes, and the quotient is as large as that makes it.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "CVar", "Add", "Sub", "Mul", "Div", "Pow", "Exp",
     "Neg", "Jet2", "ParseError", "EvalError", "parse", "to_text", "conjugate",
-    "eval_value", "eval_batch", "eval_jet2", "eval_jet2_batch", "finite_diff_jet",
+    "eval_value", "eval_batch", "eval_jet1_batch", "eval_jet2", "eval_jet2_batch",
+    "finite_diff_jet",
 ]
 
-# Denominators with modulus at or below this abort evaluation.
+# Denominators with modulus at or below this abort evaluation.  Absolute, not
+# relative to the operands: roundoff-sized divisors pass (module docstring).
 EPS_DIV = 1e-300
 
 
@@ -560,21 +567,25 @@ def to_text(e: Expr) -> str:
 # Evaluation
 #
 # An expression is lowered once to a linear post-order tape (one instruction
-# per node) and a single interpreter runs the tape over a batch of points,
-# either for values alone or for full 2-jets in forward (Taylor) mode.  A batch 2-jet is a triple (v, G, H): v (m,) values, G (m, 2n) the
-# gradient in the coordinates (z, conj z) and H (m, 2n, 2n) the Hessian in
-# those coordinates, so h_zz, h_zzb and h_zbzb are its upper blocks.  One
-# array per order keeps the number of numpy calls per instruction small; the
-# lower-left block (the transpose of h_zzb) is computed but never read.
+# per node) and a single interpreter runs the tape over a batch of points, for
+# values alone or for jets in forward (Taylor) mode.  A batch jet of order 2
+# is a triple (v, G, H): v (m,) values, G (m, 2n) the gradient in the
+# coordinates (z, conj z) and H (m, 2n, 2n) the Hessian in those coordinates,
+# so h_zz, h_zzb and h_zbzb are its upper blocks.  A jet of order 1 is the
+# pair (v, G), computed by the same formulas, so it equals the first two
+# entries of the order-2 jet bit for bit without building H.  One array per
+# order keeps the number of numpy calls per instruction small; the lower-left
+# block of H (the transpose of h_zzb) is computed but never read.
 
 _CONST, _VAR, _CVAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _EXP = range(10)
 _OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
            Sub: _SUB, Mul: _MUL, Div: _DIV, Pow: _POW, Exp: _EXP}
 
-# Rows per 2-jet chunk are _BUDGET // n^2, which bounds the interpreter's
-# scratch memory (a few (rows, 2n, 2n) arrays per live slot) at any n.  At
-# 4096, a 1500-point n=2 sweep peaked about 2 MB (5%) higher in RSS than
-# point-by-point evaluation; at 1024 it is within 0.5 MB.
+# Rows per chunk of jets of order k are _BUDGET // n^k, which bounds the
+# interpreter's scratch memory (a few (rows, 2n, 2n) arrays per live slot at
+# order 2, (rows, 2n) at order 1) at any n.  At 4096, a 1500-point n=2
+# 2-jet sweep peaked about 2 MB (5%) higher in RSS than point-by-point
+# evaluation; at 1024 it is within 0.5 MB.
 _BUDGET = 1024
 
 
@@ -642,40 +653,49 @@ def _outer(a, b):
 
 
 def _jet_product(a, b):
-    av, ag, ah = a
-    bv, bg, bh = b
-    h = ah * bv[:, None, None]      # summed in place: fewer (m, 2n, 2n) temporaries
+    av, ag = a[:2]
+    bv, bg = b[:2]
+    out = (av * bv, ag * bv[:, None] + av[:, None] * bg)
+    if len(a) == 2:
+        return out
+    h = a[2] * bv[:, None, None]    # summed in place: fewer (m, 2n, 2n) temporaries
     h += _outer(ag, bg)
     h += _outer(bg, ag)
-    h += av[:, None, None] * bh
-    return (av * bv, ag * bv[:, None] + av[:, None] * bg, h)
+    h += av[:, None, None] * b[2]
+    return out + (h,)
 
 
 def _jet_reciprocal(b):
-    bv, bg, bh = b
+    bv, bg = b[:2]
     iv = 1.0 / bv
     iv2 = iv * iv
+    out = (iv, -bg * iv2[:, None])
+    if len(b) == 2:
+        return out
     iv3 = iv2 * iv
-    return (iv, -bg * iv2[:, None],
-            2.0 * _outer(bg, bg) * iv3[:, None, None] - bh * iv2[:, None, None])
+    return out + (2.0 * _outer(bg, bg) * iv3[:, None, None] - b[2] * iv2[:, None, None],)
 
 
 def _jet_power(a, k):
-    av, ag, ah = a
+    av, ag = a[:2]
     if k == 0:
-        return (np.ones_like(av), np.zeros_like(ag), np.zeros_like(ah))
+        return (np.ones_like(av),) + tuple(np.zeros_like(d) for d in a[1:])
     if k == 1:
         return a
     c1 = k * av ** (k - 1)
+    out = (av ** k, c1[:, None] * ag)
+    if len(a) == 2:
+        return out
     c2 = k * (k - 1) * av ** (k - 2)
-    return (av ** k, c1[:, None] * ag,
-            c2[:, None, None] * _outer(ag, ag) + c1[:, None, None] * ah)
+    return out + (c2[:, None, None] * _outer(ag, ag) + c1[:, None, None] * a[2],)
 
 
 def _jet_exp(a):
-    av, ag, ah = a
-    u = np.exp(av)
-    return (u, u[:, None] * ag, u[:, None, None] * (_outer(ag, ag) + ah))
+    u = np.exp(a[0])
+    out = (u, u[:, None] * a[1])
+    if len(a) == 2:
+        return out
+    return out + (u[:, None, None] * (_outer(a[1], a[1]) + a[2]),)
 
 
 def _divisor_check(d, node):
@@ -684,8 +704,8 @@ def _divisor_check(d, node):
 
 
 def _leaf(op, index_or_value, pts, zeros):
-    """Values (zeros is None) or batch 2-jets of a constant or a coordinate;
-    zeros holds shared zero G and H blocks."""
+    """Values (zeros empty) or batch jets of a constant or a coordinate;
+    zeros holds shared zero derivative blocks, one per order."""
     m, n = pts.shape
     if op == _CONST:
         v = np.full(m, index_or_value, dtype=complex)
@@ -693,14 +713,13 @@ def _leaf(op, index_or_value, pts, zeros):
         v = pts[:, index_or_value].copy()
     else:
         v = np.conj(pts[:, index_or_value])
-    if zeros is None:
+    if not zeros:
         return v
-    zero_g, zero_h = zeros
     if op == _CONST:
-        return (v, zero_g, zero_h)
-    g = zero_g.copy()
+        return (v,) + zeros
+    g = zeros[0].copy()
     g[:, index_or_value if op == _VAR else n + index_or_value] = 1.0
-    return (v, g, zero_h)
+    return (v, g) + zeros[1:]
 
 
 def _value_op(op, payload, a, b=None):
@@ -724,35 +743,36 @@ def _jet_op(op, payload, a, b=None):
     if op == _MUL:
         return _jet_product(a, b)
     if op == _ADD:
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+        return tuple(x + y for x, y in zip(a, b))
     if op == _SUB:
-        return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+        return tuple(x - y for x, y in zip(a, b))
     if op == _DIV:
         _divisor_check(b[0], payload)
         return _jet_product(a, _jet_reciprocal(b))
     if op == _NEG:
-        return (-a[0], -a[1], -a[2])
+        return tuple(-x for x in a)
     if op == _POW:
         return _jet_power(a, payload)
     return _jet_exp(a)
 
 
-def _run(tape, pts, jets):
-    """Interpret the tape over the rows of pts: (m,) values, or the batch
-    2-jet (v, G, H) when jets is true.  Raises EvalError at a near-zero
-    divisor in any row; overflow is left to the caller's finiteness check.
+def _run(tape, pts, order):
+    """Interpret the tape over the rows of pts: (m,) values at order 0, the
+    batch jet (v, G) at order 1 or (v, G, H) at order 2.  Raises EvalError
+    at a near-zero divisor in any row; overflow is left to the caller's
+    finiteness check.
 
     Operands reach each step only through the slots and the call's
     arguments, so a freed slot's arrays are released at once.
     """
     m, n = pts.shape
-    zeros = ((np.zeros((m, 2 * n), dtype=complex),
-              np.zeros((m, 2 * n, 2 * n), dtype=complex)) if jets else None)
+    zeros = tuple(np.zeros((m,) + (2 * n,) * k, dtype=complex)
+                  for k in range(1, order + 1))
     slots = [None] * len(tape)
     for k, (op, args, payload, free) in enumerate(tape):
         if op <= _CVAR:
             slots[k] = _leaf(op, payload, pts, zeros)
-        elif jets:
+        elif order:
             slots[k] = _jet_op(op, payload, *[slots[a] for a in args])
         else:
             slots[k] = _value_op(op, payload, *[slots[a] for a in args])
@@ -770,17 +790,19 @@ def _as_point(z, n):
     return z
 
 
-def _as_points(pts, n):
+def _as_points(pts, n, finite=False):
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise ValueError(f"points have shape {pts.shape}, expected (m, {n})")
+    if finite and not np.all(np.isfinite(pts)):
+        raise ValueError("points have non-finite coordinates")
     return pts
 
 
 def _values(e, pts):
     # overflow surfaces as a raised EvalError below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _run(_tape(e), pts, jets=False)
+        out = _run(_tape(e), pts, 0)
     if not np.all(np.isfinite(out)):
         raise EvalError(f"non-finite value while evaluating '{to_text(e)}'")
     return out
@@ -820,28 +842,38 @@ class Jet2:
         return abs(self.value.imag) <= tol * max(1.0, abs(self.value.real))
 
 
-def _jet_blocks(e, pts):
-    """Batch 2-jets as six read-only blocks; pts is an (m, n) array."""
+def _jet_blocks(e, pts, order=2):
+    """Batch jets as read-only blocks, (value, g_z, g_zb) and at order 2 also
+    (h_zz, h_zzb, h_zbzb); pts is an (m, n) array."""
     n = e.n
     tape = _tape(e)
-    rows = max(1, _BUDGET // (n * n))
+    rows = max(1, _BUDGET // n ** order)
     with np.errstate(over="ignore", invalid="ignore"):
         if len(pts) <= rows:
-            v, g, h = _run(tape, pts, jets=True)
+            parts = _run(tape, pts, order)
         else:
             m = len(pts)
-            v = np.empty(m, dtype=complex)
-            g = np.empty((m, 2 * n), dtype=complex)
-            h = np.empty((m, 2 * n, 2 * n), dtype=complex)
+            parts = [np.empty((m,) + (2 * n,) * k, dtype=complex)
+                     for k in range(order + 1)]
             for lo in range(0, m, rows):
-                v[lo:lo + rows], g[lo:lo + rows], h[lo:lo + rows] = _run(
-                    tape, pts[lo:lo + rows], jets=True)
-    blocks = (v, g[:, :n], g[:, n:], h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
+                for out, part in zip(parts, _run(tape, pts[lo:lo + rows], order)):
+                    out[lo:lo + rows] = part
+    v, g = parts[:2]
+    blocks = (v, g[:, :n], g[:, n:])
+    if order == 2:
+        h = parts[2]
+        blocks += (h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise EvalError(f"non-finite jet while evaluating '{to_text(e)}'")
     for b in blocks:
         b.flags.writeable = False
     return blocks
+
+
+def eval_jet1_batch(e: Expr, pts) -> tuple:
+    """The blocks (value, g_z, g_zb) of eval_jet2_batch(e, pts), bit for bit
+    and with the same errors, without computing second derivatives."""
+    return _jet_blocks(e, _as_points(pts, e.n, finite=True), order=1)
 
 
 def eval_jet2_batch(e: Expr, pts) -> tuple:
@@ -852,10 +884,7 @@ def eval_jet2_batch(e: Expr, pts) -> tuple:
     equals eval_jet2(e, pts[k]) exactly.  A near-zero divisor or a non-finite
     entry in any row raises EvalError; non-finite input raises ValueError.
     """
-    pts = _as_points(pts, e.n)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points have non-finite coordinates")
-    return _jet_blocks(e, pts)
+    return _jet_blocks(e, _as_points(pts, e.n, finite=True))
 
 
 def eval_jet2(e: Expr, z) -> Jet2:

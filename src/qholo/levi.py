@@ -5,6 +5,13 @@ matrix; its counts of positive, negative, and near-zero eigenvalues drive
 every classification here.  Two independent engines compute signatures:
 LAPACK's complex Hermitian eigensolver (primary) and a real-embedding
 eigensolver (oracle).
+
+Every step works on stacks: a matrix (k, k), a gradient or point (n,) is a
+batch of one, and a stack (m, k, k) or (m, n) goes through each step in one
+call (one jet evaluation, one matmul, one eigensolver call), each row as it
+would go alone.  When a stack fails a check, the error raised is the one its
+first failing row raises alone, with that row's index in the error's `row`
+attribute.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, Expr, eval_jet2, eval_jet2_batch
+from .expr import EvalError, Expr, eval_jet1_batch, eval_jet2, eval_jet2_batch
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
@@ -27,16 +34,42 @@ EPS_HERM = 1e-10
 EPS_GRAD = 1e-10
 EPS_BDRY = 1e-10
 
+_NON_FINITE = "matrix has a non-finite entry or overflows double precision"
+
+
+def _norms(x, axes=1):
+    """2-norms over the last `axes` axes, each taken as np.linalg.norm takes
+    one array's (two strided BLAS dots), so stacked and single rows agree."""
+    x = x.reshape(x.shape[:x.ndim - axes] + (1, -1))
+    re, im = x.real, x.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _raise_first(checks, shape):
+    """Raise the ValueError the first failing row raises on its own.  checks
+    are (bad, message) pairs in the order one point is checked: bad marks
+    failing rows (batch-shaped, or one bool for all), message(i) is flat row
+    i's text.  The error's `row` is that row."""
+    fails = np.array([np.broadcast_to(bad, shape).ravel() for bad, _ in checks])
+    rows = np.flatnonzero(fails.any(axis=0))
+    if rows.size:
+        err = ValueError(checks[int(np.argmax(fails[:, rows[0]]))][1](rows[0]))
+        err.row = int(rows[0])
+        raise err
+
 
 @dataclass(frozen=True)
 class LeviMatrix:
-    """Hermitian matrix, symmetrized at construction.
+    """Hermitian matrix (k, k), or a stack of them (m, k, k), symmetrized at
+    construction.
 
     herm_dev records the relative deviation of the input from Hermitian
-    symmetry (Frobenius norms); inputs beyond EPS_HERM indicate a caller bug
-    but are still symmetrized rather than rejected.  A non-finite entry, or
-    an overflow while symmetrizing or taking norms, raises ValueError: no
-    eigensolver gives a meaningful signature for such a matrix.
+    symmetry (Frobenius norms), a float or, for a stack, an (m,) array;
+    inputs beyond EPS_HERM indicate a caller bug but are still symmetrized
+    rather than rejected.  A non-finite entry, or an overflow while
+    symmetrizing or taking norms, raises ValueError: no eigensolver gives a
+    meaningful signature for such a matrix.
     """
 
     mat: np.ndarray
@@ -44,23 +77,34 @@ class LeviMatrix:
 
     def __init__(self, mat):
         a = np.asarray(mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if np.any(self._fill(a)):
+            raise ValueError(_NON_FINITE)
+
+    @classmethod
+    def _checked(cls, a):
+        """(LeviMatrix of a, mask of its non-finite matrices), no raise."""
+        h = object.__new__(cls)
+        return h, h._fill(a)
+
+    def _fill(self, a):
         with np.errstate(over="ignore", invalid="ignore"):
-            sym = (a + a.conj().T) / 2.0
-            norm = float(np.linalg.norm(a))
-            dev = float(np.linalg.norm(a - a.conj().T)) / max(1.0, norm)
-        if not (math.isfinite(norm) and math.isfinite(dev)
-                and np.isfinite(sym).all()):
-            raise ValueError(
-                "matrix has a non-finite entry or overflows double precision")
+            ah = np.conj(np.swapaxes(a, -1, -2))
+            sym = (a + ah) / 2.0
+            norm = _norms(a, 2)
+            dev = _norms(a - ah, 2) / np.maximum(1.0, norm)
         sym.flags.writeable = False
+        if np.ndim(dev):
+            dev.flags.writeable = False
         object.__setattr__(self, "mat", sym)
-        object.__setattr__(self, "herm_dev", dev)
+        object.__setattr__(self, "herm_dev", dev if np.ndim(dev) else float(dev))
+        return ~(np.isfinite(norm) & np.isfinite(dev)
+                 & np.isfinite(sym).all(axis=(-2, -1)))
 
     @property
     def m(self):
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -86,10 +130,114 @@ def _as_matrix(h):
     return LeviMatrix(h).mat
 
 
-def default_ztol(h) -> float:
-    """Zero-eigenvalue tolerance 1e-8 * Frobenius norm (at least 1e-300)."""
+def default_ztol(h):
+    """Zero-eigenvalue tolerance 1e-8 * Frobenius norm (at least 1e-300),
+    per matrix: a float, or an (m,) array for a stack."""
+    z = np.maximum(1e-8 * _norms(_as_matrix(h), 2), 1e-300)
+    return z if np.ndim(z) else float(z)
+
+
+def _ztol_check(ztol):
+    return (ztol is not None and bool(np.any(np.asarray(ztol) < 0)),
+            lambda i: "ztol must be nonnegative")
+
+
+def _signatures(h, ztol, eigvals):
+    """Signatures of h (a Signature, or a tuple for a stack) from the
+    eigenvalue rows eigvals(mat), each against its own ztol."""
+    _raise_first([_ztol_check(ztol)], ())
     mat = _as_matrix(h)
-    return max(1e-8 * float(np.linalg.norm(mat)), 1e-300)
+    zt = np.asarray(default_ztol(h) if ztol is None else ztol, dtype=float)
+    vals = eigvals(mat)
+    pos = np.sum(vals > zt[..., None], axis=-1)
+    neg = np.sum(vals < -zt[..., None], axis=-1)
+    k = vals.shape[-1]
+    sigs = tuple(Signature(p, q, k - p - q, z) for p, q, z in zip(
+        pos.ravel().tolist(), neg.ravel().tolist(),
+        np.broadcast_to(zt, pos.shape).ravel().tolist()))
+    return sigs if mat.ndim == 3 else sigs[0]
+
+
+def eig_signature(h, ztol: float | None = None):
+    """Eigenvalue signature via LAPACK's complex Hermitian eigensolver: one
+    Signature, or for a stack a tuple of them from one eigensolver call."""
+    return _signatures(h, ztol, np.linalg.eigvalsh)
+
+
+def _embedded_eigvals(mat):
+    re, im = mat.real, mat.imag
+    emb = np.concatenate([np.concatenate([re, -im], axis=-1),
+                          np.concatenate([im, re], axis=-1)], axis=-2)
+    w = np.sort(np.linalg.eigvalsh(emb), axis=-1)
+    return (w[..., 0::2] + w[..., 1::2]) / 2.0
+
+
+def signature_oracle(h, ztol: float | None = None):
+    """Signature via the real 2k x 2k embedding [[Re,-Im],[Im,Re]], stacked
+    like eig_signature.
+
+    The embedding's spectrum is the Hermitian spectrum doubled; adjacent
+    sorted pairs are averaged before counting, so a threshold never splits
+    a pair.
+    """
+    return _signatures(h, ztol, _embedded_eigvals)
+
+
+def _gradient_checks(norm, n):
+    return [(n < 2, lambda i: "need dimension at least 2 to form a tangent space"),
+            (norm <= EPS_GRAD, lambda i: f"degenerate gradient: norm "
+             f"{float(np.ravel(norm)[i]):.3e} <= {EPS_GRAD}")]
+
+
+def _frame(g, norm, pivot=0):
+    """Householder frames of gradients g (..., n) with norms `norm`; a
+    degenerate gradient gets a meaningless frame."""
+    n = g.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.conj(g) / norm[..., None]
+        up = u[..., pivot]
+        w = u.copy()    # hypot: np.abs of a complex array can differ in the last bit
+        w[..., pivot] += np.where(up != 0, up / np.hypot(up.real, up.imag), 1.0)
+        ww = (np.conj(w)[..., None, :] @ w[..., :, None])[..., 0, 0].real
+        p = (np.eye(n, dtype=complex)
+             - 2.0 * (w[..., :, None] * np.conj(w)[..., None, :]) / ww[..., None, None])
+    return np.delete(p, pivot, axis=-1)
+
+
+def tangent_frame(g, pivot: int = 0) -> np.ndarray:
+    """Orthonormal basis (columns) of {v : sum_j g_j v_j = 0}: (n, n-1) for
+    a gradient (n,), (m, n, n-1) for a stack (m, n).
+
+    Built from a Householder reflection that aligns the Hermitian normal
+    direction conj(g)/||g|| with coordinate axis `pivot`; the remaining
+    reflection columns span the complex tangent space.  `pivot` only selects
+    the internal reflection axis; the column span is independent of it.
+    """
+    g = np.asarray(g, dtype=complex)
+    norm = _norms(g)
+    _raise_first(_gradient_checks(norm, g.shape[-1]), norm.shape)
+    return _frame(g, norm, pivot)
+
+
+def _restrict(mat, frame):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.swapaxes(np.conj(frame), -1, -2) @ mat @ frame
+
+
+def tangent_restrict(h, g, pivot: int = 0) -> LeviMatrix:
+    """Restriction B* H B of a Levi form to the complex tangent space of g
+    (a matrix and a gradient, or stacks of both)."""
+    mat = _as_matrix(h)
+    b = tangent_frame(g, pivot=pivot)
+    if b.shape[-2] != mat.shape[-1]:
+        raise ValueError("gradient and matrix dimensions differ")
+    return LeviMatrix(_restrict(mat, b))
+
+
+def _not_real(values, imag_tol=1e-9):
+    bad = np.abs(values.imag) > imag_tol * np.maximum(1.0, np.abs(values.real))
+    return bad, lambda i: (f"function is not real-valued at the point: value "
+                           f"{complex(np.ravel(values)[i])}")
 
 
 def levi_form(phi: Expr, z, imag_tol: float = 1e-9) -> LeviMatrix:
@@ -100,100 +248,61 @@ def levi_form(phi: Expr, z, imag_tol: float = 1e-9) -> LeviMatrix:
     signature meaning.
     """
     j = eval_jet2(phi, z)
-    return _real_levi_form(j.value, j.h_zzb, imag_tol)
+    _raise_first([_not_real(np.asarray(j.value), imag_tol)], ())
+    return LeviMatrix(j.h_zzb)
 
 
-def _real_levi_form(value, h_zzb, imag_tol=1e-9):
-    if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
-        raise ValueError(
-            f"function is not real-valued at the point: value {value}")
-    return LeviMatrix(h_zzb)
+def _jets(phi, p):
+    """(value, g_z, h_zzb) of phi at a point (n,) or the rows of (m, n), and
+    the EvalError of the first row that fails to evaluate, if any; the
+    blocks then cover the rows before it."""
+    if p.ndim == 1:
+        j = eval_jet2(phi, p)
+        return np.asarray(j.value), j.g_z, j.h_zzb, None
+    err = None
+    try:
+        b = eval_jet2_batch(phi, p)
+    except EvalError as e:
+        err, lo, hi = e, 0, len(p)  # p[:lo] evaluates, p[:hi] raises err
+        while hi - lo > 1:          # a batch raises when one of its rows does
+            mid = (lo + hi) // 2
+            try:
+                eval_jet2_batch(phi, p[:mid])
+                lo = mid
+            except EvalError as e:
+                err, hi = e, mid
+        err.row = lo                # the only raising row of p[:hi]
+        if lo == 0:
+            raise err
+        b = eval_jet2_batch(phi, p[:lo])
+    return b[0], b[1], b[4].copy(), err     # the copy lets the Hessian go
 
 
-def _count(vals, ztol):
-    n_pos = int(np.sum(vals > ztol))
-    n_neg = int(np.sum(vals < -ztol))
-    return Signature(n_pos, n_neg, vals.size - n_pos - n_neg, ztol)
-
-
-def eig_signature(h, ztol: float | None = None) -> Signature:
-    """Eigenvalue signature via LAPACK's complex Hermitian eigensolver."""
-    if ztol is None:
-        ztol = default_ztol(h)
-    if ztol < 0:
-        raise ValueError("ztol must be nonnegative")
-    return _count(np.linalg.eigvalsh(_as_matrix(h)), ztol)
-
-
-def signature_oracle(h, ztol: float | None = None) -> Signature:
-    """Signature via the real 2m x 2m embedding [[Re,-Im],[Im,Re]].
-
-    The embedding's spectrum is the Hermitian spectrum doubled; adjacent
-    sorted pairs are averaged before counting, so a threshold never splits
-    a pair.
-    """
-    if ztol is None:
-        ztol = default_ztol(h)
-    if ztol < 0:
-        raise ValueError("ztol must be nonnegative")
-    mat = _as_matrix(h)
-    re, im = mat.real, mat.imag
-    emb = np.block([[re, -im], [im, re]])
-    w = np.sort(np.linalg.eigvalsh(emb))
-    vals = (w[0::2] + w[1::2]) / 2.0
-    return _count(vals, ztol)
-
-
-def tangent_frame(g, pivot: int = 0) -> np.ndarray:
-    """Orthonormal basis (columns) of {v : sum_j g_j v_j = 0}.
-
-    Built from a Householder reflection that aligns the Hermitian normal
-    direction conj(g)/||g|| with coordinate axis `pivot`; the remaining
-    reflection columns span the complex tangent space.  `pivot` only selects
-    the internal reflection axis; the column span is independent of it.
-    """
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    if n < 2:
-        raise ValueError("need dimension at least 2 to form a tangent space")
-    norm = float(np.linalg.norm(g))
-    if norm <= EPS_GRAD:
-        raise ValueError(f"degenerate gradient: norm {norm:.3e} <= {EPS_GRAD}")
-    u = np.conj(g) / norm
-    phase = u[pivot] / abs(u[pivot]) if u[pivot] != 0 else 1.0
-    w = u.copy()
-    w[pivot] += phase
-    p = np.eye(n, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / np.vdot(w, w).real
-    cols = [j for j in range(n) if j != pivot]
-    return p[:, cols]
-
-
-def tangent_restrict(h, g, pivot: int = 0) -> LeviMatrix:
-    """Restriction B* H B of a Levi form to the complex tangent space of g."""
-    mat = _as_matrix(h)
-    b = tangent_frame(g, pivot=pivot)
-    if b.shape[0] != mat.shape[0]:
-        raise ValueError("gradient and matrix dimensions differ")
-    return LeviMatrix(b.conj().T @ mat @ b)
-
-
-def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8):
+def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
     """Levi form of phi at a boundary point, restricted to the complex tangent
     space: returns (g, frame, restricted) with g the holomorphic gradient,
-    frame the tangent_frame(g) columns and restricted = frame* H frame.
+    frame the tangent_frame(g) columns and restricted = frame* H frame.  For
+    a stack of points (m, n) each result has a leading point axis.
 
     Raises ValueError when phi is not real-valued at p, when |phi(p)| >
-    eps_bdry (p is not on the boundary), or when the gradient is degenerate.
+    eps_bdry (p is not on the boundary), or when the gradient is degenerate;
+    then the checks in _extra, per row.
     """
-    j = eval_jet2(phi, p)
-    h = _real_levi_form(j.value, j.h_zzb)
-    if abs(j.value) > eps_bdry:
-        raise ValueError(
-            f"point is not on the boundary: |phi(p)| = {abs(j.value):.3e} "
-            f"> {eps_bdry}")
-    g = np.asarray(j.g_z)
-    frame = tangent_frame(g)
-    return g, frame, LeviMatrix(frame.conj().T @ h.mat @ frame)
+    value, g, h_zzb, err = _jets(phi, np.asarray(p, dtype=complex))
+    h, h_bad = LeviMatrix._checked(h_zzb)
+    norm = _norms(g)
+    frame = _frame(g, norm)
+    restricted, r_bad = LeviMatrix._checked(_restrict(h.mat, frame))
+    off = np.hypot(value.real, value.imag)      # abs() of one complex, bit for bit
+    _raise_first([
+        _not_real(value), (h_bad, lambda i: _NON_FINITE),
+        (off > eps_bdry, lambda i: f"point is not on the boundary: |phi(p)| = "
+                                   f"{float(np.ravel(off)[i]):.3e} > {eps_bdry}"),
+        *_gradient_checks(norm, g.shape[-1]), (r_bad, lambda i: _NON_FINITE),
+        *_extra], value.shape)
+    if err is not None:
+        raise err
+    return g, frame, restricted
 
 
 def describe_q(q: int, n: int) -> str:
@@ -222,22 +331,24 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
 
     That minimum is q = n - n_pos + 1; a point with no positive eigenvalues
     reports q = n+1 ("not q-convex for any q <= n").  The overall value is
-    the maximum over the sample.
+    the maximum over the sample.  All points go through one jet evaluation
+    and one eigensolver call.
     """
     n = f.n
-    sigs = []
-    qs = []
     pts = [np.asarray(p, dtype=complex) for p in points]
     if not pts:
         raise ValueError("need at least one point")
-    values, _, _, _, h_zzb, _ = eval_jet2_batch(f, np.array(pts))
-    for value, h in zip(values, h_zzb):
-        sig = eig_signature(_real_levi_form(complex(value), h), ztol)
-        sigs.append(sig)
-        qs.append(n - sig.n_pos + 1)
+    jets = eval_jet2_batch(f, np.array(pts))
+    values, h_zzb = jets[0], jets[4].copy()
+    del jets        # frees the (m, 2n, 2n) Hessian before the stack is checked
+    h, bad = LeviMatrix._checked(h_zzb)
+    _raise_first([_not_real(values), (bad, lambda i: _NON_FINITE),
+                  _ztol_check(ztol)], values.shape)
+    sigs = eig_signature(h, ztol)
+    qs = tuple(n - sig.n_pos + 1 for sig in sigs)
     return FunctionClassification(
-        n=n, points=tuple(tuple(p) for p in pts), signatures=tuple(sigs),
-        per_point_q=tuple(qs), overall_q=max(qs))
+        n=n, points=tuple(tuple(p) for p in pts), signatures=sigs,
+        per_point_q=qs, overall_q=max(qs))
 
 
 @dataclass(frozen=True)
@@ -258,8 +369,9 @@ class BoundaryClassification:
 
 
 def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
-                            eps_bdry: float = 1e-8) -> BoundaryClassification:
-    """Restricted-signature classification of a smooth boundary point.
+                            eps_bdry: float = 1e-8):
+    """Restricted-signature classification of a smooth boundary point, or a
+    tuple of classifications for a stack of points (m, n), made in one pass.
 
     Requires |phi(p)| <= eps_bdry (point on the zero set) and a
     nondegenerate gradient (see restricted_levi_form).  With n_pos positive
@@ -267,15 +379,20 @@ def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
     variant also counts zeros.
     """
     p = np.asarray(p, dtype=complex)
-    g, _, restricted = restricted_levi_form(phi, p, eps_bdry)
-    sig = eig_signature(restricted, ztol)
+    g, _, restricted = restricted_levi_form(phi, p, eps_bdry, [_ztol_check(ztol)])
+    sigs = eig_signature(restricted, ztol)
     n = phi.n
-    strict_q = n - sig.n_pos if sig.n_pos >= 1 else None
-    weak_count = sig.n_pos + sig.n_zero
-    weak_q = n - weak_count if weak_count >= 1 else None
-    return BoundaryClassification(
-        point=tuple(p), gradient=tuple(g), restricted=sig,
-        strict_q=strict_q, weak_q=weak_q, n=n)
+
+    def one(point, grad, sig):
+        weak_count = sig.n_pos + sig.n_zero
+        return BoundaryClassification(
+            point=tuple(point), gradient=tuple(grad), restricted=sig,
+            strict_q=n - sig.n_pos if sig.n_pos >= 1 else None,
+            weak_q=n - weak_count if weak_count >= 1 else None, n=n)
+
+    if p.ndim == 1:
+        return one(p, g, sigs)
+    return tuple(map(one, p, g, sigs))
 
 
 def _project(phi, z, eps_bdry, max_iter, cap):
@@ -286,7 +403,7 @@ def _project(phi, z, eps_bdry, max_iter, cap):
     for _ in range(max_iter):
         if live.size == 0:
             break
-        value, g = eval_jet2_batch(phi, z[live])[:2]
+        value, g, _ = eval_jet1_batch(phi, z[live])
         done = np.abs(value) <= eps_bdry
         converged[live[done]] = True
         gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
@@ -313,7 +430,8 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
     discarded.  The result is the first `count` converged draws in draw
     order, and sampling stalls (RuntimeError) when 60 * count draws yield
     fewer.  Draws run in blocks, each Newton step over all live draws of a
-    block at once; the generator is deterministic in `seed`.  A block may
+    block at once and on values and gradients only (eval_jet1_batch); the
+    generator is deterministic in `seed`.  A block may
     hold draws past the count-th convergence; when the block raises
     EvalError its draws are redone one at a time up to that convergence, so
     only a draw the sampler needs can raise.

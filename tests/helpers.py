@@ -386,7 +386,8 @@ def certified_sample(rng, n_max=4, residual_tol=1e-10, max_tries=200):
 def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
                               max_iter=100, center=None):
     """Scalar reference for levi.sample_boundary: one draw at a time, one
-    eval_jet2 per Newton step, the same rng stream and acceptance rule."""
+    value-and-gradient evaluation per Newton step, the same rng stream and
+    acceptance rule."""
     n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
     if center is None:
@@ -404,22 +405,62 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
         x = rng.uniform(-box, box, size=2 * n)
         z = center + x[:n] + 1j * x[n:]
         for _ in range(max_iter):
-            j = ex.eval_jet2(phi, z)
-            if abs(j.value) <= eps_bdry:
+            value, g = _value_and_gradient(phi, z)
+            if abs(value) <= eps_bdry:
                 break
-            g = np.asarray(j.g_z)
             gn2 = float(np.vdot(g, g).real)
             if gn2 <= EPS_GRAD ** 2:
                 break
-            step = j.value.real * np.conj(g) / (2.0 * gn2)
+            step = value.real * np.conj(g) / (2.0 * gn2)
             slen = float(np.linalg.norm(step))
             if slen > cap:
                 step *= cap / slen
             z = z - step
         else:
             continue
-        if abs(ex.eval_jet2(phi, z).value) <= eps_bdry:
+        if abs(_value_and_gradient(phi, z)[0]) <= eps_bdry:
             out.append(z)
+    return np.array(out)
+
+
+def _value_and_gradient(phi, z):
+    value, g_z, _ = ex.eval_jet1_batch(phi, z[None, :])
+    return complex(value[0]), g_z[0]
+
+
+# The one-gradient Householder frame the library's stacked tangent_frame
+# replaced, kept as the reference its rows must equal bit for bit (the peak
+# pipeline lifts eigenvectors through these frames into its reports).
+def tangent_frame_reference(g, pivot=0):
+    g = np.asarray(g, dtype=complex)
+    n = g.shape[0]
+    norm = float(np.linalg.norm(g))
+    u = np.conj(g) / norm
+    phase = u[pivot] / abs(u[pivot]) if u[pivot] != 0 else 1.0
+    w = u.copy()
+    w[pivot] += phase
+    p = np.eye(n, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / np.vdot(w, w).real
+    return p[:, [j for j in range(n) if j != pivot]]
+
+
+# The draw-at-a-time loop the library's block-drawn certification_points
+# replaced, kept as the reference for its points and its stall error.
+def certification_points_reference(n, seed, count=100, halfwidth=2.0,
+                                   center=None, avoid=None, avoid_radius=0.3):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x63657274]))
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=complex)
+    avoid = [] if avoid is None else np.atleast_2d(np.asarray(avoid, dtype=complex))
+    out = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 100 * count:
+            raise RuntimeError("certification sampling stalled")
+        x = rng.uniform(-halfwidth, halfwidth, size=2 * n)
+        z = center + x[:n] + 1j * x[n:]
+        if any(np.linalg.norm(z - a) < avoid_radius for a in avoid):
+            continue
+        out.append(z)
     return np.array(out)
 
 

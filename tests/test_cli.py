@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from qholo import fileio, hull
-from qholo.cli import run
+import numpy as np
+
+from qholo import expr, fileio, hull, levi
+from qholo.cli import MAX_SAMPLES, run
 
 
 def _write(tmp_path, name, cfg):
@@ -108,6 +110,40 @@ def test_classify_sphere(tmp_path):
 def test_classify_nonpositive_samples_is_config_error(tmp_path, capsys, count):
     _assert_config_error(tmp_path, capsys, "classify", {
         "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": count})
+
+
+_CAPPED = [2 ** 40, 1e308, MAX_SAMPLES + 1]
+_CAPPED_IDS = ["2^40", "1e308", "cap+1"]
+
+
+@pytest.mark.parametrize("count", _CAPPED, ids=_CAPPED_IDS)
+def test_classify_samples_above_the_cap_are_config_error(tmp_path, capsys, count):
+    _assert_config_error(tmp_path, capsys, "classify", {
+        "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": count})
+
+
+@pytest.mark.parametrize("count", _CAPPED, ids=_CAPPED_IDS)
+@pytest.mark.parametrize("command", ["levi", "qholo"])
+def test_random_count_above_the_cap_is_config_error(tmp_path, capsys, command, count):
+    _assert_config_error(tmp_path, capsys, command, {
+        "n": 2, "q": 1, "function": "abs2(z1)+abs2(z2)",
+        "points": {"random": {"count": count, "seed": 1}}})
+
+
+def test_classify_failure_names_the_first_failing_point(tmp_path, capsys, monkeypatch):
+    # the origin (degenerate gradient) precedes an off-boundary point
+    pts = np.array([[1, 0], [0, 1], [0, 0], [0.5, 0]], dtype=complex)
+    phi = expr.parse("(abs2(z1)+abs2(z2))*(abs2(z1)+abs2(z2)-1)", 2)
+    with pytest.raises(ValueError) as single:
+        levi.classify_boundary_point(phi, pts[2])
+    monkeypatch.setattr(levi, "sample_boundary", lambda *args, **kwargs: pts)
+    _assert_config_error(tmp_path, capsys, "classify", {
+        "n": 2, "defining": expr.to_text(phi), "boundary_samples": 4})
+    path = _write(tmp_path, "c.json", {
+        "n": 2, "defining": expr.to_text(phi), "boundary_samples": 4})
+    assert run(["classify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: classification failed at {pts[2]}: {single.value}\n")
 
 
 # ---------------------------------------------------------------------------

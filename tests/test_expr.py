@@ -343,6 +343,26 @@ def test_jet2_batch_across_chunks_equals_rows():
     _assert_rows_are_scalar_jets(e, pts, ex.eval_jet2_batch(e, pts))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 600))
+def test_jet1_batch_is_the_first_blocks_of_jet2_bit_for_bit(seed, m):
+    # the Newton step of levi.sample_boundary reads only these blocks, so
+    # its points stay those of the 2-jet engine; m crosses chunk boundaries
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    e = random_expr(rng, n, int(rng.integers(1, 6)))
+    pts = rng.uniform(-1.5, 1.5, size=(m, n)) + 1j * rng.uniform(-1.5, 1.5, size=(m, n))
+    try:
+        want = ex.eval_jet2_batch(e, pts)[:3]
+    except ex.EvalError:
+        return      # the second derivatives alone may overflow
+    got = ex.eval_jet1_batch(e, pts)
+    assert len(got) == 3
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+        assert not a.flags.writeable
+
+
 def test_jet2_batch_with_a_pole_raises():
     e = ex.parse("1/z1+z2", 2)
     pts = np.array([[1.0, 0.0], [0.5j, 1.0], [0.0, 2.0]], dtype=complex)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import qholo.expr as ex
 import qholo.hull as hull
-from helpers import theorem2_reference
+from helpers import certification_points_reference, theorem2_reference
 from qholo.forms import q_holo_residual
 
 
@@ -499,3 +499,44 @@ def test_certification_points_avoid_region():
     again = hull.certification_points(2, seed=14, count=80, avoid=p,
                                       avoid_radius=0.5)
     assert np.array_equal(pts, again)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), n=st.integers(1, 4), count=st.integers(1, 400),
+       centers=st.integers(0, 3), radius=st.floats(0.05, 4.0))
+def test_certification_points_match_the_draw_at_a_time_reference(
+        seed, n, count, centers, radius):
+    # one (k, 2n) uniform draw reads the generator as k draws of 2n do, so
+    # the block-drawn sample is the reference's bit for bit, stall included
+    rng = np.random.default_rng(seed)
+    avoid = (rng.uniform(-1, 1, size=(centers, n)) + 1j * rng.uniform(-1, 1, size=(centers, n))
+             if centers else None)
+    kwargs = dict(count=count, halfwidth=1.0, avoid=avoid, avoid_radius=radius)
+    try:
+        want = certification_points_reference(n, seed, **kwargs)
+    except RuntimeError as e:
+        with pytest.raises(RuntimeError, match=str(e)):
+            hull.certification_points(n, seed, **kwargs)
+        return
+    got = hull.certification_points(n, seed, **kwargs)
+    assert got.shape == want.shape == (count, n)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count, seed, radius, stalls", [
+    (30, 3, 0.5, False), (30, 3, 1.75, True), (30, 3, 10.0, True),
+    (1, 183, 1.75, False),
+], ids=["keeps", "rare", "none", "last-draw"])
+def test_certification_points_stall_like_the_reference(count, seed, radius, stalls):
+    # around the origin of [-1, 1]^4, radius 1.75 keeps about 0.3% of draws:
+    # some, but fewer than 30 in 3000 draws; with seed 183 the only kept
+    # draw of the first 100 is the 100th, the last one a count of 1 allows
+    kwargs = dict(count=count, halfwidth=1.0, avoid=np.zeros(2), avoid_radius=radius)
+    if stalls:
+        with pytest.raises(RuntimeError) as want:
+            certification_points_reference(2, seed, **kwargs)
+        with pytest.raises(RuntimeError, match=str(want.value)):
+            hull.certification_points(2, seed, **kwargs)
+        return
+    want = certification_points_reference(2, seed, **kwargs)
+    assert hull.certification_points(2, seed, **kwargs).tobytes() == want.tobytes()

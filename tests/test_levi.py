@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     jacobi_eigh, random_hermitian, random_unitary, sample_boundary_reference,
+    tangent_frame_reference,
 )
 from qholo import expr as ex
 from qholo import levi
@@ -223,6 +226,138 @@ def test_block_signature_fixture_matches_oracle():
         found += 1
 
 
+# ---------------------------------------------------------------------------
+# Stacked engines: a stack is its rows, each taken as a batch of one
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), k=st.integers(1, 5),
+       explicit=st.booleans(), rotate=st.booleans())
+def test_stacked_signature_engines_agree_row_by_row(seed, m, k, explicit, rotate):
+    # spectra mix exact zeros, eigenvalues 0.1% inside and outside +-ztol
+    # (far above the eigensolvers' roundoff) and ordinary ones
+    rng = np.random.default_rng(seed)
+    mats, want = [], []
+    for _ in range(m):
+        kind = rng.integers(0, 4, size=k)       # 0: zero, 1/2: near ztol, 3: O(1)
+        lam = np.where(kind == 3, rng.standard_normal(k), 0.0)
+        tol = 1e-6 if explicit else 1e-8 * float(np.linalg.norm(lam))
+        sign = rng.choice([-1.0, 1.0], size=k)
+        lam = np.where(kind == 1, sign * tol * (1 - 1e-3), lam)
+        lam = np.where(kind == 2, sign * tol * (1 + 1e-3), lam)
+        u = random_unitary(rng, k) if rotate else np.eye(k)
+        mats.append(u @ np.diag(lam) @ u.conj().T)
+        want.append((int(np.sum(lam > tol)), int(np.sum(lam < -tol)),
+                     int(np.sum(np.abs(lam) <= tol))))
+    ztol = 1e-6 if explicit else None
+    stack = levi.LeviMatrix(np.array(mats))
+    primary = levi.eig_signature(stack, ztol)
+    oracle = levi.signature_oracle(stack, ztol)
+    assert [s.as_tuple() for s in primary] == want
+    assert [s.as_tuple() for s in oracle] == want
+    for i, mat in enumerate(mats):
+        one = levi.LeviMatrix(mat)
+        assert levi.eig_signature(one, ztol) == primary[i]
+        assert levi.signature_oracle(one, ztol) == oracle[i]
+        assert one.herm_dev == stack.herm_dev[i]
+        assert levi.default_ztol(one) == levi.default_ztol(stack)[i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 50), n=st.integers(2, 6),
+       pivot=st.integers(0, 5))
+def test_stacked_tangent_frames_are_the_one_gradient_frames_bit_for_bit(seed, m, n, pivot):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    g *= 10.0 ** rng.uniform(-4, 4, size=(m, 1))
+    g[0, pivot % n] = 0.0                           # the zero-phase branch
+    frames = levi.tangent_frame(g, pivot=pivot % n)
+    for row, frame in zip(g, frames):
+        want = tangent_frame_reference(row, pivot=pivot % n)
+        assert frame.shape == want.shape and frame.tobytes() == want.tobytes()
+        assert levi.tangent_frame(row, pivot=pivot % n).tobytes() == want.tobytes()
+
+
+_INDEFINITE3 = ex.parse("abs2(z1)+abs2(z2)-abs2(z3)-1", 3)
+
+
+@pytest.mark.parametrize("phi, seed", [
+    (ex.parse("abs2(z1)+abs2(z2)+0.3*re(z1^2)+0.2*abs2(z1)^2-1", 2), 1),
+    (_INDEFINITE3, 2),
+    (ModelDomain.ellipsoid([1.0, 1.5, 2.0], [0.2, -0.3, 0.5]).phi, 3),
+], ids=["convex2", "indefinite3", "ellipsoid3"])
+def test_stacked_classification_equals_single_calls(phi, seed):
+    pts = levi.sample_boundary(phi, 30, seed=seed)
+    stacked = levi.classify_boundary_point(phi, pts)
+    assert isinstance(stacked, tuple) and len(stacked) == len(pts)
+    g, frame, restricted = levi.restricted_levi_form(phi, pts)
+    for i, p in enumerate(pts):
+        assert stacked[i] == levi.classify_boundary_point(phi, p)
+        one = levi.restricted_levi_form(phi, p)
+        for a, b in zip((g[i], frame[i], restricted.mat[i]), (one[0], one[1], one[2].mat)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    f = ex.parse("abs2(z1)^2-abs2(z2)+abs2(z3)^2-0.5*abs2(z3)+0.3*re(z1^2*conj(z3))", 3)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, size=(40, 3)) + 1j * rng.uniform(-1, 1, size=(40, 3))
+    whole = levi.classify_function(f, pts)
+    assert len({q for q in whole.per_point_q}) > 1
+    for i, p in enumerate(pts):
+        one = levi.classify_function(f, [p])
+        assert one.points == (whole.points[i],)
+        assert one.signatures == (whole.signatures[i],)
+        assert one.per_point_q == (whole.per_point_q[i],)
+
+
+# Zero set: the unit sphere and the origin, where the gradient vanishes.  The
+# second term is imaginary off Im z1 = 0 and vanishes to second order at 0.
+_MIXED = ex.parse("(abs2(z1)+abs2(z2))*(abs2(z1)+abs2(z2)-1)"
+                  "+(z1-conj(z1))*abs2(z2)", 2)
+_GOOD = [[1, 0], [0.6, 0.8], [0, 1]]
+_OFF, _DEGENERATE, _NON_REAL = [0.5, 0], [0, 0], [0.6j, 0.8]
+
+
+@pytest.mark.parametrize("rows, first, match", [
+    (_GOOD[:2] + [_OFF, _NON_REAL, _DEGENERATE], 2, "not on the boundary"),
+    (_GOOD[:1] + [_DEGENERATE, _NON_REAL, _OFF], 1, "degenerate gradient"),
+    (_GOOD + [_NON_REAL, _DEGENERATE, _OFF], 3, "not real-valued"),
+], ids=["off-boundary", "degenerate", "non-real"])
+def test_stacked_classification_reports_the_first_failing_row(rows, first, match):
+    pts = np.array(rows, dtype=complex)
+    with pytest.raises(ValueError, match=match) as single:
+        levi.classify_boundary_point(_MIXED, pts[first])
+    for call in (levi.classify_boundary_point, levi.restricted_levi_form):
+        with pytest.raises(ValueError) as got:
+            call(_MIXED, pts)
+        assert str(got.value) == str(single.value)
+        assert got.value.row == first
+    assert len(levi.classify_boundary_point(_MIXED, pts[:first])) == first
+
+
+def test_stacked_classification_orders_evaluation_errors_by_row():
+    phi = ex.parse("abs2(z1)+abs2(z2)-1+0*(1/(z1-1))", 2)
+    good, off, pole = [0, 1], [0.5, 0], [1, 0]     # 1/(z1-1) raises at the pole
+    with pytest.raises(ex.EvalError) as single:
+        levi.classify_boundary_point(phi, np.array(pole, dtype=complex))
+    for rows, first, kind in (([good, pole, off], 1, ex.EvalError),
+                              ([good, good, off, pole], 2, ValueError)):
+        with pytest.raises(kind) as got:
+            levi.classify_boundary_point(phi, np.array(rows, dtype=complex))
+        assert got.value.row == first
+        if kind is ex.EvalError:
+            assert str(got.value) == str(single.value)
+
+
+def test_classify_function_reports_the_first_non_real_row():
+    f = ex.parse("abs2(z1)+(z1-conj(z1))*abs2(z2)", 2)
+    pts = np.array([[0.3, 0.1], [0.2j, 0.5], [0.1j, 2.0]], dtype=complex)
+    with pytest.raises(ValueError) as single:
+        levi.classify_function(f, pts[1:2])
+    with pytest.raises(ValueError) as got:
+        levi.classify_function(f, pts)
+    assert str(got.value) == str(single.value) and got.value.row == 1
+
+
 def test_sample_boundary_deterministic_and_on_surface():
     phi = ex.parse("abs2(z1)+abs2(z2)-1", 2)
     a = levi.sample_boundary(phi, 40, seed=5)
@@ -267,9 +402,10 @@ def test_sample_boundary_stalls_like_scalar_reference():
     assert str(got.value) == str(want.value)
 
 
-# The unit sphere, with a term that is 0 where it evaluates and raises
-# EvalError for draws with |z1 - 2| above about 4 (2% of the box).
-_SPHERE2_RAISING = ex.parse("abs2(z1)+abs2(z2)-1+0*(1/exp(-14*abs2(z1-2)))", 2)
+# The unit sphere, with a term that is 0 where it evaluates and whose
+# gradient overflows, raising EvalError, for draws with |z1 - 2| above
+# about 4.2.
+_SPHERE2_RAISING = ex.parse("abs2(z1)+abs2(z2)-1+0*(1/exp(-20*abs2(z1-2)))", 2)
 
 
 def test_sample_boundary_raises_only_for_draws_it_needs():
@@ -292,7 +428,7 @@ def test_sample_boundary_raises_only_for_draws_it_needs():
 def test_sample_boundary_redoes_a_raising_block_from_its_draws(monkeypatch):
     # the first block raises at its second Newton step; redone from the
     # draws' starting points, no draw gets more than max_iter steps
-    batch = levi.eval_jet2_batch
+    batch = levi.eval_jet1_batch
     calls = []
 
     def raises_once(phi, pts):
@@ -302,7 +438,7 @@ def test_sample_boundary_redoes_a_raising_block_from_its_draws(monkeypatch):
             raise ex.EvalError("injected")
         return batch(phi, pts)
 
-    monkeypatch.setattr(levi, "eval_jet2_batch", raises_once)
+    monkeypatch.setattr(levi, "eval_jet1_batch", raises_once)
     kwargs = {"count": 30, "seed": 4, "max_iter": 4}
     got = levi.sample_boundary(_sphere(2), **kwargs)
     want = sample_boundary_reference(_sphere(2), **kwargs)
