@@ -91,15 +91,22 @@ def _tol_overrides(pairs, allowed):
             out[name] = float(value)
         except ValueError:
             raise ConfigError(f"--tol {name}: not a number: {value!r}")
+        if not math.isfinite(out[name]):
+            raise ConfigError(f"--tol {name}: not finite: {value!r}")
     return out
 
 
 def _tol(name, overrides, cfg, default):
+    """The --tol override, else the config's finite number, else default."""
     if name in overrides:
         return overrides[name]
-    if name in cfg:
-        return float(cfg[name])
-    return default
+    if name not in cfg:
+        return default
+    value = cfg[name]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _jnum(x):
@@ -163,7 +170,10 @@ def cmd_levi(cfg, out_dir, seed, tols):
         except ValueError as e:
             raise ConfigError(f"bad matrix: {e}")
         ztol = _tol("ztol", tols, cfg, levi.default_ztol(h))
-        sig = levi.eig_signature(h, ztol)
+        try:
+            sig = levi.eig_signature(h, ztol)
+        except ValueError as e:
+            raise ConfigError(str(e))
         report = {
             "mode": "matrix",
             "m": h.m,
@@ -181,9 +191,7 @@ def cmd_levi(cfg, out_dir, seed, tols):
         n = _positive_int(_require(cfg, "n"), "n")
         f = _parse_expr(cfg["function"], n)
         pts = _load_points(_require(cfg, "points"), n, cfg["_dir"])
-        ztol = cfg.get("ztol")
-        if "ztol" in tols:
-            ztol = tols["ztol"]
+        ztol = _tol("ztol", tols, cfg, None)
         try:
             cls = levi.classify_function(f, pts, ztol=ztol)
         except (ValueError, ex.EvalError) as e:
@@ -228,7 +236,7 @@ def cmd_classify(cfg, out_dir, seed, tols):
                           MAX_SAMPLES)
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
     box = float(cfg.get("box", 2.0))
-    ztol = tols.get("ztol", cfg.get("ztol"))
+    ztol = _tol("ztol", tols, cfg, None)
     try:
         pts = levi.sample_boundary(phi, count, run_seed, box=box)
     except (ValueError, ex.EvalError, RuntimeError) as e:
@@ -566,6 +574,9 @@ def cmd_peak(cfg, out_dir, seed, tols):
     interior = _positive_int(samples.get("interior", 200), "samples.interior")
     tube = _positive_int(samples.get("tube", 500), "samples.tube")
     run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    tolerances = {"residual_tol": _tol("residual_tol", tols, cfg, 1e-5),
+                  "margin_min": _tol("margin_min", tols, cfg, 1e-3),
+                  "peak_tol": _tol("peak_tol", tols, cfg, 1e-12)}
 
     base = {
         "domain": {"name": dom.name, "n": n},
@@ -589,9 +600,7 @@ def cmd_peak(cfg, out_dir, seed, tols):
     rep = peak.verify_peak(
         f, dom, p, q, rho_V=rho_v, boundary_samples=boundary,
         interior_samples=interior, residual_points=interior, seed=run_seed,
-        residual_tol=_tol("residual_tol", tols, cfg, 1e-5),
-        margin_min=_tol("margin_min", tols, cfg, 1e-3),
-        peak_tol=_tol("peak_tol", tols, cfg, 1e-12))
+        **tolerances)
 
     base.update({
         "assembled": True,
@@ -612,7 +621,6 @@ def cmd_peak(cfg, out_dir, seed, tols):
                             "ok": rep.sup_ok},
             "residual": {"max": _jnum(rep.max_residual),
                          "points": rep.residual_points,
-                         "fd_step": _jnum(rep.fd_step),
                          "tol": _jnum(rep.residual_tol), "ok": rep.residual_ok},
             "vanish": {"max": _jnum(rep.vanish_max),
                        "points": rep.vanish_points, "ok": rep.vanish_ok},

@@ -399,29 +399,110 @@ class BatchReport:
     max_monotonicity_err: float
 
 
-def _sample_outside_ball(rng, n, p, r, count, halfwidth_factor=2.5):
-    out = np.empty((0, n), dtype=complex)
-    while len(out) < count:
-        draw = rng.uniform(-halfwidth_factor * r, halfwidth_factor * r,
-                           size=(4 * count, 2 * n))
-        z = p[None, :] + draw[:, :n] + 1j * draw[:, n:]
-        keep = np.linalg.norm(z - p[None, :], axis=1) >= r
-        out = np.concatenate([out, z[keep]])
-    return out[:count]
+def _first_kept(draw, make, configs, count):
+    """The first count rows each configuration keeps, shape (configs, count, n).
+
+    draw(idx) draws one block of 4 * count rows from the generator of each
+    configuration in idx, in idx order, as a tuple of (len(idx), 4 * count,
+    ...) arrays; make(idx, *parts) turns rows of those parts into points
+    (len(idx), m, n) and a keep mask (len(idx), m).  The stack's first
+    blocks are drawn together and the first half of every block is made and
+    cut in one pass; a configuration that comes up short makes the rest of
+    its block and then draws further blocks alone.  So each generator draws
+    in the order a one-configuration-at-a-time loop draws from it.
+    """
+    parts = draw(range(configs))
+    half = 2 * count
+    rows, keep = make(range(configs), *(a[:, :half] for a in parts))
+    take = keep & (np.cumsum(keep, axis=1) <= count)
+    full = take.sum(axis=1) == count
+    out = np.empty((configs, count, rows.shape[-1]), dtype=rows.dtype)
+    out[full] = rows[take & full[:, None]].reshape(-1, count, rows.shape[-1])
+    for i in np.flatnonzero(~full):
+        got = [rows[i, keep[i]]]
+        block = tuple(a[i:i + 1, half:] for a in parts)
+        while True:
+            more, kept = make([i], *block)
+            got.append(more[0, kept[0]])
+            if sum(map(len, got)) >= count:
+                break
+            block = draw([i])
+        out[i] = np.concatenate(got)[:count]
+    return out
 
 
-def _sample_inner_ball(rng, n, p, radius, count, floor=1e-9):
-    if not radius > floor:      # no draw could be kept
-        raise ValueError(f"ball radius {radius} must exceed the floor {floor}")
-    out = np.empty((0, n), dtype=complex)
-    while len(out) < count:
-        raw = rng.normal(size=(4 * count, 2 * n))
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = radius * rng.uniform(0.0, 1.0, size=4 * count) ** (1.0 / (2 * n))
-        keep = radii > floor
-        pts = p[None, :] + radii[keep, None] * (dirs[keep, :n] + 1j * dirs[keep, n:])
-        out = np.concatenate([out, pts])
-    return out[:count]
+def _complex(p, re, im):
+    """p[:, None, :] + re + 1j * im, shape (C, m, n), without its complex
+    temporaries: the same values up to the sign of a zero part."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = p.real[:, None, :] + re
+    out.imag = p.imag[:, None, :] + im
+    return out
+
+
+def _outside_balls(rngs, p, r, count, halfwidth_factor=2.5):
+    """count uniform displacements z - p[i] per configuration i, z in the box
+    of half-width halfwidth_factor * r[i] around p[i] (shape (C, n)) and
+    outside B(p[i], r[i])."""
+    n = p.shape[1]
+
+    def draw(idx):
+        return (np.stack([rngs[i].uniform(-halfwidth_factor * r[i],
+                                          halfwidth_factor * r[i],
+                                          size=(4 * count, 2 * n)) for i in idx]),)
+
+    def make(idx, block):
+        idx = list(idx)
+        d = _complex(p[idx], block[..., :n], block[..., n:]) - p[idx, None, :]
+        return d, np.linalg.norm(d, axis=-1) >= r[idx, None]
+
+    return _first_kept(draw, make, len(rngs), count)
+
+
+def _inner_balls(rngs, p, radius, count, floor=1e-9):
+    """count uniform points per configuration i of B(p[i], radius[i]) minus
+    B(p[i], floor); each block draws its normals, then its radii."""
+    bad = ~(radius > floor)     # no draw could be kept
+    if bad.any():
+        raise ValueError(f"ball radius {radius[np.argmax(bad)]} must exceed "
+                         f"the floor {floor}")
+    n = p.shape[1]
+
+    def draw(idx):
+        raw, u = [], []
+        for i in idx:
+            raw.append(rngs[i].normal(size=(4 * count, 2 * n)))
+            u.append(rngs[i].uniform(0.0, 1.0, size=4 * count))
+        return np.stack(raw), np.stack(u)
+
+    def make(idx, raw, u):
+        idx = list(idx)
+        dirs = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        radii = radius[idx, None] * u ** (1.0 / (2 * n))
+        rad = radii[..., None]
+        return _complex(p[idx], rad * dirs[..., :n], rad * dirs[..., n:]), radii > floor
+
+    return _first_kept(draw, make, len(rngs), count)
+
+
+def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5):
+    """Radii r (C,) and displacements K - p (C, k_count, n), Z - p
+    (C, z_count, n) of a stack of configurations of dimension n.
+
+    Configuration i draws from np.random.default_rng(children[i]): its center
+    p, its radius r, K's blocks (outside B(p, r)), then the candidates'
+    blocks (inside B(p, r/sqrt(n))).
+    """
+    rngs = [np.random.default_rng(child) for child in children]
+    p = np.empty((len(rngs), n), dtype=complex)
+    r = np.empty(len(rngs))
+    for i, rng in enumerate(rngs):
+        raw = rng.uniform(-1, 1, size=2 * n)
+        p[i] = raw[:n] + 1j * raw[n:]
+        r[i] = rng.uniform(*r_range)
+    dk = _outside_balls(rngs, p, r, k_count, halfwidth_factor)
+    Z = _inner_balls(rngs, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
+    return r, dk, Z - p[:, None, :]
 
 
 def sample_sphere(n: int, p, r: float, count: int, seed: int) -> np.ndarray:
@@ -441,7 +522,8 @@ def sample_ball(n: int, p, radius: float, count: int, seed: int,
     """
     p = np.asarray(p, dtype=complex)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62616c6c]))
-    return _sample_inner_ball(rng, n, p, radius, count, floor=floor)
+    return _inner_balls([rng], p[None, :], np.array([radius], dtype=float),
+                        count, floor=floor)[0]
 
 
 # (K point, candidate) pairs per stack of configurations in the batched chain;
@@ -482,18 +564,8 @@ def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
     for j, n in enumerate(int(v) for v in ns):
         mine = children[j::len(ns)]         # configuration i has n = ns[i % len(ns)]
         for lo in range(0, len(mine), stack):
-            rs, dks, dzs = [], [], []
-            for child in mine[lo:lo + stack]:
-                rng = np.random.default_rng(child)
-                p = rng.uniform(-1, 1, size=2 * n)
-                p = p[:n] + 1j * p[n:]
-                r = float(rng.uniform(*r_range))
-                K = _sample_outside_ball(rng, n, p, r, k_count)
-                Z = _sample_inner_ball(rng, n, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
-                rs.append(r)
-                dks.append(K - p)
-                dzs.append(Z - p)
-            reps.extend(_chain(n, np.array(rs), np.stack(dks), np.stack(dzs)))
+            reps.extend(_chain(n, *_sample_configs(mine[lo:lo + stack], n, r_range,
+                                                   k_count, z_count)))
     return BatchReport(
         configs=configs,
         violations=sum(rep.violations for rep in reps),

@@ -533,3 +533,67 @@ def theorem2_reference(n, p, r, K, z_samples):
         link_slacks=(-float(np.max(err1)), float(np.min(s2)),
                      float(np.min(s3)), s4, float(np.min(s5))),
         monotonicity_err=float(np.max(mono)))
+
+
+# The per-configuration samplers the stacked thm2 sampler replaced, kept as
+# the reference for its draws.
+def sample_outside_ball_reference(rng, n, p, r, count, halfwidth_factor=2.5):
+    out = np.empty((0, n), dtype=complex)
+    while len(out) < count:
+        draw = rng.uniform(-halfwidth_factor * r, halfwidth_factor * r,
+                           size=(4 * count, 2 * n))
+        z = p[None, :] + draw[:, :n] + 1j * draw[:, n:]
+        keep = np.linalg.norm(z - p[None, :], axis=1) >= r
+        out = np.concatenate([out, z[keep]])
+    return out[:count]
+
+
+def sample_inner_ball_reference(rng, n, p, radius, count, floor=1e-9):
+    if not radius > floor:      # no draw could be kept
+        raise ValueError(f"ball radius {radius} must exceed the floor {floor}")
+    out = np.empty((0, n), dtype=complex)
+    while len(out) < count:
+        raw = rng.normal(size=(4 * count, 2 * n))
+        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        radii = radius * rng.uniform(0.0, 1.0, size=4 * count) ** (1.0 / (2 * n))
+        keep = radii > floor
+        pts = p[None, :] + radii[keep, None] * (dirs[keep, :n] + 1j * dirs[keep, n:])
+        out = np.concatenate([out, pts])
+    return out[:count]
+
+
+def thm2_config_reference(child, n, r_range, k_count, z_count, halfwidth_factor=2.5):
+    """(r, K - p, Z - p) of one batch configuration, drawn as the
+    one-configuration-at-a-time loop drew them."""
+    rng = np.random.default_rng(child)
+    p = rng.uniform(-1, 1, size=2 * n)
+    p = p[:n] + 1j * p[n:]
+    r = float(rng.uniform(*r_range))
+    K = sample_outside_ball_reference(rng, n, p, r, k_count, halfwidth_factor)
+    Z = sample_inner_ball_reference(rng, n, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
+    return r, K - p, Z - p
+
+
+# The point-at-a-time loop the batched peak._residual_points replaced, kept
+# as the reference for its points and its generator's state.
+def residual_points_reference(f, dom, p, count, rng):
+    uniform = dom.sample_interior(count, rng)
+    half = count // 2
+    steered = []
+    pool = dom.sample_interior(4 * count, rng)
+    comp = f.complement
+    for z in pool:
+        if len(steered) >= half:
+            break
+        d = z - p
+        b = np.conj(comp.T) @ d
+        bn = float(np.linalg.norm(b))
+        if bn < 1e-12:
+            continue
+        target = f.r * rng.uniform(0.15, 0.95)
+        shifted = z + (comp @ b) * (target / bn - 1.0)
+        if float(ex.eval_value(dom.phi, shifted).real) < 0:
+            steered.append(shifted)
+    keep = count - len(steered)
+    pts = list(uniform[:keep]) + steered
+    return np.array(pts[:count])

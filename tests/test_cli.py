@@ -519,6 +519,55 @@ def test_bad_tol_syntax(tmp_path, capsys):
                 "--tol", "threshold"]) == 2
 
 
+_BALL2_PEAK = {"domain": {"model": "ball", "n": 2}, "p": ["1", "0"], "q": 1,
+               "samples": {"boundary": 40, "interior": 40, "tube": 100}}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("peak", dict(_BALL2_PEAK, residual_tol="x")),
+    ("peak", dict(_BALL2_PEAK, margin_min=float("inf"))),
+    ("peak", dict(_BALL2_PEAK, peak_tol=float("nan"))),
+    ("peak", dict(_BALL2_PEAK, residual_tol=True)),
+    ("classify", {"n": 2, "defining": "abs2(z1)+abs2(z2)-1",
+                  "boundary_samples": 4, "ztol": "x"}),
+    ("classify", {"n": 2, "defining": "abs2(z1)+abs2(z2)-1",
+                  "boundary_samples": 4, "ztol": -1.0}),
+    ("levi", {"n": 2, "function": "abs2(z1)+abs2(z2)",
+              "points": [["0.5", "0"]], "ztol": "x"}),
+    ("levi", {"n": 2, "function": "abs2(z1)+abs2(z2)",
+              "points": [["0.5", "0"]], "ztol": float("nan")}),
+    ("levi", {"matrix": [["1", "0"], ["0", "-1"]], "ztol": "x"}),
+    ("levi", {"matrix": [["1", "0"], ["0", "-1"]], "ztol": -1.0}),
+    ("qholo", {"n": 2, "q": 1, "function": "z1", "points": [["0", "0"]],
+               "threshold": [1e-8]}),
+], ids=["peak-string", "peak-inf", "peak-nan", "peak-bool", "classify-string",
+        "classify-negative", "levi-function-string", "levi-function-nan",
+        "levi-matrix-string", "levi-matrix-negative", "qholo-list"])
+def test_bad_tolerance_is_config_error(tmp_path, capsys, command, cfg):
+    _assert_config_error(tmp_path, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tol_override_is_config_error(tmp_path, capsys, value):
+    cfg = _write(tmp_path, "q.json", {
+        "n": 2, "q": 1, "function": "z1", "points": [["0", "0"]]})
+    out = tmp_path / "o"
+    assert run(["qholo", "--config", cfg, "--out", str(out),
+                "--tol", f"threshold={value}"]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_ztol_from_the_config_is_used(tmp_path):
+    # a ztol above every eigenvalue of the matrix counts them all as zero
+    cfg = _write(tmp_path, "m.json", {"n": 2, "function": "abs2(z1)+abs2(z2)",
+                                      "points": [["0.5", "0"]], "ztol": 2})
+    out = tmp_path / "out"
+    assert run(["levi", "--config", cfg, "--out", str(out)]) == 0
+    sig = _read_json(out, "levi_report.json")["points"][0]["signature"]
+    assert sig == {"pos": 0, "neg": 0, "zero": 2}
+
+
 def test_threads_flag_accepted(tmp_path):
     cfg = _write(tmp_path, "q.json", {
         "n": 2, "q": 1, "function": "z1",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import qholo.expr as ex
 import qholo.hull as hull
-from helpers import certification_points_reference, theorem2_reference
+from helpers import (certification_points_reference, sample_inner_ball_reference,
+                     theorem2_reference, thm2_config_reference)
 from qholo.forms import q_holo_residual
 
 
@@ -463,6 +464,52 @@ def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
     assert rep.violations >= 25
     assert rep.link_slacks[0] < -1e-12
     assert hull.run_theorem2_batch(configs=3, seed=0).violations >= 150
+
+
+@pytest.mark.parametrize("halfwidth_factor", [2.5, 1.2, 1.0])
+def test_stacked_thm2_sampler_matches_the_per_configuration_reference(
+        monkeypatch, halfwidth_factor):
+    # near 1 the box around B(p, r) is mostly ball at n = 1, so K's first
+    # block comes up short: at 1.2 its second half suffices, at 1.0 it
+    # takes another block
+    short, redraws = [], []
+    first_kept = hull._first_kept
+
+    def spy(draw, make, configs, count):
+        def counted_draw(idx):
+            redraws.extend(idx if len(idx) == 1 and configs > 1 else [])
+            return draw(idx)
+
+        def counted_make(idx, *parts):
+            short.extend(idx if len(idx) == 1 and configs > 1 else [])
+            return make(idx, *parts)
+
+        return first_kept(counted_draw, counted_make, configs, count)
+
+    monkeypatch.setattr(hull, "_first_kept", spy)
+    for seed, n, k_count, z_count in ((0, 1, 40, 9), (1, 2, 30, 11),
+                                      (2, 3, 25, 6), (3, 9, 12, 5)):
+        children = np.random.SeedSequence([seed, 5]).spawn(6)
+        r, dk, dz = hull._sample_configs(children, n, (0.1, 2.0), k_count,
+                                         z_count, halfwidth_factor)
+        assert dk.shape == (6, k_count, n) and dz.shape == (6, z_count, n)
+        for i, child in enumerate(children):
+            want = thm2_config_reference(child, n, (0.1, 2.0), k_count, z_count,
+                                         halfwidth_factor)
+            assert r[i] == want[0]
+            assert np.array_equal(dk[i], want[1]) and np.array_equal(dz[i], want[2])
+    assert bool(short) == (halfwidth_factor < 2.5)
+    assert bool(redraws) == (halfwidth_factor == 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sample_ball_matches_the_reference_when_short(n):
+    # floor 0.9 of radius 1 keeps ~19% (n = 1) or ~34% (n = 2) of the draws
+    p = np.array([0.5 - 0.25j, 1j])[:n]
+    got = hull.sample_ball(n, p, 1.0, 40, seed=3, floor=0.9)
+    rng = np.random.default_rng(np.random.SeedSequence([3, 0x62616c6c]))
+    want = sample_inner_ball_reference(rng, n, p, 1.0, 40, floor=0.9)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
