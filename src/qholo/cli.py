@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -62,6 +63,14 @@ def _positive_int(value, what, cap=math.inf):
     if value > cap:
         raise ConfigError(f"{what} must be at most {cap}, got {value!r}")
     return int(value)
+
+
+def _name(spec, default, where):
+    """The optional string "name" of a config object."""
+    name = spec.get("name", default)
+    if not isinstance(name, str):
+        raise ConfigError(f"{where} name must be a string, got {name!r}")
+    return name
 
 
 def _parse_expr(text, n):
@@ -230,7 +239,7 @@ def cmd_levi(cfg, out_dir, seed, tols):
 def cmd_classify(cfg, out_dir, seed, tols):
     """Boundary classification of a domain model at sampled boundary points."""
     n = _positive_int(_require(cfg, "n"), "n")
-    name = cfg.get("name", "domain")
+    name = _name(cfg, "domain", "classify")
     phi = _parse_expr(_require(cfg, "defining"), n)
     count = _positive_int(_require(cfg, "boundary_samples"), "boundary_samples",
                           MAX_SAMPLES)
@@ -297,7 +306,7 @@ def _family_from_config(entry, n, base_dir, default_seed):
                 f"{entry}: function file has n={spec['n']}, config has n={n}")
         e = _parse_expr(_require(spec, "expr", entry), n)
         q = int(_require(spec, "q", entry))
-        name = spec.get("name", os.path.basename(entry))
+        name = _name(spec, os.path.basename(entry), entry)
         avoid = _parse_point(spec["avoid"], n) if "avoid" in spec else None
         return [(e, q, name, avoid)]
     if isinstance(entry, dict) and entry.get("builtin") == "basener":
@@ -552,7 +561,7 @@ def _load_domain(spec, base_dir):
         phi = _parse_expr(_require(spec, "defining", "domain"), n)
         return peak.ModelDomain.from_expr(
             n, phi, float(_require(spec, "box", "domain")),
-            name=spec.get("name", "custom"),
+            name=_name(spec, "custom", "domain"),
             convex_certified=bool(spec.get("convex_certified", False)))
     except ValueError as e:
         raise ConfigError(f"bad domain: {e}")
@@ -652,7 +661,9 @@ _HELP = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process (building takes ms)."""
     parser = argparse.ArgumentParser(
         prog="qholo",
         description="Levi forms, q-holomorphicity, hulls, and peak extensions.")

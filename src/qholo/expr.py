@@ -576,6 +576,14 @@ def to_text(e: Expr) -> str:
 # entries of the order-2 jet bit for bit without building H.  One array per
 # order keeps the number of numpy calls per instruction small; the lower-left
 # block of H (the transpose of h_zzb) is computed but never read.
+#
+# A structurally zero derivative block is None: a constant is (v, None, None)
+# and a coordinate or an affine term (v, G, None).  The jet rules skip what a
+# None block would add (Griewank & Walther 2008, ch. 7), and only the result's
+# None blocks become zero arrays.  Dropping exact-zero addends leaves every sum
+# unchanged; numpy's SIMD complex multiply is not bitwise commutative, so each
+# product keeps the dense formula's operand order (ag * bv, not bv * ag), and
+# the jets equal dense evaluation's bit for bit (up to the sign of zeros).
 
 _CONST, _VAR, _CVAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _EXP = range(10)
 _OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
@@ -583,9 +591,7 @@ _OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
 
 # Rows per chunk of jets of order k are _BUDGET // n^k, which bounds the
 # interpreter's scratch memory (a few (rows, 2n, 2n) arrays per live slot at
-# order 2, (rows, 2n) at order 1) at any n.  At 4096, a 1500-point n=2
-# 2-jet sweep peaked about 2 MB (5%) higher in RSS than point-by-point
-# evaluation; at 1024 it is within 0.5 MB.
+# order 2, (rows, 2n) at order 1) at any n.
 _BUDGET = 1024
 
 
@@ -652,50 +658,67 @@ def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
 
+def _plus(x, y):
+    """x + y for derivative blocks, None standing for zero."""
+    if x is None:
+        return y
+    return x if y is None else x + y
+
+
+def _minus(x, y):
+    """x - y for derivative blocks, None standing for zero."""
+    if y is None:
+        return x
+    return -y if x is None else x - y
+
+
 def _jet_product(a, b):
     av, ag = a[:2]
     bv, bg = b[:2]
-    out = (av * bv, ag * bv[:, None] + av[:, None] * bg)
+    out = (av * bv, _plus(None if ag is None else ag * bv[:, None],
+                          None if bg is None else av[:, None] * bg))
     if len(a) == 2:
         return out
-    h = a[2] * bv[:, None, None]    # summed in place: fewer (m, 2n, 2n) temporaries
-    h += _outer(ag, bg)
-    h += _outer(bg, ag)
-    h += av[:, None, None] * b[2]
-    return out + (h,)
+    h = None if a[2] is None else a[2] * bv[:, None, None]
+    if ag is not None and bg is not None:
+        h = _plus(_plus(h, _outer(ag, bg)), _outer(bg, ag))
+    return out + (_plus(h, None if b[2] is None else av[:, None, None] * b[2]),)
 
 
 def _jet_reciprocal(b):
     bv, bg = b[:2]
     iv = 1.0 / bv
     iv2 = iv * iv
-    out = (iv, -bg * iv2[:, None])
+    out = (iv, None if bg is None else -bg * iv2[:, None])
     if len(b) == 2:
         return out
     iv3 = iv2 * iv
-    return out + (2.0 * _outer(bg, bg) * iv3[:, None, None] - b[2] * iv2[:, None, None],)
+    h = None if bg is None else 2.0 * _outer(bg, bg) * iv3[:, None, None]
+    return out + (_minus(h, None if b[2] is None else b[2] * iv2[:, None, None]),)
 
 
 def _jet_power(a, k):
     av, ag = a[:2]
     if k == 0:
-        return (np.ones_like(av),) + tuple(np.zeros_like(d) for d in a[1:])
+        return (np.ones_like(av),) + (None,) * (len(a) - 1)
     if k == 1:
         return a
     c1 = k * av ** (k - 1)
-    out = (av ** k, c1[:, None] * ag)
+    out = (av ** k, None if ag is None else c1[:, None] * ag)
     if len(a) == 2:
         return out
     c2 = k * (k - 1) * av ** (k - 2)
-    return out + (c2[:, None, None] * _outer(ag, ag) + c1[:, None, None] * a[2],)
+    h = None if ag is None else c2[:, None, None] * _outer(ag, ag)
+    return out + (_plus(h, None if a[2] is None else c1[:, None, None] * a[2]),)
 
 
 def _jet_exp(a):
     u = np.exp(a[0])
-    out = (u, u[:, None] * a[1])
+    out = (u, None if a[1] is None else u[:, None] * a[1])
     if len(a) == 2:
         return out
-    return out + (u[:, None, None] * (_outer(a[1], a[1]) + a[2]),)
+    inner = _plus(None if a[1] is None else _outer(a[1], a[1]), a[2])
+    return out + (None if inner is None else u[:, None, None] * inner,)
 
 
 def _divisor_check(d, node):
@@ -703,9 +726,8 @@ def _divisor_check(d, node):
         raise EvalError(f"division by near-zero in '{to_text(node)}'")
 
 
-def _leaf(op, index_or_value, pts, zeros):
-    """Values (zeros empty) or batch jets of a constant or a coordinate;
-    zeros holds shared zero derivative blocks, one per order."""
+def _leaf(op, index_or_value, pts, order):
+    """Values (order 0) or the batch jet of a constant or a coordinate."""
     m, n = pts.shape
     if op == _CONST:
         v = np.full(m, index_or_value, dtype=complex)
@@ -713,13 +735,13 @@ def _leaf(op, index_or_value, pts, zeros):
         v = pts[:, index_or_value].copy()
     else:
         v = np.conj(pts[:, index_or_value])
-    if not zeros:
+    if not order:
         return v
     if op == _CONST:
-        return (v,) + zeros
-    g = zeros[0].copy()
+        return (v,) + (None,) * order
+    g = np.zeros((m, 2 * n), dtype=complex)
     g[:, index_or_value if op == _VAR else n + index_or_value] = 1.0
-    return (v, g) + zeros[1:]
+    return (v, g) + (None,) * (order - 1)
 
 
 def _value_op(op, payload, a, b=None):
@@ -743,14 +765,14 @@ def _jet_op(op, payload, a, b=None):
     if op == _MUL:
         return _jet_product(a, b)
     if op == _ADD:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(_plus(x, y) for x, y in zip(a, b))
     if op == _SUB:
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(_minus(x, y) for x, y in zip(a, b))
     if op == _DIV:
         _divisor_check(b[0], payload)
         return _jet_product(a, _jet_reciprocal(b))
     if op == _NEG:
-        return tuple(-x for x in a)
+        return tuple(None if x is None else -x for x in a)
     if op == _POW:
         return _jet_power(a, payload)
     return _jet_exp(a)
@@ -758,27 +780,28 @@ def _jet_op(op, payload, a, b=None):
 
 def _run(tape, pts, order):
     """Interpret the tape over the rows of pts: (m,) values at order 0, the
-    batch jet (v, G) at order 1 or (v, G, H) at order 2.  Raises EvalError
-    at a near-zero divisor in any row; overflow is left to the caller's
-    finiteness check.
+    batch jet (v, G) at order 1 or (v, G, H) at order 2, with every block an
+    array.  Raises EvalError at a near-zero divisor in any row; overflow is
+    left to the caller's finiteness check.
 
     Operands reach each step only through the slots and the call's
     arguments, so a freed slot's arrays are released at once.
     """
     m, n = pts.shape
-    zeros = tuple(np.zeros((m,) + (2 * n,) * k, dtype=complex)
-                  for k in range(1, order + 1))
     slots = [None] * len(tape)
     for k, (op, args, payload, free) in enumerate(tape):
         if op <= _CVAR:
-            slots[k] = _leaf(op, payload, pts, zeros)
+            slots[k] = _leaf(op, payload, pts, order)
         elif order:
             slots[k] = _jet_op(op, payload, *[slots[a] for a in args])
         else:
             slots[k] = _value_op(op, payload, *[slots[a] for a in args])
         for a in free:
             slots[a] = None
-    return slots[-1]
+    if not order:
+        return slots[-1]
+    return tuple(np.zeros((m,) + (2 * n,) * k, dtype=complex) if d is None else d
+                 for k, d in enumerate(slots[-1]))
 
 
 def _as_point(z, n):

@@ -129,7 +129,7 @@ class ModelDomain:
             pts = self.box_center[None, :] + draw[:, :n] + 1j * draw[:, n:]
             vals = ex.eval_batch(self.phi, pts).real
             out.extend(pts[vals < 0])
-        return np.array(out[:count])
+        return np.array(out[:count], dtype=complex).reshape(count, n)
 
     def sample_boundary(self, count: int, seed: int) -> np.ndarray:
         return levi.sample_boundary(self.phi, count, seed,
@@ -161,8 +161,10 @@ class CutoffG:
 
         With L = 1/(r-t) - 1/t, g = 1/(1 + e^L), so g' = -g(1-g) L' and
         g'' = -(1-2g) g' L' - g(1-g) L''; 1-g is taken as s(t)/(s(r-t)+s(t)),
-        without cancellation.  Both derivatives are exactly 0 outside
-        0 < t < r and wherever g(1-g) underflows to 0.
+        without cancellation.  Where both s values underflow (only possible
+        for r < 2/745), g and 1-g are 1/(1+e^L) and 1/(1+e^-L) instead.  Both
+        derivatives are exactly 0 outside 0 < t < r and wherever g(1-g)
+        underflows to 0.
         """
         t = np.asarray(t, dtype=float)
         g = np.where(t <= 0.0, 1.0, 0.0)
@@ -171,18 +173,24 @@ class CutoffG:
         mid = np.flatnonzero((t > 0.0) & (t < self.r))
         a = np.exp(-1.0 / (self.r - t[mid]))
         b = np.exp(-1.0 / t[mid])
-        g[mid] = a / (a + b)
+        s = a + b
+        under = s == 0.0
+        s[under] = 1.0
+        gm, gc = a / s, b / s
+        lf = 1.0 / (self.r - t[mid[under]]) - 1.0 / t[mid[under]]
+        with np.errstate(over="ignore"):
+            gm[under], gc[under] = 1.0 / (1.0 + np.exp(lf)), 1.0 / (1.0 + np.exp(-lf))
+        g[mid] = gm
         # g(1-g) underflows to 0 where g is flat in double precision; where
-        # it does not, r-t and t exceed 1/746 and L', L'' are finite
-        live = g[mid] * b > 0.0
-        mid, a, b = mid[live], a[live], b[live]
+        # it does not, L' and L'' are finite
+        live = np.where(under, gm * gc, gm * b) > 0.0
+        mid, gm, gc = mid[live], gm[live], gc[live]
         tm = t[mid]
         u = self.r - tm
-        gc = b / (a + b)
-        w = g[mid] * gc
+        w = gm * gc
         dl = 1.0 / u ** 2 + 1.0 / tm ** 2
         d1[mid] = -w * dl
-        d2[mid] = -(gc - g[mid]) * d1[mid] * dl - w * (2.0 / u ** 3 - 2.0 / tm ** 3)
+        d2[mid] = -(gc - gm) * d1[mid] * dl - w * (2.0 / u ** 3 - 2.0 / tm ** 3)
         return g, d1, d2
 
 

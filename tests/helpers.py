@@ -597,3 +597,122 @@ def residual_points_reference(f, dom, p, count, rng):
     keep = count - len(steered)
     pts = list(uniform[:keep]) + steered
     return np.array(pts[:count])
+
+
+# The dense tape interpreter that the zero-block one replaced: every slot
+# carries full derivative arrays, zero or not.  Kept as the reference the
+# zero-block jets must equal bit for bit.
+def _dense_outer(a, b):
+    return a[:, :, None] * b[:, None, :]
+
+
+def _dense_product(a, b):
+    av, ag = a[:2]
+    bv, bg = b[:2]
+    out = (av * bv, ag * bv[:, None] + av[:, None] * bg)
+    if len(a) == 2:
+        return out
+    h = a[2] * bv[:, None, None]
+    h += _dense_outer(ag, bg)
+    h += _dense_outer(bg, ag)
+    h += av[:, None, None] * b[2]
+    return out + (h,)
+
+
+def _dense_reciprocal(b):
+    bv, bg = b[:2]
+    iv = 1.0 / bv
+    iv2 = iv * iv
+    out = (iv, -bg * iv2[:, None])
+    if len(b) == 2:
+        return out
+    iv3 = iv2 * iv
+    return out + (2.0 * _dense_outer(bg, bg) * iv3[:, None, None]
+                  - b[2] * iv2[:, None, None],)
+
+
+def _dense_power(a, k):
+    av, ag = a[:2]
+    if k == 0:
+        return (np.ones_like(av),) + tuple(np.zeros_like(d) for d in a[1:])
+    if k == 1:
+        return a
+    c1 = k * av ** (k - 1)
+    out = (av ** k, c1[:, None] * ag)
+    if len(a) == 2:
+        return out
+    c2 = k * (k - 1) * av ** (k - 2)
+    return out + (c2[:, None, None] * _dense_outer(ag, ag) + c1[:, None, None] * a[2],)
+
+
+def _dense_exp(a):
+    u = np.exp(a[0])
+    out = (u, u[:, None] * a[1])
+    if len(a) == 2:
+        return out
+    return out + (u[:, None, None] * (_dense_outer(a[1], a[1]) + a[2]),)
+
+
+def _dense_leaf(op, index_or_value, pts, zeros):
+    m, n = pts.shape
+    if op == ex._CONST:
+        v = np.full(m, index_or_value, dtype=complex)
+    elif op == ex._VAR:
+        v = pts[:, index_or_value].copy()
+    else:
+        v = np.conj(pts[:, index_or_value])
+    if op == ex._CONST:
+        return (v,) + zeros
+    g = zeros[0].copy()
+    g[:, index_or_value if op == ex._VAR else n + index_or_value] = 1.0
+    return (v, g) + zeros[1:]
+
+
+def _dense_op(op, payload, a, b=None):
+    if op == ex._MUL:
+        return _dense_product(a, b)
+    if op == ex._ADD:
+        return tuple(x + y for x, y in zip(a, b))
+    if op == ex._SUB:
+        return tuple(x - y for x, y in zip(a, b))
+    if op == ex._DIV:
+        ex._divisor_check(b[0], payload)
+        return _dense_product(a, _dense_reciprocal(b))
+    if op == ex._NEG:
+        return tuple(-x for x in a)
+    if op == ex._POW:
+        return _dense_power(a, payload)
+    return _dense_exp(a)
+
+
+def _dense_run(tape, pts, order):
+    m, n = pts.shape
+    zeros = tuple(np.zeros((m,) + (2 * n,) * k, dtype=complex)
+                  for k in range(1, order + 1))
+    slots = [None] * len(tape)
+    for k, (op, args, payload, free) in enumerate(tape):
+        if op <= ex._CVAR:
+            slots[k] = _dense_leaf(op, payload, pts, zeros)
+        else:
+            slots[k] = _dense_op(op, payload, *[slots[a] for a in args])
+        for a in free:
+            slots[a] = None
+    return slots[-1]
+
+
+def dense_jet_blocks_reference(e, pts, order=2):
+    """eval_jet2_batch (order 2) or eval_jet1_batch (order 1) of e, computed
+    by the dense interpreter in the same chunks."""
+    n = e.n
+    tape = ex._tape(e)
+    rows = max(1, ex._BUDGET // n ** order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunks = [_dense_run(tape, pts[lo:lo + rows], order)
+                  for lo in range(0, len(pts), rows)]
+    v, g, *h = (np.concatenate(part) for part in zip(*chunks))
+    blocks = (v, g[:, :n], g[:, n:])
+    if h:
+        blocks += (h[0][:, :n, :n], h[0][:, :n, n:], h[0][:, n:, n:])
+    if not all(np.all(np.isfinite(b)) for b in blocks):
+        raise ex.EvalError(f"non-finite jet while evaluating '{ex.to_text(e)}'")
+    return blocks

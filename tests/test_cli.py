@@ -578,3 +578,49 @@ def test_threads_flag_accepted(tmp_path):
                 "--threads", "4"]) == 0
     assert run(["qholo", "--config", cfg, "--out", str(out),
                 "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("name", [float("nan"), 3, ["a"], None],
+                         ids=["nan", "number", "list", "null"])
+@pytest.mark.parametrize("site", ["classify", "hull-family", "peak-domain"])
+def test_non_string_name_is_config_error(tmp_path, capsys, site, name):
+    if site == "classify":
+        _assert_config_error(tmp_path, capsys, "classify", {
+            "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": 4,
+            "name": name})
+    elif site == "hull-family":
+        _write(tmp_path, "fam.json", {"n": 2, "expr": "z1*z2", "q": 2, "name": name})
+        _assert_config_error(tmp_path, capsys, "hull",
+                             dict(_hull_cfg(), family=["fam.json"]))
+    else:
+        _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, domain={
+            "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "box": 1.5,
+            "convex_certified": True, "name": name}))
+
+
+def test_string_names_reach_the_reports(tmp_path):
+    _write(tmp_path, "fam.json", {"n": 2, "expr": "z1*z2", "q": 2, "name": "f"})
+    cfg = _write(tmp_path, "h.json", dict(_hull_cfg(), family=["fam.json"]))
+    assert run(["hull", "--config", cfg, "--out", str(tmp_path / "h")]) == 0
+    assert _read_json(tmp_path / "h", "hull_summary.json")["family"][0]["name"] == "f"
+    cfg = _write(tmp_path, "c.json", {"n": 2, "defining": "abs2(z1)+abs2(z2)-1",
+                                      "boundary_samples": 4, "name": "sphere"})
+    assert run(["classify", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert _read_json(tmp_path / "c", "classify_report.json")["name"] == "sphere"
+    cfg = _write(tmp_path, "p.json", dict(_BALL2_PEAK, domain={
+        "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "box": 1.5,
+        "convex_certified": True, "name": "disc"}))
+    assert run(["peak", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert _read_json(tmp_path / "p", "peak_report.json")["domain"]["name"] == "disc"
+
+
+def test_tol_override_does_not_leak_into_the_next_run(tmp_path):
+    # the parser is built once per process; the --tol list must start empty
+    # on every run
+    cfg = _write(tmp_path, "p.json", _BALL2_PEAK)
+    out = tmp_path / "out"
+    tols = []
+    for extra in (["--tol", "residual_tol=1e-3"], []):
+        assert run(["peak", "--config", cfg, "--out", str(out), *extra]) == 0
+        tols.append(_read_json(out, "peak_report.json")["checks"]["residual"]["tol"])
+    assert tols == [1e-3, 1e-5]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _well_conditioned, random_expr, random_pair
+from helpers import (_well_conditioned, dense_jet_blocks_reference, random_expr,
+                     random_pair)
 from qholo import expr as ex
 
 
@@ -442,3 +443,98 @@ def test_jet_arrays_read_only():
     for block in batch:
         with pytest.raises(ValueError):
             block[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# Zero blocks: the interpreter skips structurally zero derivative blocks and
+# must still equal the dense interpreter (helpers) bit for bit.
+
+
+def _jets_or_error(fn, e, pts, *order):
+    try:
+        return fn(e, pts, *order)
+    except ex.EvalError:
+        return None
+
+
+def _assert_equals_dense(e, pts):
+    for order, fn in ((2, ex.eval_jet2_batch), (1, ex.eval_jet1_batch)):
+        want = _jets_or_error(dense_jet_blocks_reference, e, pts, order)
+        got = _jets_or_error(fn, e, pts)
+        assert (want is None) == (got is None)
+        if got is not None:
+            assert len(got) == len(want) == 3 * order
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+                assert not a.flags.writeable
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300))
+def test_zero_block_jets_equal_the_dense_interpreter(seed, m):
+    # m crosses the chunk boundaries (64 rows at n=4, 256 at n=2)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    e = random_expr(rng, n, int(rng.integers(0, 7)))
+    pts = rng.uniform(-1.5, 1.5, size=(m, n)) + 1j * rng.uniform(-1.5, 1.5, size=(m, n))
+    _assert_equals_dense(e, pts)
+
+
+def _edge_cases(n):
+    z1, z2 = ex.Var(n, 1), ex.Var(n, 2)
+    c = ex.Const(n, 0.5 - 2j)
+    return {
+        "constant": ex.Const(n, 2 + 3j) * c - ex.Const(n, 1.0),
+        "affine": c * z1 - ex.Const(n, 1 + 1j) * ex.CVar(n, 2) + 3.0 - (-z2),
+        "pow0": (z1 * ex.CVar(n, 1) + z2) ** 0,
+        "pow1": (z1 * ex.CVar(n, 2)) ** 1,
+        "pow-of-constant": c ** 3 * z1,
+        "div-by-constant": (z1 * ex.CVar(n, 1)) / ex.Const(n, 3.0),
+        "constant-over-affine": c / (z1 + 4.0),
+        "exp-of-constant": ex.Exp(n, c) * z2 + ex.Exp(n, ex.Const(n, 1.0)),
+        "exp-of-affine": ex.Exp(n, c * z1 + ex.CVar(n, 2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_edge_cases(2)))
+def test_zero_block_edge_cases_equal_the_dense_interpreter(case):
+    n = 2
+    e = _edge_cases(n)[case]
+    rows = ex._BUDGET // n ** 2
+    rng = np.random.default_rng(71)
+    for m in (1, rows, 2 * rows + 5):
+        pts = rng.uniform(-1, 1, size=(m, n)) + 1j * rng.uniform(-1, 1, size=(m, n))
+        _assert_equals_dense(e, pts)
+
+
+def test_constant_jets_are_read_only_zero_blocks():
+    n, m = 3, 5
+    e = ex.Const(n, 2 + 3j) * ex.Const(n, -1.0)
+    pts = np.ones((m, n), dtype=complex)
+    v, *blocks = ex.eval_jet2_batch(e, pts)
+    assert np.array_equal(v, np.full(m, -2 - 3j))
+    assert [b.shape for b in blocks] == [(m, n)] * 2 + [(m, n, n)] * 3
+    for b in blocks:
+        assert b.dtype == complex and not b.any() and not b.flags.writeable
+    # the chunked path fills preallocated buffers from the same zero blocks
+    big = np.ones((3 * (ex._BUDGET // n ** 2) + 1, n), dtype=complex)
+    assert not any(b.any() for b in ex.eval_jet2_batch(e, big)[1:])
+
+
+def test_affine_expressions_build_no_outer_products(monkeypatch):
+    calls = []
+    real_outer = ex._outer
+
+    def counting_outer(a, b):
+        calls.append(a.shape)
+        return real_outer(a, b)
+
+    monkeypatch.setattr(ex, "_outer", counting_outer)
+    n = 3
+    pts = np.full((7, n), 0.3 - 0.2j)
+    for case in ("constant", "affine", "exp-of-constant"):
+        v, gz, gzb, *h = ex.eval_jet2_batch(_edge_cases(n)[case], pts)
+        assert not any(b.any() for b in h)
+    assert calls == []
+    ex.eval_jet2_batch(ex.Var(n, 1) * ex.CVar(n, 2), pts)
+    assert calls == [(7, 2 * n), (7, 2 * n)]

@@ -52,6 +52,27 @@ def test_cutoff_jet_matches_differences_and_is_flat_outside():
     assert np.max(np.abs(d2 - fd2)) <= 1e-4 * np.max(np.abs(d2))
 
 
+@pytest.mark.parametrize("r", [0.002, 0.001])
+def test_cutoff_below_2_over_745_is_finite_where_both_exponentials_underflow(r):
+    # at these radii exp(-1/(r-t)) and exp(-1/t) both underflow near t = r/2
+    g = pk.CutoffG(r)
+    assert g(r / 2) == 0.5
+    t = np.linspace(-0.1 * r, 1.1 * r, 2001)
+    v, d1, d2 = g.jet(t)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+    assert np.all((v >= 0.0) & (v <= 1.0))
+    assert np.all(np.diff(v) <= 0.0)
+    # the transition has width about 1/L'(r/2) = r^2/8
+    w = r * r / 8
+    t = r / 2 + np.linspace(-40 * w, 40 * w, 401)
+    h = 1e-3 * w
+    v, d1, d2 = g.jet(t)
+    fd1 = (g(t + h) - g(t - h)) / (2 * h)
+    fd2 = (g.jet(t + h)[1] - g.jet(t - h)[1]) / (2 * h)
+    assert np.max(np.abs(d1 - fd1)) <= 1e-5 * np.max(np.abs(d1))
+    assert np.max(np.abs(d2 - fd2)) <= 1e-5 * np.max(np.abs(d2))
+
+
 def test_cutoff_rejects_bad_radius():
     with pytest.raises(ValueError):
         pk.CutoffG(0.0)
@@ -87,6 +108,11 @@ def test_interior_sampling_stays_inside():
     assert np.all(vals < 0)
     again = dom.sample_interior(200, np.random.default_rng(4))
     assert np.array_equal(pts, again)
+
+
+def test_interior_sampling_of_no_points_has_shape_0_by_n():
+    pts = pk.ModelDomain.ball(3).sample_interior(0, np.random.default_rng(0))
+    assert pts.shape == (0, 3) and pts.dtype == complex
 
 
 # ---------------------------------------------------------------------------
