@@ -54,15 +54,43 @@ def _require(cfg, key, where="config"):
 MAX_SAMPLES = 100_000
 
 
-def _positive_int(value, what, cap=math.inf):
-    """A whole number in [1, cap] from the config; anything else is a
+# Bound on config lengths (box and halfwidths), so twice one stays finite.
+MAX_LENGTH = 1e300
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _whole(value, what, lo=1, cap=math.inf):
+    """A whole number in [lo, cap] from the config; anything else is a
     ConfigError."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 1 <= value < math.inf or value != int(value)):
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    if (not _is_number(value) or not lo <= value < math.inf
+            or value != int(value)):
+        raise ConfigError(f"{what} must be an integer >= {lo}, got {value!r}")
     if value > cap:
         raise ConfigError(f"{what} must be at most {cap}, got {value!r}")
     return int(value)
+
+
+def _seed(value, what="seed"):
+    return _whole(value, what, lo=0)
+
+
+def _run_seed(override, cfg):
+    """The --seed override, else the config's seed (default 0)."""
+    return _seed(cfg.get("seed", 0) if override is None else override)
+
+
+def _length(value, what, zero_ok=False):
+    """A length from the config: a number in (0, MAX_LENGTH], or in
+    [0, MAX_LENGTH] when zero_ok."""
+    if (not _is_number(value) or not value <= MAX_LENGTH
+            or not (value >= 0 if zero_ok else value > 0)):
+        low = "[0" if zero_ok else "(0"
+        raise ConfigError(
+            f"{what} must be a number in {low}, {MAX_LENGTH:g}], got {value!r}")
+    return float(value)
 
 
 def _name(spec, default, where):
@@ -76,7 +104,7 @@ def _name(spec, default, where):
 def _parse_expr(text, n):
     try:
         return ex.parse(text, n)
-    except ex.ParseError as e:
+    except ValueError as e:     # a ParseError, or a constant that overflows
         raise ConfigError(f"bad expression {text!r}: {e}")
 
 
@@ -112,30 +140,38 @@ def _tol(name, overrides, cfg, default):
     if name not in cfg:
         return default
     value = cfg[name]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+    if not _is_number(value) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
+def _jnums(values):
+    """JSON-safe numbers, as a list: infinities and NaN become strings,
+    -0.0 becomes 0.0."""
+    x = np.asarray(values, dtype=float).ravel() + 0.0
+    out = x.tolist()
+    for i in np.flatnonzero(~np.isfinite(x)).tolist():
+        out[i] = "nan" if out[i] != out[i] else "inf" if out[i] > 0 else "-inf"
+    return out
+
+
 def _jnum(x):
-    """JSON-safe number: infinities become strings, -0.0 becomes 0.0."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return 0.0 if x == 0.0 else x
+    return _jnums(x)[0]
 
 
 def _random_points(n, spec, avoid=None):
-    count = _positive_int(spec.get("count", 100), "random.count", MAX_SAMPLES)
-    seed = int(spec.get("seed", 0))
-    halfwidth = float(spec.get("halfwidth", 2.0))
+    count = _whole(spec.get("count", 100), "random.count", cap=MAX_SAMPLES)
+    seed = _seed(spec.get("seed", 0), "random.seed")
+    halfwidth = _length(spec.get("halfwidth", 2.0), "random.halfwidth")
+    radius = _length(spec.get("avoid_radius", 0.3), "random.avoid_radius",
+                     zero_ok=True)
     center = _parse_point(spec["center"], n) if "center" in spec else None
-    return hull.certification_points(
-        n, seed, count=count, halfwidth=halfwidth, center=center,
-        avoid=avoid, avoid_radius=float(spec.get("avoid_radius", 0.3)))
+    try:
+        return hull.certification_points(
+            n, seed, count=count, halfwidth=halfwidth, center=center,
+            avoid=avoid, avoid_radius=radius)
+    except RuntimeError as e:
+        raise ConfigError(f"random points: {e}")
 
 
 def _load_points(cfg_points, n, base_dir, avoid=None):
@@ -156,6 +192,12 @@ def _load_points(cfg_points, n, base_dir, avoid=None):
         if "random" in cfg_points:
             return _random_points(n, cfg_points["random"], avoid=avoid)
     raise ConfigError("points must be a list, {'file': csv}, or {'random': {...}}")
+
+
+def _signature_columns(sigs):
+    """The report's signature object of each of sigs, as Records columns."""
+    return {"pos": [s.n_pos for s in sigs], "neg": [s.n_neg for s in sigs],
+            "zero": [s.n_zero for s in sigs]}
 
 
 # ---------------------------------------------------------------- levi
@@ -197,7 +239,7 @@ def cmd_levi(cfg, out_dir, seed, tols):
                 failures.append(
                     f"signature {sig.as_tuple()} != expected {want}")
     elif "function" in cfg:
-        n = _positive_int(_require(cfg, "n"), "n")
+        n = _whole(_require(cfg, "n"), "n")
         f = _parse_expr(cfg["function"], n)
         pts = _load_points(_require(cfg, "points"), n, cfg["_dir"])
         ztol = _tol("ztol", tols, cfg, None)
@@ -205,19 +247,15 @@ def cmd_levi(cfg, out_dir, seed, tols):
             cls = levi.classify_function(f, pts, ztol=ztol)
         except (ValueError, ex.EvalError) as e:
             raise ConfigError(str(e))
-        per_point = []
-        for p, sig, q in zip(cls.points, cls.signatures, cls.per_point_q):
-            per_point.append({
-                "point": fileio.point_to_strings(p),
-                "signature": {"pos": sig.n_pos, "neg": sig.n_neg,
-                              "zero": sig.n_zero},
-                "q": q,
-            })
         report = {
             "mode": "function",
             "n": n,
             "function": ex.to_text(f),
-            "points": per_point,
+            "points": fileio.Records({
+                "point": tuple(pts.T),
+                "signature": _signature_columns(cls.signatures),
+                "q": list(cls.per_point_q),
+            }),
             "overall_q": cls.overall_q,
             "overall": cls.overall_text,
         }
@@ -238,13 +276,13 @@ def cmd_levi(cfg, out_dir, seed, tols):
 
 def cmd_classify(cfg, out_dir, seed, tols):
     """Boundary classification of a domain model at sampled boundary points."""
-    n = _positive_int(_require(cfg, "n"), "n")
+    n = _whole(_require(cfg, "n"), "n")
     name = _name(cfg, "domain", "classify")
     phi = _parse_expr(_require(cfg, "defining"), n)
-    count = _positive_int(_require(cfg, "boundary_samples"), "boundary_samples",
-                          MAX_SAMPLES)
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
-    box = float(cfg.get("box", 2.0))
+    count = _whole(_require(cfg, "boundary_samples"), "boundary_samples",
+                   cap=MAX_SAMPLES)
+    run_seed = _run_seed(seed, cfg)
+    box = _length(cfg.get("box", 2.0), "box")
     ztol = _tol("ztol", tols, cfg, None)
     try:
         pts = levi.sample_boundary(phi, count, run_seed, box=box)
@@ -255,18 +293,14 @@ def cmd_classify(cfg, out_dir, seed, tols):
     except (ValueError, ex.EvalError) as e:
         raise ConfigError(
             f"classification failed at {pts[getattr(e, 'row', 0)]}: {e}")
-    entries = []
-    strict_qs = []
-    for c in classes:
-        entries.append({
-            "point": fileio.point_to_strings(c.point),
-            "gradient": fileio.point_to_strings(c.gradient),
-            "signature": {"pos": c.restricted.n_pos, "neg": c.restricted.n_neg,
-                          "zero": c.restricted.n_zero},
-            "strict_q": "none" if c.strict_q is None else c.strict_q,
-            "weak_q": "none" if c.weak_q is None else c.weak_q,
-        })
-        strict_qs.append(c.strict_q)
+    strict_qs = [c.strict_q for c in classes]
+    entries = fileio.Records({
+        "point": tuple(pts.T),
+        "gradient": tuple(np.array([c.gradient for c in classes]).T),
+        "signature": _signature_columns([c.restricted for c in classes]),
+        "strict_q": ["none" if q is None else q for q in strict_qs],
+        "weak_q": ["none" if c.weak_q is None else c.weak_q for c in classes],
+    })
     failures = []
     expect = cfg.get("expect", {})
     if "strict_q" in expect:
@@ -312,7 +346,7 @@ def _family_from_config(entry, n, base_dir, default_seed):
     if isinstance(entry, dict) and entry.get("builtin") == "basener":
         p = _parse_point(entry.get("p", [0.0] * n), n)
         count = int(entry.get("lambda_count", 1))
-        fseed = int(entry.get("seed", default_seed))
+        fseed = _seed(entry.get("seed", default_seed), "family seed")
         if "lambda" in entry:
             try:
                 lams = [hull.Lambda(_parse_point(entry["lambda"], n))]
@@ -332,11 +366,11 @@ def _family_from_config(entry, n, base_dir, default_seed):
 
 def cmd_qholo(cfg, out_dir, seed, tols):
     """Pointwise q-holomorphicity residual sweep against a threshold."""
-    n = _positive_int(_require(cfg, "n"), "n")
+    n = _whole(_require(cfg, "n"), "n")
     q = int(_require(cfg, "q"))
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    run_seed = _run_seed(seed, cfg)
     spec = _require(cfg, "function")
     avoid = None
     if isinstance(spec, str):
@@ -350,10 +384,10 @@ def cmd_qholo(cfg, out_dir, seed, tols):
     pts = _load_points(_require(cfg, "points"), n, cfg["_dir"], avoid=avoid)
     threshold = _tol("threshold", tols, cfg, 1e-8)
     try:
-        residuals = [float(r) for r in forms.q_holo_residuals(f, pts, q)]
+        residuals = np.asarray(forms.q_holo_residuals(f, pts, q), dtype=float)
     except ValueError as e:     # EvalError, or an empty point set
         raise ConfigError(f"evaluation failed: {e}")
-    worst = max(residuals)
+    worst = max(residuals.tolist())
     report = {
         "n": n,
         "q": q,
@@ -361,7 +395,7 @@ def cmd_qholo(cfg, out_dir, seed, tols):
         "points": len(residuals),
         "threshold": _jnum(threshold),
         "max_residual": _jnum(worst),
-        "residuals": [_jnum(r) for r in residuals],
+        "residuals": _jnums(residuals),
         "passed": bool(worst <= threshold),
     }
     fileio.dump_json(os.path.join(out_dir, "qholo_report.json"), report)
@@ -373,7 +407,7 @@ def cmd_qholo(cfg, out_dir, seed, tols):
 def _grid_candidates(n, spec):
     g = _require(spec, "grid", "candidates")
     center = _parse_point(g.get("center", [0.0] * n), n, "grid center")
-    hw = float(_require(g, "halfwidth", "grid"))
+    hw = _length(_require(g, "halfwidth", "grid"), "grid halfwidth")
     per = int(_require(g, "per_axis", "grid"))
     if per < 1:
         raise ConfigError("per_axis must be >= 1")
@@ -406,14 +440,14 @@ def _load_k_set(spec, n, base_dir):
         p = _parse_point(s.get("p", [0.0] * n), n, "sphere center")
         return hull.sample_sphere(n, p, float(_require(s, "r", "sphere")),
                                   int(s.get("count", 100)),
-                                  int(s.get("seed", 0)))
+                                  _seed(s.get("seed", 0), "sphere seed"))
     raise ConfigError("K must be {'file': csv} or {'sphere': {...}}")
 
 
 def cmd_hull(cfg, out_dir, seed, tols):
     """Outer hull approximation of K against a certified finite family."""
-    n = _positive_int(_require(cfg, "n"), "n")
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    n = _whole(_require(cfg, "n"), "n")
+    run_seed = _run_seed(seed, cfg)
     members = []
     for entry in _require(cfg, "family"):
         members.extend(_family_from_config(entry, n, cfg["_dir"], run_seed))
@@ -438,7 +472,7 @@ def cmd_hull(cfg, out_dir, seed, tols):
     # candidates that can match; rounding and == treat -0.0 as 0.0.  A binary
     # search of the sorted K column needs far less scratch memory than isin.
     k_flat = np.round(K.view(float).reshape(len(K), -1), 12)
-    k_rows = {tuple(x) for x in k_flat}
+    k_rows = set(map(tuple, k_flat.tolist()))
     z_flat = Z.view(float).reshape(len(Z), -1)
     hit = np.ones(len(Z), dtype=bool)
     for c in range(z_flat.shape[1]):
@@ -447,8 +481,9 @@ def cmd_hull(cfg, out_dir, seed, tols):
         idx = np.searchsorted(keys, zc)
         np.minimum(idx, len(keys) - 1, out=idx)
         hit &= keys[idx] == zc
-    k_in_z_ok = all(result.members[i] for i in np.flatnonzero(hit)
-                    if tuple(np.round(z_flat[i], 12)) in k_rows)
+    hits = np.flatnonzero(hit)
+    k_in_z_ok = all(result.members[i] for i, row in zip(
+        hits.tolist(), np.round(z_flat[hits], 12).tolist()) if tuple(row) in k_rows)
     excluded = result.margins[~result.members & ~result.singular]
     members = int(np.count_nonzero(result.members))
     summary = {
@@ -479,7 +514,7 @@ def cmd_thm2(cfg, out_dir, seed, tols):
     """Separation experiment: randomized batch or one explicit configuration."""
     if "single" in cfg:
         s = cfg["single"]
-        n = _positive_int(_require(s, "n", "single"), "n")
+        n = _whole(_require(s, "n", "single"), "n")
         p = _parse_point(_require(s, "p", "single"), n, "center")
         r = float(_require(s, "r", "single"))
         K = _load_k_set(_require(s, "K", "single"), n, cfg["_dir"])
@@ -492,7 +527,7 @@ def cmd_thm2(cfg, out_dir, seed, tols):
             else:
                 Z = hull.sample_ball(n, p, r / np.sqrt(n) * (1 - 1e-12),
                                      int(zspec.get("count", 50)),
-                                     int(zspec.get("seed", 0)))
+                                     _seed(zspec.get("seed", 0), "z seed"))
             rep = hull.theorem2_experiment(n, p, r, K, Z)
         except ValueError as e:
             raise ConfigError(str(e))
@@ -511,7 +546,7 @@ def cmd_thm2(cfg, out_dir, seed, tols):
         violations = rep.violations
     else:
         b = cfg.get("batch", {})
-        run_seed = seed if seed is not None else int(b.get("seed", cfg.get("seed", 0)))
+        run_seed = _run_seed(seed, b if "seed" in b else cfg)
         try:
             rep = hull.run_theorem2_batch(
                 configs=int(b.get("configs", 1000)),
@@ -546,7 +581,7 @@ def _load_domain(spec, base_dir):
     model = spec.get("model")
     try:
         if model == "ball":
-            n = _positive_int(_require(spec, "n", "domain"), "n")
+            n = _whole(_require(spec, "n", "domain"), "n")
             center = (_parse_point(spec["center"], n) if "center" in spec
                       else None)
             return peak.ModelDomain.ball(n, radius=float(spec.get("radius", 1.0)),
@@ -557,7 +592,7 @@ def _load_domain(spec, base_dir):
             return peak.ModelDomain.ellipsoid(a, b)
         if model is not None:
             raise ConfigError(f"unknown domain model {model!r}")
-        n = _positive_int(_require(spec, "n", "domain"), "n")
+        n = _whole(_require(spec, "n", "domain"), "n")
         phi = _parse_expr(_require(spec, "defining", "domain"), n)
         return peak.ModelDomain.from_expr(
             n, phi, float(_require(spec, "box", "domain")),
@@ -579,10 +614,10 @@ def cmd_peak(cfg, out_dir, seed, tols):
     if r != "auto":
         r = float(r)
     samples = cfg.get("samples", {})
-    boundary = _positive_int(samples.get("boundary", 200), "samples.boundary")
-    interior = _positive_int(samples.get("interior", 200), "samples.interior")
-    tube = _positive_int(samples.get("tube", 500), "samples.tube")
-    run_seed = seed if seed is not None else int(cfg.get("seed", 0))
+    boundary = _whole(samples.get("boundary", 200), "samples.boundary")
+    interior = _whole(samples.get("interior", 200), "samples.interior")
+    tube = _whole(samples.get("tube", 500), "samples.tube")
+    run_seed = _run_seed(seed, cfg)
     tolerances = {"residual_tol": _tol("residual_tol", tols, cfg, 1e-5),
                   "margin_min": _tol("margin_min", tols, cfg, 1e-3),
                   "peak_tol": _tol("peak_tol", tols, cfg, 1e-12)}

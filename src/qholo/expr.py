@@ -454,16 +454,18 @@ class _Parser:
         return self._fold2(Div, self._fold2(Sub, arg, conj), Const(self.n, 2j))
 
     def _fold2(self, node, a, b):
-        if type(a) is Const and type(b) is Const:
-            if node is Add:
-                return Const(self.n, a.value + b.value)
-            if node is Sub:
-                return Const(self.n, a.value - b.value)
-            if node is Mul:
-                return Const(self.n, a.value * b.value)
-            if node is Div and b.value != 0:
-                return Const(self.n, a.value / b.value)
+        """node(a, b), folded to a Const when both are constants.  The fold
+        runs the tape's numpy operation on one-row arrays, in the tape's
+        operand order, so it rounds as evaluation at a point does (numpy's
+        complex product is not bitwise commutative)."""
+        if (type(a) is Const and type(b) is Const
+                and (node is not Div or b.value != 0)):
+            v = _FOLD[node](np.array([a.value]), np.array([b.value]))
+            return Const(self.n, complex(v[0]))
         return node(self.n, a, b)
+
+
+_FOLD = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
 def parse(text: str, n: int) -> Expr:
@@ -477,7 +479,8 @@ def parse(text: str, n: int) -> Expr:
     if n < 1:
         raise ValueError("dimension must be a positive integer")
     p = _Parser(_tokenize(text), n)
-    e = p.parse_expr()
+    with np.errstate(all="ignore"):     # an overflowing fold fails in Const
+        e = p.parse_expr()
     tok = p.peek()
     if tok[0] != "eof":
         raise ParseError("unexpected trailing input", tok[2])

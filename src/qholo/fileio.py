@@ -1,21 +1,33 @@
 """Serialization helpers shared by the CLI: complex strings, CSV, JSON.
 
 Complex numbers travel as "a+bi" / "a-bi" strings so they round-trip
-unambiguously through JSON and command lines.  All writers are
-deterministic: sorted JSON keys, fixed float repr, explicit newlines.
+unambiguously through JSON and command lines.  One rule formats them a
+column at a time; `format_complex` and `point_to_strings` apply it to one
+number and to one point.  All writers are deterministic: sorted JSON keys,
+fixed float repr, explicit newlines.
+
+`dump_json` runs its own encoder, whose bytes equal those of
+`json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)` plus a
+final newline, with one restriction: every dict key must be a str (others
+raise TypeError).  It also writes `Records`, a list of records held as
+columns, as the list of dicts it stands for: one skeleton record encoded
+once gives a %-template, the leaves are encoded a column at a time, and
+each record is one substitution into the template.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import itertools
+import math
 import re
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 __all__ = [
     "format_complex", "parse_complex", "point_to_strings", "parse_point",
-    "write_points_csv", "read_points_csv", "dump_json",
+    "write_points_csv", "read_points_csv", "dump_json", "Records",
 ]
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
@@ -24,19 +36,21 @@ _REAL_RE = re.compile(rf"^([+-]?{_FLOAT})$")
 _IMAG_RE = re.compile(rf"^([+-]?(?:{_FLOAT})?)i$")
 
 
-def _clean(x: float) -> float:
-    # -0.0 prints as "-0.0" and breaks byte-for-byte reproducibility between
-    # mathematically equal runs, so flush it to +0.0
-    x = float(x)
-    return 0.0 if x == 0.0 else x
+def _complex_strings(z, template="%r%s%ri"):
+    """The "a+bi" text of each entry of the 1-D complex array z, through
+    template: the repr of the real part, the sign of the imaginary part and
+    the repr of its modulus.  -0.0 prints as "-0.0" and would break
+    byte-for-byte reproducibility between mathematically equal runs, so
+    both parts have it flushed to +0.0 first."""
+    z = np.asarray(z, dtype=complex)
+    im = z.imag + 0.0
+    return list(map(template.__mod__, zip(
+        (z.real + 0.0).tolist(), map("+-".__getitem__, (im < 0).tolist()),
+        np.abs(im).tolist())))
 
 
 def format_complex(c) -> str:
-    c = complex(c)
-    re_part = _clean(c.real)
-    im_part = _clean(c.imag)
-    sign = "-" if im_part < 0 else "+"
-    return f"{re_part!r}{sign}{abs(im_part)!r}i"
+    return _complex_strings([complex(c)])[0]
 
 
 def parse_complex(text) -> complex:
@@ -66,7 +80,7 @@ def parse_complex(text) -> complex:
 
 
 def point_to_strings(z) -> list:
-    return [format_complex(c) for c in np.asarray(z, dtype=complex)]
+    return _complex_strings(z)
 
 
 def parse_point(entries, n: int | None = None) -> np.ndarray:
@@ -150,7 +164,136 @@ def read_points_csv(path) -> np.ndarray:
     return np.array(pts, dtype=complex)
 
 
+# ---------------------------------------------------------------- JSON
+
+_INDENT = "  "
+# Records formatted and written per block, so the text in memory stays small.
+_RECORD_BLOCK_ROWS = 512
+_SLOT = object()        # a leaf of a skeleton record; its text is "\0"
+
+
+def _scalar(o):
+    """The JSON text of a scalar, checked in the order json checks."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    if o is _SLOT:
+        return "\0"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _pieces(obj, nl):
+    """The JSON text of obj in pieces; nl is the newline and indentation of
+    the line obj starts on."""
+    if isinstance(obj, Records):
+        yield from obj._pieces(nl)
+    elif not isinstance(obj, _NESTED):
+        yield _scalar(obj)
+    elif not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+    else:
+        inner = nl + _INDENT
+        if isinstance(obj, dict):
+            keys = sorted(obj)      # _string raises TypeError on a non-str key
+            heads = [_string(k) + ": " for k in keys]
+            values, brackets = map(obj.__getitem__, keys), "{}"
+        elif any(issubclass(t, _NESTED) for t in set(map(type, obj))):
+            heads, values, brackets = itertools.repeat(""), obj, "[]"
+        else:       # a list of scalars is one piece
+            yield "[" + inner + ("," + inner).join(_leaf_texts(obj)) + nl + "]"
+            return
+        sep = brackets[0] + inner
+        for head, value in zip(heads, values):
+            yield sep + head
+            yield from _pieces(value, inner)
+            sep = "," + inner
+        yield nl + brackets[1]
+
+
+def _leaf_texts(col):
+    """The JSON text of each scalar of a list, tuple or 1-D array."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "c":
+            return _complex_strings(col, '"%r%s%ri"')
+        col = col.tolist()
+    types = set(map(type, col))
+    if types <= {float}:
+        if not all(map(math.isfinite, col)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return map(float.__repr__, col)
+    if types <= {int, str, type(None)}:
+        # no bools or floats, so equal values are equal JSON: encode each
+        # distinct value once
+        return map({v: _scalar(v) for v in set(col)}.__getitem__, col)
+    return map(_scalar, col)
+
+
+def _skeleton(node, leaves):
+    """The record skeleton of a column node (every leaf a _SLOT); appends
+    the leaf columns to leaves in the order the encoder meets them."""
+    if isinstance(node, dict):
+        return {key: _skeleton(node[key], leaves) for key in sorted(node)}
+    if isinstance(node, tuple):
+        return [_skeleton(child, leaves) for child in node]
+    leaves.append(node)
+    return _SLOT
+
+
+class Records:
+    """A list of records held as columns; `dump_json` writes it exactly as
+    the list of dicts it stands for.
+
+    `columns` maps each key of a record to a column node, which is one of
+    - a leaf: a list or 1-D numpy array with one scalar per record (a
+      complex array stands for the `format_complex` strings of its entries);
+    - a dict of column nodes: one JSON object per record;
+    - a tuple of column nodes: one fixed-width JSON array per record.
+    There is at least one leaf, and every leaf has one entry per record.
+    """
+
+    def __init__(self, columns):
+        self._leaves = []
+        self._skeleton = _skeleton(dict(columns), self._leaves)
+        lengths = {len(col) for col in self._leaves}
+        if len(lengths) != 1:
+            raise ValueError(f"leaf columns must be one or more of equal length, "
+                             f"got lengths {sorted(lengths)}")
+        (self._len,) = lengths
+
+    def _pieces(self, nl):
+        if not self._len:
+            yield "[]"
+            return
+        inner = nl + _INDENT
+        template = "".join(_pieces(self._skeleton, inner))
+        template = template.replace("%", "%%").replace("\0", "%s")
+        head, sep = "[" + inner, "," + inner
+        for lo in range(0, self._len, _RECORD_BLOCK_ROWS):
+            texts = [_leaf_texts(col[lo:lo + _RECORD_BLOCK_ROWS])
+                     for col in self._leaves]
+            yield head
+            yield sep.join(map(template.__mod__, zip(*texts)))
+            head = sep
+        yield nl + "]"
+
+
+_NESTED = (dict, list, tuple, Records)
+
+
 def dump_json(path, obj):
+    """Write obj as JSON with 2-space indents and sorted keys, then a
+    newline; NaN and infinities raise ValueError, a non-str key TypeError."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.writelines(_pieces(obj, "\n"))
         fh.write("\n")

@@ -13,7 +13,7 @@ import numpy as np
 
 from qholo import expr as ex
 from qholo.expr import Jet2
-from qholo.fileio import _clean, _csv_header
+from qholo.fileio import _csv_header
 from qholo.forms import q_holo_residual
 from qholo.hull import _REL_GUARD, Thm2Report, _align
 from qholo.levi import EPS_BDRY, EPS_GRAD, _as_matrix
@@ -462,6 +462,21 @@ def certification_points_reference(n, seed, count=100, halfwidth=2.0,
             continue
         out.append(z)
     return np.array(out)
+
+
+def _clean(x):
+    # -0.0 prints as "-0.0"; the writers flush it to +0.0
+    x = float(x)
+    return 0.0 if x == 0.0 else x
+
+
+# The one-number complex formatter the library's column-wise one replaced,
+# kept as the reference for its strings.
+def format_complex_reference(c):
+    c = complex(c)
+    re_part, im_part = _clean(c.real), _clean(c.imag)
+    sign = "-" if im_part < 0 else "+"
+    return f"{re_part!r}{sign}{abs(im_part)!r}i"
 
 
 # The row-by-row CSV writer the library's column-wise one replaced, kept as

@@ -10,6 +10,8 @@ import numpy as np
 from qholo import expr, fileio, hull, levi
 from qholo.cli import MAX_SAMPLES, run
 
+from helpers import format_complex_reference
+
 
 def _write(tmp_path, name, cfg):
     path = tmp_path / name
@@ -77,6 +79,55 @@ def test_levi_function_mode(tmp_path):
     assert rep["overall_q"] == 1
 
 
+def _legacy_json(report):
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _signature_dict(sig):
+    return {"pos": sig.n_pos, "neg": sig.n_neg, "zero": sig.n_zero}
+
+
+def test_per_point_reports_equal_the_record_by_record_build(tmp_path):
+    # the column-wise reports against the per-point dicts they replaced
+    text, n = "abs2(z1)*re(z2)+abs2(z2)-0.5*abs2(z1)", 2
+    rows = [[format_complex_reference(complex(a, b)) for a, b in pair]
+            for pair in np.random.default_rng(5).uniform(-1, 1, (12, 2, 2))]
+    rows[0] = ["-0.0-0.0i", "0.5-0.0i"]
+    out = tmp_path / "levi"
+    assert run(["levi", "--config", _write(tmp_path, "l.json", {
+        "n": n, "function": text, "points": rows}), "--out", str(out)]) == 0
+    f = expr.parse(text, n)
+    cls = levi.classify_function(f, [fileio.parse_point(r, n) for r in rows])
+    assert len(set(cls.per_point_q)) > 1
+    want = {"mode": "function", "n": n, "function": expr.to_text(f),
+            "points": [{"point": [format_complex_reference(c) for c in p],
+                        "signature": _signature_dict(sig), "q": q}
+                       for p, sig, q in zip(cls.points, cls.signatures,
+                                            cls.per_point_q)],
+            "overall_q": cls.overall_q, "overall": cls.overall_text,
+            "failures": []}
+    assert (out / "levi_report.json").read_text() == _legacy_json(want)
+
+    text = "1-abs2(z1)-abs2(z2)"
+    out = tmp_path / "classify"
+    assert run(["classify", "--config", _write(tmp_path, "c.json", {
+        "n": n, "defining": text, "boundary_samples": 6, "seed": 4}),
+        "--out", str(out)]) == 0
+    phi = expr.parse(text, n)
+    classes = levi.classify_boundary_point(phi, levi.sample_boundary(phi, 6, 4))
+    assert all(c.strict_q is None for c in classes)
+    want = {"mode": "boundary", "name": "domain", "n": n,
+            "defining": expr.to_text(phi), "seed": 4, "failures": [],
+            "points": [{"point": [format_complex_reference(z) for z in c.point],
+                        "gradient": [format_complex_reference(z)
+                                     for z in c.gradient],
+                        "signature": _signature_dict(c.restricted),
+                        "strict_q": "none" if c.strict_q is None else c.strict_q,
+                        "weak_q": "none" if c.weak_q is None else c.weak_q}
+                       for c in classes]}
+    assert (out / "classify_report.json").read_text() == _legacy_json(want)
+
+
 def test_levi_function_not_real_valued_is_config_error(tmp_path):
     cfg = _write(tmp_path, "f.json", {"n": 1, "function": "z1",
                                       "points": [["0.5+0.5i"]]})
@@ -128,6 +179,46 @@ def test_random_count_above_the_cap_is_config_error(tmp_path, capsys, command, c
     _assert_config_error(tmp_path, capsys, command, {
         "n": 2, "q": 1, "function": "abs2(z1)+abs2(z2)",
         "points": {"random": {"count": count, "seed": 1}}})
+
+
+_SPHERE2 = {"n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": 4}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("box", "x"), ("box", float("nan")), ("box", 1e308), ("box", float("inf")),
+    ("box", 0), ("box", True), ("seed", "x"), ("seed", -1), ("seed", 1.5),
+    ("seed", [1]), ("seed", float("nan")),
+])
+def test_classify_bad_box_or_seed_is_config_error(tmp_path, capsys, key, value):
+    _assert_config_error(tmp_path, capsys, "classify", {**_SPHERE2, key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", [1]), ("seed", "x"), ("seed", -2), ("seed", float("inf")),
+    ("halfwidth", "x"), ("halfwidth", float("inf")), ("halfwidth", float("nan")),
+    ("halfwidth", 0), ("halfwidth", -1.0), ("avoid_radius", "x"),
+    ("avoid_radius", -0.5),
+])
+@pytest.mark.parametrize("command", ["levi", "qholo"])
+def test_bad_random_points_spec_is_config_error(tmp_path, capsys, command, key, value):
+    _assert_config_error(tmp_path, capsys, command, {
+        "n": 2, "q": 1, "function": "abs2(z1)+abs2(z2)",
+        "points": {"random": {"count": 4, "seed": 1, key: value}}})
+
+
+def test_random_points_that_all_fall_in_the_avoided_ball_are_config_error(
+        tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, "qholo", {
+        "n": 2, "q": 2, "function": {"builtin": "basener", "p": ["0", "0"]},
+        "points": {"random": {"count": 4, "seed": 1, "avoid_radius": 1e6}}})
+
+
+def test_negative_seed_override_is_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", _SPHERE2)
+    out = tmp_path / "out"
+    assert run(["classify", "--config", path, "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_classify_failure_names_the_first_failing_point(tmp_path, capsys, monkeypatch):
@@ -252,6 +343,20 @@ def test_hull_seed_override_changes_family(tmp_path):
     s2 = _read_json(out2, "hull_summary.json")
     assert s1["family"][0]["name"] == s2["family"][0]["name"]
     assert s1["family"][0]["k_max"] != s2["family"][0]["k_max"]
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("grid", "halfwidth", "x"), ("grid", "halfwidth", 0),
+    ("grid", "halfwidth", float("nan")), ("sphere", "seed", "x"),
+    ("family", "seed", [1]), ("top", "seed", -3),
+])
+def test_hull_bad_halfwidth_or_seed_is_config_error(tmp_path, capsys, where, key,
+                                                    value):
+    cfg = _hull_cfg()
+    spec = {"grid": cfg["candidates"]["grid"], "sphere": cfg["K"]["sphere"],
+            "family": cfg["family"][0], "top": cfg}[where]
+    spec[key] = value
+    _assert_config_error(tmp_path, capsys, "hull", cfg)
 
 
 def _hull_k_on_grid(tmp_path):
@@ -458,6 +563,14 @@ def test_overdeep_expression_is_config_error(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, "qholo", {
         "n": 1, "q": 1, "function": "(" * 3000 + "z1" + ")" * 3000,
         "points": [["0.1"]]})
+
+
+@pytest.mark.parametrize("function", ["z1*" + "9" * 400,
+                                      f"z1*({'9' * 200}*{'9' * 200})"],
+                         ids=["literal", "fold"])
+def test_overflowing_constant_is_config_error(tmp_path, capsys, function):
+    _assert_config_error(tmp_path, capsys, "qholo", {
+        "n": 1, "q": 1, "function": function, "points": [["0.1"]]})
 
 
 def test_nested_copies_past_the_node_cap_are_config_error(tmp_path, capsys):

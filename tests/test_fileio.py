@@ -4,12 +4,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qholo import fileio
 
-from helpers import write_points_csv_reference
+from helpers import format_complex_reference, write_points_csv_reference
 
 
 @pytest.mark.parametrize("text,want", [
@@ -56,6 +56,28 @@ def test_format_parse_round_trip(c):
     out = fileio.parse_complex(fileio.format_complex(c))
     # -0.0 components are normalized on the way out; values are exact
     assert out.real == c.real and out.imag == c.imag
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1e308, -1e308, float("inf"), float("-inf"), float("nan"),
+                   -float("nan"), 1.5, -2.25]
+
+
+def test_complex_columns_follow_the_one_number_rule():
+    parts = np.array(_SPECIAL_FLOATS)
+    z = np.empty(len(parts) ** 2, dtype=complex)
+    z.real, z.imag = np.repeat(parts, len(parts)), np.tile(parts, len(parts))
+    want = [format_complex_reference(c) for c in z]
+    assert "0.0+0.0i" in want and "nan+infi" in want and "-inf-infi" in want
+    assert fileio.point_to_strings(z) == want
+    assert [fileio.format_complex(c) for c in z] == want
+
+
+@given(st.lists(st.complex_numbers(), max_size=12))
+def test_complex_column_strings_equal_format_complex(zs):
+    z = np.array(zs, dtype=complex).reshape(-1)
+    assert fileio.point_to_strings(z) == [fileio.format_complex(c) for c in zs] \
+        == [format_complex_reference(c) for c in zs]
 
 
 def test_point_round_trip():
@@ -177,3 +199,141 @@ def test_json_writer_is_deterministic(tmp_path):
 def test_json_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         fileio.dump_json(tmp_path / "nan.json", {"v": float("nan")})
+
+
+# ---------------------------------------------------------------- JSON encoder
+
+def _json_reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_TEXT = st.text(st.characters(), max_size=6) | st.sampled_from(
+    ["%", "%s", "%%d", "\x00", "\"\\\n\t\x7f", "\u00e9\u2603\U0001f600"])
+_SCALARS = (st.none() | st.booleans() | _TEXT
+            | st.integers(-2 ** 70, 2 ** 70)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([f for f in _SPECIAL_FLOATS if np.isfinite(f)]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON)
+def test_dump_json_bytes_equal_the_json_module(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("json") / "x.json"
+    fileio.dump_json(path, obj)
+    assert path.read_bytes() == _json_reference(obj).encode()
+
+
+@pytest.mark.parametrize("obj", [float("nan"), [1.0, float("inf")],
+                                 {"a": {"b": -float("inf")}},
+                                 fileio.Records({"x": np.array([0.5, np.nan])})])
+def test_dump_json_rejects_non_finite_floats(tmp_path, obj):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.dump_json(tmp_path / "x.json", obj)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {None: 1}}, {(1, 2): 0},
+                                 {"a": 1j}, [np.int64(3)], {"a": {1, 2}}])
+def test_dump_json_rejects_non_str_keys_and_unknown_types(tmp_path, obj):
+    # json would turn int, float, bool and None keys into strings; the
+    # writer takes str keys only
+    with pytest.raises(TypeError):
+        fileio.dump_json(tmp_path / "x.json", obj)
+
+
+def _leaf(draw, m):
+    """A random leaf column of m entries and the JSON value of each entry."""
+    kind = draw(st.sampled_from(["int", "float", "complex", "mixed", "scalar",
+                                 "int_array"]))
+    if kind == "complex":
+        parts = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+        zs = [complex(draw(parts), draw(parts)) for _ in range(m)]
+        return np.array(zs, dtype=complex), [format_complex_reference(c) for c in zs]
+    if kind == "float":
+        xs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=m, max_size=m))
+        return np.array(xs, dtype=float), xs
+    if kind == "int_array":
+        xs = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                           min_size=m, max_size=m))
+        return np.array(xs, dtype=np.int64), xs
+    values = {"int": st.integers(-2 ** 70, 2 ** 70),
+              "mixed": st.integers(0, 5) | st.just("none"),
+              "scalar": _SCALARS}[kind]
+    xs = draw(st.lists(values, min_size=m, max_size=m))
+    return xs, xs
+
+
+@st.composite
+def _records(draw):
+    """(Records, the list of dicts it stands for) over a random layout."""
+    m = draw(st.integers(0, 4))
+
+    def node(depth):
+        kind = draw(st.sampled_from(["leaf", "dict", "tuple"] if depth else ["leaf"]))
+        if kind == "leaf":
+            return _leaf(draw, m)
+        children = [node(depth - 1) for _ in range(draw(st.integers(0, 3)))]
+        if kind == "tuple":
+            return (tuple(c for c, _ in children),
+                    [[v[i] for _, v in children] for i in range(m)])
+        keys = draw(st.lists(_TEXT, min_size=len(children), max_size=len(children),
+                             unique=True))
+        return ({k: c for k, (c, _) in zip(keys, children)},
+                [{k: v[i] for k, (_, v) in zip(keys, children)} for i in range(m)])
+
+    first = draw(_TEXT)
+    columns, rows = node(2)
+    if not isinstance(columns, dict):
+        columns, rows = {}, [{} for _ in range(m)]
+    col, vals = _leaf(draw, m)      # every layout holds at least one leaf
+    columns[first] = col
+    for row, v in zip(rows, vals):
+        row[first] = v
+    return fileio.Records(columns), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_records())
+def test_records_write_as_their_list_of_dicts(tmp_path_factory, pair):
+    records, rows = pair
+    path = tmp_path_factory.mktemp("records") / "x.json"
+    fileio.dump_json(path, {"points": records, "n": len(rows)})
+    want = _json_reference({"points": rows, "n": len(rows)})
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, fileio._RECORD_BLOCK_ROWS,
+                               2 * fileio._RECORD_BLOCK_ROWS + 1])
+def test_records_of_a_classify_report(tmp_path, m):
+    rng = np.random.default_rng(m)
+    pts = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    pts[:1] = [-0.0, complex(0.0, -0.0), complex(-0.0, -1.0)]
+    mod = np.abs(pts[:, 0])
+    pos = rng.integers(0, 3, m)
+    strict = ["none" if p == 0 else 3 - int(p) for p in pos]
+    records = fileio.Records({
+        "point": tuple(pts.T),
+        "signature": {"pos": pos, "neg": (2 - pos).tolist(), "zero": [0] * m},
+        "strict_q": strict,
+        "50% \"q\"\n": mod,
+    })
+    rows = [{"point": [format_complex_reference(c) for c in p],
+             "signature": {"pos": int(a), "neg": 2 - int(a), "zero": 0},
+             "strict_q": q, "50% \"q\"\n": r}
+            for p, a, q, r in zip(pts, pos, strict, mod.tolist())]
+    fileio.dump_json(tmp_path / "r.json", {"mode": "boundary", "points": records})
+    want = _json_reference({"mode": "boundary", "points": rows})
+    assert (tmp_path / "r.json").read_text() == want
+
+
+def test_records_need_leaves_of_one_length():
+    with pytest.raises(ValueError, match="equal length"):
+        fileio.Records({"a": [1, 2], "b": {"c": [1]}})
+    with pytest.raises(ValueError, match="equal length"):
+        fileio.Records({"a": {}, "b": ()})
