@@ -11,7 +11,7 @@ from .expr import (
     Expr, Const, Var, CVar, Add, Sub, Mul, Div, Pow, Exp, Neg,
     Jet2, ParseError, EvalError,
     parse, to_text, conjugate, eval_value, eval_batch, eval_jet1_batch,
-    eval_jet2, eval_jet2_batch, finite_diff_jet,
+    eval_jet2, eval_jet2_batch, eval_mixed_jet_batch, finite_diff_jet,
 )
 from .forms import (
     residual_from_jet, q_holo_residual, q_holo_residuals, minor_oracle_residual,
@@ -40,7 +40,7 @@ __all__ = [
     "Expr", "Const", "Var", "CVar", "Add", "Sub", "Mul", "Div", "Pow", "Exp",
     "Neg", "Jet2", "ParseError", "EvalError", "parse", "to_text", "conjugate",
     "eval_value", "eval_batch", "eval_jet1_batch", "eval_jet2",
-    "eval_jet2_batch", "finite_diff_jet",
+    "eval_jet2_batch", "eval_mixed_jet_batch", "finite_diff_jet",
     "residual_from_jet", "q_holo_residual", "q_holo_residuals",
     "minor_oracle_residual",
     "LeviMatrix", "Signature", "FunctionClassification",

@@ -335,17 +335,18 @@ def _family_from_config(entry, n, base_dir, default_seed):
     """
     if isinstance(entry, str):
         spec = _load_config(_resolve(entry, base_dir))
-        if "n" in spec and int(spec["n"]) != n:
+        if "n" in spec and _whole(spec["n"], f"{entry}: n") != n:
             raise ConfigError(
                 f"{entry}: function file has n={spec['n']}, config has n={n}")
         e = _parse_expr(_require(spec, "expr", entry), n)
-        q = int(_require(spec, "q", entry))
+        q = _whole(_require(spec, "q", entry), f"{entry}: q")
         name = _name(spec, os.path.basename(entry), entry)
         avoid = _parse_point(spec["avoid"], n) if "avoid" in spec else None
         return [(e, q, name, avoid)]
     if isinstance(entry, dict) and entry.get("builtin") == "basener":
         p = _parse_point(entry.get("p", [0.0] * n), n)
-        count = int(entry.get("lambda_count", 1))
+        count = _whole(entry.get("lambda_count", 1), "lambda_count",
+                       cap=MAX_SAMPLES)
         fseed = _seed(entry.get("seed", default_seed), "family seed")
         if "lambda" in entry:
             try:
@@ -367,9 +368,7 @@ def _family_from_config(entry, n, base_dir, default_seed):
 def cmd_qholo(cfg, out_dir, seed, tols):
     """Pointwise q-holomorphicity residual sweep against a threshold."""
     n = _whole(_require(cfg, "n"), "n")
-    q = int(_require(cfg, "q"))
-    if q < 1:
-        raise ConfigError(f"q must be >= 1, got {q}")
+    q = _whole(_require(cfg, "q"), "q")
     run_seed = _run_seed(seed, cfg)
     spec = _require(cfg, "function")
     avoid = None
@@ -607,7 +606,7 @@ def cmd_peak(cfg, out_dir, seed, tols):
     dom = _load_domain(_require(cfg, "domain"), cfg["_dir"])
     n = dom.n
     p = _parse_point(_require(cfg, "p"), n, "boundary point")
-    q = int(_require(cfg, "q"))
+    q = _whole(_require(cfg, "q"), "q")
     c = float(cfg.get("c", 1.0))
     rho_v = float(cfg.get("rho_V", 0.5))
     r = cfg.get("r", "auto")

@@ -7,7 +7,8 @@ three second-derivative blocks) by exact forward-mode propagation, treating
 z and conj(z) as independent coordinates.  Evaluation compiles a tree to a
 post-order tape, and one interpreter runs the tape over a batch of points,
 for values, for values and gradients (1-jets), or for 2-jets; single-point
-evaluation is a batch of one.
+evaluation is a batch of one.  A 2-jet carries the whole Hessian through
+the tape, or only the mixed block h_zzb that Levi forms and residuals read.
 
 A divisor of modulus at most EPS_DIV = 1e-300 raises EvalError.  The guard
 is absolute: a divisor that is zero in exact arithmetic but cancels only to
@@ -26,7 +27,7 @@ __all__ = [
     "Expr", "Const", "Var", "CVar", "Add", "Sub", "Mul", "Div", "Pow", "Exp",
     "Neg", "Jet2", "ParseError", "EvalError", "parse", "to_text", "conjugate",
     "eval_value", "eval_batch", "eval_jet1_batch", "eval_jet2", "eval_jet2_batch",
-    "finite_diff_jet",
+    "eval_mixed_jet_batch", "finite_diff_jet",
 ]
 
 # Denominators with modulus at or below this abort evaluation.  Absolute, not
@@ -573,12 +574,15 @@ def to_text(e: Expr) -> str:
 # per node) and a single interpreter runs the tape over a batch of points, for
 # values alone or for jets in forward (Taylor) mode.  A batch jet of order 2
 # is a triple (v, G, H): v (m,) values, G (m, 2n) the gradient in the
-# coordinates (z, conj z) and H (m, 2n, 2n) the Hessian in those coordinates,
-# so h_zz, h_zzb and h_zbzb are its upper blocks.  A jet of order 1 is the
-# pair (v, G), computed by the same formulas, so it equals the first two
+# coordinates (z, conj z) and H the block hb = (rows, cols) of the Hessian in
+# those coordinates: all of it, (m, 2n, 2n) with upper blocks h_zz, h_zzb and
+# h_zbzb, or h_zzb alone, (m, n, n).  The rules add Hessians times scalars and
+# outer products of gradients, so restricting the outer products to hb
+# (_outer) gives that block of the full H bit for bit.  A jet of order 1 is
+# the pair (v, G), computed by the same formulas, so it equals the first two
 # entries of the order-2 jet bit for bit without building H.  One array per
 # order keeps the number of numpy calls per instruction small; the lower-left
-# block of H (the transpose of h_zzb) is computed but never read.
+# block of a full H (the transpose of h_zzb) is computed but never read.
 #
 # A structurally zero derivative block is None: a constant is (v, None, None)
 # and a coordinate or an affine term (v, G, None).  The jet rules skip what a
@@ -592,10 +596,11 @@ _CONST, _VAR, _CVAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _EXP = range(10)
 _OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
            Sub: _SUB, Mul: _MUL, Div: _DIV, Pow: _POW, Exp: _EXP}
 
-# Rows per chunk of jets of order k are _BUDGET // n^k, which bounds the
-# interpreter's scratch memory (a few (rows, 2n, 2n) arrays per live slot at
-# order 2, (rows, 2n) at order 1) at any n.
+# Chunk rows bound the interpreter's scratch memory at any n: _BUDGET // n
+# rows at order 1; at order 2, _HESSIAN_ENTRIES carried Hessian entries, so
+# _BUDGET // n^2 rows of full jets and four times as many of mixed ones.
 _BUDGET = 1024
+_HESSIAN_ENTRIES = 4 * _BUDGET
 
 
 def _compile(e):
@@ -656,9 +661,10 @@ def _tape(e):
     return tape
 
 
-def _outer(a, b):
-    """Row-wise outer products of two (m, k) arrays."""
-    return a[:, :, None] * b[:, None, :]
+def _outer(a, b, hb):
+    """Block hb = (rows, cols) of the row-wise outer products of a and b."""
+    rows, cols = hb
+    return a[:, rows, None] * b[:, None, cols]
 
 
 def _plus(x, y):
@@ -675,7 +681,7 @@ def _minus(x, y):
     return -y if x is None else x - y
 
 
-def _jet_product(a, b):
+def _jet_product(a, b, hb):
     av, ag = a[:2]
     bv, bg = b[:2]
     out = (av * bv, _plus(None if ag is None else ag * bv[:, None],
@@ -684,11 +690,11 @@ def _jet_product(a, b):
         return out
     h = None if a[2] is None else a[2] * bv[:, None, None]
     if ag is not None and bg is not None:
-        h = _plus(_plus(h, _outer(ag, bg)), _outer(bg, ag))
+        h = _plus(_plus(h, _outer(ag, bg, hb)), _outer(bg, ag, hb))
     return out + (_plus(h, None if b[2] is None else av[:, None, None] * b[2]),)
 
 
-def _jet_reciprocal(b):
+def _jet_reciprocal(b, hb):
     bv, bg = b[:2]
     iv = 1.0 / bv
     iv2 = iv * iv
@@ -696,11 +702,11 @@ def _jet_reciprocal(b):
     if len(b) == 2:
         return out
     iv3 = iv2 * iv
-    h = None if bg is None else 2.0 * _outer(bg, bg) * iv3[:, None, None]
+    h = None if bg is None else 2.0 * _outer(bg, bg, hb) * iv3[:, None, None]
     return out + (_minus(h, None if b[2] is None else b[2] * iv2[:, None, None]),)
 
 
-def _jet_power(a, k):
+def _jet_power(a, k, hb):
     av, ag = a[:2]
     if k == 0:
         return (np.ones_like(av),) + (None,) * (len(a) - 1)
@@ -711,16 +717,16 @@ def _jet_power(a, k):
     if len(a) == 2:
         return out
     c2 = k * (k - 1) * av ** (k - 2)
-    h = None if ag is None else c2[:, None, None] * _outer(ag, ag)
+    h = None if ag is None else c2[:, None, None] * _outer(ag, ag, hb)
     return out + (_plus(h, None if a[2] is None else c1[:, None, None] * a[2]),)
 
 
-def _jet_exp(a):
+def _jet_exp(a, hb):
     u = np.exp(a[0])
     out = (u, None if a[1] is None else u[:, None] * a[1])
     if len(a) == 2:
         return out
-    inner = _plus(None if a[1] is None else _outer(a[1], a[1]), a[2])
+    inner = _plus(None if a[1] is None else _outer(a[1], a[1], hb), a[2])
     return out + (None if inner is None else u[:, None, None] * inner,)
 
 
@@ -764,28 +770,33 @@ def _value_op(op, payload, a, b=None):
     return np.exp(a)
 
 
-def _jet_op(op, payload, a, b=None):
+def _jet_op(op, payload, hb, a, b=None):
     if op == _MUL:
-        return _jet_product(a, b)
+        return _jet_product(a, b, hb)
     if op == _ADD:
         return tuple(_plus(x, y) for x, y in zip(a, b))
     if op == _SUB:
         return tuple(_minus(x, y) for x, y in zip(a, b))
     if op == _DIV:
         _divisor_check(b[0], payload)
-        return _jet_product(a, _jet_reciprocal(b))
+        return _jet_product(a, _jet_reciprocal(b, hb), hb)
     if op == _NEG:
         return tuple(None if x is None else -x for x in a)
     if op == _POW:
-        return _jet_power(a, payload)
-    return _jet_exp(a)
+        return _jet_power(a, payload, hb)
+    return _jet_exp(a, hb)
 
 
-def _run(tape, pts, order):
+def _jet_shapes(n, order, hb):
+    """Per-row shapes of a batch jet's arrays; hb is its Hessian block."""
+    return [(), (2 * n,), tuple(len(range(2 * n)[s]) for s in hb)][:order + 1]
+
+
+def _run(tape, pts, order, hb=None):
     """Interpret the tape over the rows of pts: (m,) values at order 0, the
-    batch jet (v, G) at order 1 or (v, G, H) at order 2, with every block an
-    array.  Raises EvalError at a near-zero divisor in any row; overflow is
-    left to the caller's finiteness check.
+    batch jet (v, G) at order 1 or (v, G, H) at order 2, H the Hessian block
+    hb, with every block an array.  Raises EvalError at a near-zero divisor
+    in any row; overflow is left to the caller's finiteness check.
 
     Operands reach each step only through the slots and the call's
     arguments, so a freed slot's arrays are released at once.
@@ -796,15 +807,15 @@ def _run(tape, pts, order):
         if op <= _CVAR:
             slots[k] = _leaf(op, payload, pts, order)
         elif order:
-            slots[k] = _jet_op(op, payload, *[slots[a] for a in args])
+            slots[k] = _jet_op(op, payload, hb, *[slots[a] for a in args])
         else:
             slots[k] = _value_op(op, payload, *[slots[a] for a in args])
         for a in free:
             slots[a] = None
     if not order:
         return slots[-1]
-    return tuple(np.zeros((m,) + (2 * n,) * k, dtype=complex) if d is None else d
-                 for k, d in enumerate(slots[-1]))
+    return tuple(np.zeros((m,) + s, dtype=complex) if d is None else d
+                 for s, d in zip(_jet_shapes(n, order, hb), slots[-1]))
 
 
 def _as_point(z, n):
@@ -868,27 +879,30 @@ class Jet2:
         return abs(self.value.imag) <= tol * max(1.0, abs(self.value.real))
 
 
-def _jet_blocks(e, pts, order=2):
+def _jet_blocks(e, pts, order=2, mixed=False):
     """Batch jets as read-only blocks, (value, g_z, g_zb) and at order 2 also
-    (h_zz, h_zzb, h_zbzb); pts is an (m, n) array."""
+    (h_zz, h_zzb, h_zbzb), or h_zzb alone when mixed; pts is an (m, n)
+    array."""
     n = e.n
     tape = _tape(e)
-    rows = max(1, _BUDGET // n ** order)
+    hb = (slice(0, n), slice(n, 2 * n)) if mixed else (slice(None),) * 2
+    shapes = _jet_shapes(n, order, hb)
+    rows = max(1, _HESSIAN_ENTRIES // math.prod(shapes[2]) if order == 2
+               else _BUDGET // n)
     with np.errstate(over="ignore", invalid="ignore"):
         if len(pts) <= rows:
-            parts = _run(tape, pts, order)
+            parts = _run(tape, pts, order, hb)
         else:
             m = len(pts)
-            parts = [np.empty((m,) + (2 * n,) * k, dtype=complex)
-                     for k in range(order + 1)]
+            parts = [np.empty((m,) + s, dtype=complex) for s in shapes]
             for lo in range(0, m, rows):
-                for out, part in zip(parts, _run(tape, pts[lo:lo + rows], order)):
+                for out, part in zip(parts, _run(tape, pts[lo:lo + rows], order, hb)):
                     out[lo:lo + rows] = part
     v, g = parts[:2]
     blocks = (v, g[:, :n], g[:, n:])
     if order == 2:
         h = parts[2]
-        blocks += (h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
+        blocks += (h,) if mixed else (h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise EvalError(f"non-finite jet while evaluating '{to_text(e)}'")
     for b in blocks:
@@ -911,6 +925,13 @@ def eval_jet2_batch(e: Expr, pts) -> tuple:
     entry in any row raises EvalError; non-finite input raises ValueError.
     """
     return _jet_blocks(e, _as_points(pts, e.n, finite=True))
+
+
+def eval_mixed_jet_batch(e: Expr, pts) -> tuple:
+    """The blocks (value, g_z, g_zb, h_zzb) of eval_jet2_batch(e, pts), bit
+    for bit, carrying only h_zzb through the tape.  The errors are the same,
+    except that a row where only h_zz or h_zbzb overflows does not raise."""
+    return _jet_blocks(e, _as_points(pts, e.n, finite=True), mixed=True)
 
 
 def eval_jet2(e: Expr, z) -> Jet2:

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .expr import Expr, Jet2, eval_jet2, eval_jet2_batch
+from .expr import Expr, Jet2, eval_jet2, eval_mixed_jet_batch
 
 __all__ = [
     "residual_from_jet", "q_holo_residual", "q_holo_residuals",
@@ -139,7 +139,7 @@ def q_holo_residual(e: Expr, z, q: int) -> float:
 def q_holo_residuals(e: Expr, pts, q: int) -> np.ndarray:
     """q_holo_residual at every row of pts (shape (m, n)), from one batch of
     jets; row k equals q_holo_residual(e, pts[k], q)."""
-    _, _, g_zb, _, h_zzb, _ = eval_jet2_batch(e, pts)
+    _, _, g_zb, h_zzb = eval_mixed_jet_batch(e, pts)
     return _residuals(g_zb, h_zzb, q)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, Expr, eval_jet1_batch, eval_jet2, eval_jet2_batch
+from .expr import EvalError, Expr, eval_jet1_batch, eval_jet2, eval_mixed_jet_batch
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
@@ -255,27 +255,27 @@ def levi_form(phi: Expr, z, imag_tol: float = 1e-9) -> LeviMatrix:
 def _jets(phi, p):
     """(value, g_z, h_zzb) of phi at a point (n,) or the rows of (m, n), and
     the EvalError of the first row that fails to evaluate, if any; the
-    blocks then cover the rows before it."""
+    blocks then cover the rows before it.  A point is a batch of one."""
     if p.ndim == 1:
-        j = eval_jet2(phi, p)
-        return np.asarray(j.value), j.g_z, j.h_zzb, None
+        *blocks, err = _jets(phi, p[None, :])
+        return (*(b[0] for b in blocks), err)
     err = None
     try:
-        b = eval_jet2_batch(phi, p)
+        b = eval_mixed_jet_batch(phi, p)
     except EvalError as e:
         err, lo, hi = e, 0, len(p)  # p[:lo] evaluates, p[:hi] raises err
         while hi - lo > 1:          # a batch raises when one of its rows does
             mid = (lo + hi) // 2
             try:
-                eval_jet2_batch(phi, p[:mid])
+                eval_mixed_jet_batch(phi, p[:mid])
                 lo = mid
             except EvalError as e:
                 err, hi = e, mid
         err.row = lo                # the only raising row of p[:hi]
         if lo == 0:
             raise err
-        b = eval_jet2_batch(phi, p[:lo])
-    return b[0], b[1], b[4].copy(), err     # the copy lets the Hessian go
+        b = eval_mixed_jet_batch(phi, p[:lo])
+    return b[0], b[1], b[3], err
 
 
 def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
@@ -313,10 +313,11 @@ def describe_q(q: int, n: int) -> str:
 
 @dataclass(frozen=True)
 class FunctionClassification:
-    """Minimal q per sampled point (n+1 means no valid q <= n) and overall."""
+    """Minimal q per sampled point (n+1 means no valid q <= n) and overall;
+    points is the read-only (m, n) array of the sampled points."""
 
     n: int
-    points: tuple
+    points: np.ndarray
     signatures: tuple
     per_point_q: tuple
     overall_q: int
@@ -335,19 +336,18 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
     and one eigensolver call.
     """
     n = f.n
-    pts = [np.asarray(p, dtype=complex) for p in points]
-    if not pts:
+    pts = np.array([np.asarray(p, dtype=complex) for p in points])
+    if not len(pts):
         raise ValueError("need at least one point")
-    jets = eval_jet2_batch(f, np.array(pts))
-    values, h_zzb = jets[0], jets[4].copy()
-    del jets        # frees the (m, 2n, 2n) Hessian before the stack is checked
+    pts.flags.writeable = False
+    values, _, _, h_zzb = eval_mixed_jet_batch(f, pts)
     h, bad = LeviMatrix._checked(h_zzb)
     _raise_first([_not_real(values), (bad, lambda i: _NON_FINITE),
                   _ztol_check(ztol)], values.shape)
     sigs = eig_signature(h, ztol)
     qs = tuple(n - sig.n_pos + 1 for sig in sigs)
     return FunctionClassification(
-        n=n, points=tuple(tuple(p) for p in pts), signatures=sigs,
+        n=n, points=pts, signatures=sigs,
         per_point_q=qs, overall_q=max(qs))
 
 

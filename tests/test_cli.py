@@ -98,6 +98,7 @@ def test_per_point_reports_equal_the_record_by_record_build(tmp_path):
         "n": n, "function": text, "points": rows}), "--out", str(out)]) == 0
     f = expr.parse(text, n)
     cls = levi.classify_function(f, [fileio.parse_point(r, n) for r in rows])
+    assert cls.points.shape == (len(rows), n) and not cls.points.flags.writeable
     assert len(set(cls.per_point_q)) > 1
     want = {"mode": "function", "n": n, "function": expr.to_text(f),
             "points": [{"point": [format_complex_reference(c) for c in p],
@@ -709,6 +710,28 @@ def test_non_string_name_is_config_error(tmp_path, capsys, site, name):
         _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, domain={
             "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "box": 1.5,
             "convex_certified": True, "name": name}))
+
+
+@pytest.mark.parametrize("value", [2.9, True, "2", float("nan")],
+                         ids=["fraction", "bool", "string", "nan"])
+@pytest.mark.parametrize("site", ["qholo-q", "peak-q", "family-file-q",
+                                  "family-file-n", "lambda_count"])
+def test_non_integer_q_n_or_lambda_count_is_config_error(tmp_path, capsys, site, value):
+    # read through int(), each of these ran as a truncated integer
+    if site == "qholo-q":
+        _assert_config_error(tmp_path, capsys, "qholo", {
+            "n": 2, "q": value, "function": "z1*z2", "points": [["0", "0"]]})
+    elif site == "peak-q":
+        _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, q=value))
+    elif site.startswith("family-file"):
+        fam = {"n": 2, "expr": "z1*z2", "q": 2, site[-1]: value}
+        _write(tmp_path, "fam.json", fam)
+        _assert_config_error(tmp_path, capsys, "hull",
+                             dict(_hull_cfg(), family=["fam.json"]))
+    else:
+        cfg = _hull_cfg()
+        cfg["family"][0]["lambda_count"] = value
+        _assert_config_error(tmp_path, capsys, "hull", cfg)
 
 
 def test_string_names_reach_the_reports(tmp_path):

@@ -304,7 +304,7 @@ def test_stacked_classification_equals_single_calls(phi, seed):
     assert len({q for q in whole.per_point_q}) > 1
     for i, p in enumerate(pts):
         one = levi.classify_function(f, [p])
-        assert one.points == (whole.points[i],)
+        assert np.array_equal(one.points, whole.points[i:i + 1])
         assert one.signatures == (whole.signatures[i],)
         assert one.per_point_q == (whole.per_point_q[i],)
 
@@ -346,6 +346,24 @@ def test_stacked_classification_orders_evaluation_errors_by_row():
         assert got.value.row == first
         if kind is ex.EvalError:
             assert str(got.value) == str(single.value)
+
+
+def test_stacked_evaluation_errors_are_found_across_jet_chunks():
+    # the first pole lies past the first chunk of mixed jets (256 rows at
+    # n = 4); the error is the one the full jets of that row raise
+    n = 4
+    phi = ex.parse("abs2(z1)+abs2(z2)+abs2(z3)+abs2(z4)-1+0*(1/(z1-1))", n)
+    rng = np.random.default_rng(9)
+    pts = rng.standard_normal((700, n)) + 1j * rng.standard_normal((700, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[[600, 650]] = [1, 0, 0, 0]
+    with pytest.raises(ex.EvalError) as single:
+        ex.eval_jet2_batch(phi, pts[600:601])
+    for call in (levi.restricted_levi_form, levi.classify_boundary_point):
+        with pytest.raises(ex.EvalError) as got:
+            call(phi, pts)
+        assert str(got.value) == str(single.value) and got.value.row == 600
+    assert len(levi.classify_boundary_point(phi, pts[:600])) == 600
 
 
 def test_classify_function_reports_the_first_non_real_row():
