@@ -18,9 +18,8 @@ from .forms import (
 )
 from .levi import (
     LeviMatrix, Signature, FunctionClassification, BoundaryClassification,
-    levi_form, eig_signature, signature_oracle, tangent_frame,
-    tangent_restrict, restricted_levi_form, classify_function,
-    classify_boundary_point, sample_boundary, default_ztol,
+    eig_signature, signature_oracle, tangent_frame, restricted_levi_form,
+    classify_function, classify_boundary_point, sample_boundary, default_ztol,
 )
 from .hull import (
     Lambda, FamilyMember, HullProblem, HullResult, Thm2Report, BatchReport,
@@ -44,8 +43,8 @@ __all__ = [
     "residual_from_jet", "q_holo_residual", "q_holo_residuals",
     "minor_oracle_residual",
     "LeviMatrix", "Signature", "FunctionClassification",
-    "BoundaryClassification", "levi_form", "eig_signature", "signature_oracle",
-    "tangent_frame", "tangent_restrict", "restricted_levi_form",
+    "BoundaryClassification", "eig_signature", "signature_oracle",
+    "tangent_frame", "restricted_levi_form",
     "classify_function", "classify_boundary_point", "sample_boundary",
     "default_ztol",
     "Lambda", "FamilyMember", "HullProblem", "HullResult", "Thm2Report",

@@ -49,9 +49,10 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
-# Resource cap on the sampled point counts classify.boundary_samples and
-# points.random.count, as the hull grid has its 2M-point cap.
+# Resource caps: on every sampled count a config gives (thm2's batch configs
+# included), and on the points of a hull grid.
 MAX_SAMPLES = 100_000
+MAX_GRID = 2_000_000
 
 
 # Bound on config lengths (box and halfwidths), so twice one stays finite.
@@ -71,6 +72,13 @@ def _whole(value, what, lo=1, cap=math.inf):
     if value > cap:
         raise ConfigError(f"{what} must be at most {cap}, got {value!r}")
     return int(value)
+
+
+def _wholes(values, what, lo=1, cap=math.inf):
+    """A list of whole numbers in [lo, cap] from the config, as a tuple."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
+    return tuple(_whole(v, f"{what} entry", lo, cap) for v in values)
 
 
 def _seed(value, what="seed"):
@@ -234,7 +242,7 @@ def cmd_levi(cfg, out_dir, seed, tols):
         }
         expect = cfg.get("expect", {})
         if "signature" in expect:
-            want = tuple(int(v) for v in expect["signature"])
+            want = _wholes(expect["signature"], "expect.signature", lo=0)
             if sig.as_tuple() != want:
                 failures.append(
                     f"signature {sig.as_tuple()} != expected {want}")
@@ -260,9 +268,10 @@ def cmd_levi(cfg, out_dir, seed, tols):
             "overall": cls.overall_text,
         }
         expect = cfg.get("expect", {})
-        if "q" in expect and cls.overall_q != int(expect["q"]):
+        if "q" in expect and cls.overall_q != _whole(expect["q"], "expect.q"):
             failures.append(f"overall q {cls.overall_q} != expected {expect['q']}")
-        if "q_max" in expect and cls.overall_q > int(expect["q_max"]):
+        if "q_max" in expect and cls.overall_q > _whole(expect["q_max"],
+                                                        "expect.q_max"):
             failures.append(
                 f"overall q {cls.overall_q} > allowed maximum {expect['q_max']}")
     else:
@@ -304,12 +313,12 @@ def cmd_classify(cfg, out_dir, seed, tols):
     failures = []
     expect = cfg.get("expect", {})
     if "strict_q" in expect:
-        want = int(expect["strict_q"])
+        want = _whole(expect["strict_q"], "expect.strict_q")
         bad = sum(1 for q in strict_qs if q != want)
         if bad:
             failures.append(f"{bad}/{len(strict_qs)} points have strict q != {want}")
     if "strict_q_max" in expect:
-        cap = int(expect["strict_q_max"])
+        cap = _whole(expect["strict_q_max"], "expect.strict_q_max")
         bad = sum(1 for q in strict_qs if q is None or q > cap)
         if bad:
             failures.append(f"{bad}/{len(strict_qs)} points exceed strict q {cap}")
@@ -407,9 +416,7 @@ def _grid_candidates(n, spec):
     g = _require(spec, "grid", "candidates")
     center = _parse_point(g.get("center", [0.0] * n), n, "grid center")
     hw = _length(_require(g, "halfwidth", "grid"), "grid halfwidth")
-    per = int(_require(g, "per_axis", "grid"))
-    if per < 1:
-        raise ConfigError("per_axis must be >= 1")
+    per = _whole(_require(g, "per_axis", "grid"), "per_axis", cap=MAX_GRID)
     fixed = g.get("fixed_axes", {})
     known = {f"{part}{k + 1}" for k in range(n) for part in ("re", "im")}
     for key in fixed:
@@ -424,7 +431,7 @@ def _grid_candidates(n, spec):
             else:
                 axes.append(np.linspace(base - hw, base + hw, per))
     total = int(np.prod([len(a) for a in axes]))
-    if total > 2_000_000:
+    if total > MAX_GRID:
         raise ConfigError(f"grid has {total} points; fix more axes")
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -438,9 +445,19 @@ def _load_k_set(spec, n, base_dir):
         s = spec["sphere"]
         p = _parse_point(s.get("p", [0.0] * n), n, "sphere center")
         return hull.sample_sphere(n, p, float(_require(s, "r", "sphere")),
-                                  int(s.get("count", 100)),
+                                  _whole(s.get("count", 100), "sphere count",
+                                         cap=MAX_SAMPLES),
                                   _seed(s.get("seed", 0), "sphere seed"))
     raise ConfigError("K must be {'file': csv} or {'sphere': {...}}")
+
+
+def _key(x):
+    """Coordinates rounded to 12 decimals, kept where scaling by 1e12 overflows."""
+    with np.errstate(over="ignore"):
+        r = np.round(x, 12)
+    if r.size and (r.max() == np.inf or r.min() == -np.inf):
+        r = np.where(np.isinf(r), x, r)
+    return r
 
 
 def cmd_hull(cfg, out_dir, seed, tols):
@@ -470,19 +487,19 @@ def cmd_hull(cfg, out_dir, seed, tols):
     # A per-coordinate prefilter keeps the exact row check to the few
     # candidates that can match; rounding and == treat -0.0 as 0.0.  A binary
     # search of the sorted K column needs far less scratch memory than isin.
-    k_flat = np.round(K.view(float).reshape(len(K), -1), 12)
+    k_flat = _key(K.view(float).reshape(len(K), -1))
     k_rows = set(map(tuple, k_flat.tolist()))
     z_flat = Z.view(float).reshape(len(Z), -1)
     hit = np.ones(len(Z), dtype=bool)
     for c in range(z_flat.shape[1]):
         keys = np.sort(k_flat[:, c])
-        zc = np.round(z_flat[:, c], 12)
+        zc = _key(z_flat[:, c])
         idx = np.searchsorted(keys, zc)
         np.minimum(idx, len(keys) - 1, out=idx)
         hit &= keys[idx] == zc
     hits = np.flatnonzero(hit)
     k_in_z_ok = all(result.members[i] for i, row in zip(
-        hits.tolist(), np.round(z_flat[hits], 12).tolist()) if tuple(row) in k_rows)
+        hits.tolist(), _key(z_flat[hits]).tolist()) if tuple(row) in k_rows)
     excluded = result.margins[~result.members & ~result.singular]
     members = int(np.count_nonzero(result.members))
     summary = {
@@ -525,7 +542,8 @@ def cmd_thm2(cfg, out_dir, seed, tols):
                 Z = _load_points(zspec, n, cfg["_dir"])
             else:
                 Z = hull.sample_ball(n, p, r / np.sqrt(n) * (1 - 1e-12),
-                                     int(zspec.get("count", 50)),
+                                     _whole(zspec.get("count", 50), "z count",
+                                            cap=MAX_SAMPLES),
                                      _seed(zspec.get("seed", 0), "z seed"))
             rep = hull.theorem2_experiment(n, p, r, K, Z)
         except ValueError as e:
@@ -548,11 +566,11 @@ def cmd_thm2(cfg, out_dir, seed, tols):
         run_seed = _run_seed(seed, b if "seed" in b else cfg)
         try:
             rep = hull.run_theorem2_batch(
-                configs=int(b.get("configs", 1000)),
+                configs=_whole(b.get("configs", 1000), "configs", cap=MAX_SAMPLES),
                 seed=run_seed,
-                ns=tuple(int(v) for v in b.get("ns", (2, 3, 4))),
-                k_count=int(b.get("k_count", 200)),
-                z_count=int(b.get("z_count", 50)),
+                ns=_wholes(b.get("ns", [2, 3, 4]), "ns"),
+                k_count=_whole(b.get("k_count", 200), "k_count", cap=MAX_SAMPLES),
+                z_count=_whole(b.get("z_count", 50), "z_count", cap=MAX_SAMPLES),
                 r_range=tuple(float(v) for v in b.get("r_range", (0.1, 2.0))))
         except ValueError as e:
             raise ConfigError(str(e))

@@ -10,9 +10,10 @@ for values, for values and gradients (1-jets), or for 2-jets; single-point
 evaluation is a batch of one.  A 2-jet carries the whole Hessian through
 the tape, or only the mixed block h_zzb that Levi forms and residuals read.
 
-A divisor of modulus at most EPS_DIV = 1e-300 raises EvalError.  The guard
-is absolute: a divisor that is zero in exact arithmetic but cancels only to
-roundoff (say 1e-17) passes, and the quotient is as large as that makes it.
+A row fails at its first divisor of modulus at most EPS_DIV = 1e-300 in tape
+order, else at a non-finite result, and the other rows keep theirs bit for
+bit; eval_* raise the first failing row's EvalError, its index in `row`.  The
+guard is absolute: a divisor that cancels only to roundoff passes.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Numeric failure during evaluation (near-zero division, overflow)."""
+    """Numeric failure during evaluation (near-zero division, overflow) at
+    the batch row `row`."""
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -730,11 +732,6 @@ def _jet_exp(a, hb):
     return out + (None if inner is None else u[:, None, None] * inner,)
 
 
-def _divisor_check(d, node):
-    if np.any(np.abs(d) <= EPS_DIV):
-        raise EvalError(f"division by near-zero in '{to_text(node)}'")
-
-
 def _leaf(op, index_or_value, pts, order):
     """Values (order 0) or the batch jet of a constant or a coordinate."""
     m, n = pts.shape
@@ -761,7 +758,6 @@ def _value_op(op, payload, a, b=None):
     if op == _SUB:
         return a - b
     if op == _DIV:
-        _divisor_check(b, payload)
         return a / b
     if op == _NEG:
         return -a
@@ -778,7 +774,6 @@ def _jet_op(op, payload, hb, a, b=None):
     if op == _SUB:
         return tuple(_minus(x, y) for x, y in zip(a, b))
     if op == _DIV:
-        _divisor_check(b[0], payload)
         return _jet_product(a, _jet_reciprocal(b, hb), hb)
     if op == _NEG:
         return tuple(None if x is None else -x for x in a)
@@ -792,18 +787,33 @@ def _jet_shapes(n, order, hb):
     return [(), (2 * n,), tuple(len(range(2 * n)[s]) for s in hb)][:order + 1]
 
 
+def _near_zero(first_div, d, k):
+    """first_div, each row's first near-zero divisor (tape index, -1 for
+    none; None before any), updated with divisor d at tape index k."""
+    small = np.abs(d) <= EPS_DIV
+    if small.any():
+        if first_div is None:
+            first_div = np.full(len(d), -1)
+        first_div[small & (first_div < 0)] = k
+    return first_div
+
+
 def _run(tape, pts, order, hb=None):
     """Interpret the tape over the rows of pts: (m,) values at order 0, the
     batch jet (v, G) at order 1 or (v, G, H) at order 2, H the Hessian block
-    hb, with every block an array.  Raises EvalError at a near-zero divisor
-    in any row; overflow is left to the caller's finiteness check.
+    hb, with every block an array; and first_div (_near_zero).  Rows run on
+    past near-zero divisors, so callers ignore floating point errors.
 
     Operands reach each step only through the slots and the call's
     arguments, so a freed slot's arrays are released at once.
     """
     m, n = pts.shape
     slots = [None] * len(tape)
+    first_div = None
     for k, (op, args, payload, free) in enumerate(tape):
+        if op == _DIV:
+            first_div = _near_zero(
+                first_div, slots[args[1]][0] if order else slots[args[1]], k)
         if op <= _CVAR:
             slots[k] = _leaf(op, payload, pts, order)
         elif order:
@@ -813,9 +823,39 @@ def _run(tape, pts, order, hb=None):
         for a in free:
             slots[a] = None
     if not order:
-        return slots[-1]
+        return slots[-1], first_div
     return tuple(np.zeros((m,) + s, dtype=complex) if d is None else d
-                 for s, d in zip(_jet_shapes(n, order, hb), slots[-1]))
+                 for s, d in zip(_jet_shapes(n, order, hb), slots[-1])), first_div
+
+
+def _failures(e, tape, first_div, blocks, what):
+    """(bad rows, builder of the first bad row's EvalError), or (None, None);
+    a row is bad at a near-zero divisor or a non-finite entry of `blocks`.
+    The builder formats the message when called, `row` that row or `at`."""
+    if first_div is None and all(np.isfinite(b).all() for b in blocks):
+        return None, None
+    bad = np.logical_or.reduce(
+        [~np.isfinite(b).all(axis=tuple(range(1, b.ndim))) for b in blocks])
+    if first_div is not None:
+        bad |= first_div >= 0
+    row = int(np.argmax(bad))
+    k = -1 if first_div is None else int(first_div[row])
+
+    def error(at=row):
+        err = EvalError(f"division by near-zero in '{to_text(tape[k][2])}'" if k >= 0
+                        else f"non-finite {what} while evaluating '{to_text(e)}'")
+        err.row = at
+        return err
+
+    return bad, error
+
+
+def _raised(result):
+    """The result of a (result, bad rows, error builder) triple, or its error."""
+    out, _, error = result
+    if error is not None:
+        raise error()
+    return out
 
 
 def _as_point(z, n):
@@ -837,22 +877,22 @@ def _as_points(pts, n, finite=False):
 
 
 def _values(e, pts):
-    # overflow surfaces as a raised EvalError below, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _run(_tape(e), pts, 0)
-    if not np.all(np.isfinite(out)):
-        raise EvalError(f"non-finite value while evaluating '{to_text(e)}'")
-    return out
+    """(values, bad rows, error builder) of e at the rows of pts (_failures)."""
+    pts = _as_points(pts, e.n)
+    tape = _tape(e)
+    with np.errstate(all="ignore"):
+        v, first_div = _run(tape, pts, 0)
+    return (v, *_failures(e, tape, first_div, (v,), "value"))
 
 
 def eval_value(e: Expr, z) -> complex:
     """Evaluate just the value of e at point z (length-n complex vector)."""
-    return complex(_values(e, _as_point(z, e.n)[None, :])[0])
+    return complex(_raised(_values(e, _as_point(z, e.n)[None, :]))[0])
 
 
 def eval_batch(e: Expr, pts) -> np.ndarray:
     """Evaluate values of e at many points at once; pts has shape (m, n)."""
-    return _values(e, _as_points(pts, e.n))
+    return _raised(_values(e, pts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -880,40 +920,45 @@ class Jet2:
 
 
 def _jet_blocks(e, pts, order=2, mixed=False):
-    """Batch jets as read-only blocks, (value, g_z, g_zb) and at order 2 also
-    (h_zz, h_zzb, h_zbzb), or h_zzb alone when mixed; pts is an (m, n)
-    array."""
+    """(blocks, bad rows, error builder) of e at the rows of pts (_failures);
+    the read-only blocks are (value, g_z, g_zb) and at order 2 also (h_zz,
+    h_zzb, h_zbzb), or h_zzb alone when mixed."""
     n = e.n
+    pts = _as_points(pts, n, finite=True)
     tape = _tape(e)
     hb = (slice(0, n), slice(n, 2 * n)) if mixed else (slice(None),) * 2
     shapes = _jet_shapes(n, order, hb)
     rows = max(1, _HESSIAN_ENTRIES // math.prod(shapes[2]) if order == 2
                else _BUDGET // n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(pts) <= rows:
-            parts = _run(tape, pts, order, hb)
+    m = len(pts)
+    with np.errstate(all="ignore"):
+        if m <= rows:
+            parts, first_div = _run(tape, pts, order, hb)
         else:
-            m = len(pts)
             parts = [np.empty((m,) + s, dtype=complex) for s in shapes]
+            first_div = None
             for lo in range(0, m, rows):
-                for out, part in zip(parts, _run(tape, pts[lo:lo + rows], order, hb)):
+                chunk, div = _run(tape, pts[lo:lo + rows], order, hb)
+                for out, part in zip(parts, chunk):
                     out[lo:lo + rows] = part
+                del chunk       # hold no operands across the next _run
+                if div is not None:
+                    first_div = np.full(m, -1) if first_div is None else first_div
+                    first_div[lo:lo + rows] = div
     v, g = parts[:2]
     blocks = (v, g[:, :n], g[:, n:])
     if order == 2:
         h = parts[2]
         blocks += (h,) if mixed else (h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
-    if not all(np.all(np.isfinite(b)) for b in blocks):
-        raise EvalError(f"non-finite jet while evaluating '{to_text(e)}'")
     for b in blocks:
         b.flags.writeable = False
-    return blocks
+    return (blocks, *_failures(e, tape, first_div, blocks, "jet"))
 
 
 def eval_jet1_batch(e: Expr, pts) -> tuple:
     """The blocks (value, g_z, g_zb) of eval_jet2_batch(e, pts), bit for bit
     and with the same errors, without computing second derivatives."""
-    return _jet_blocks(e, _as_points(pts, e.n, finite=True), order=1)
+    return _raised(_jet_blocks(e, pts, order=1))
 
 
 def eval_jet2_batch(e: Expr, pts) -> tuple:
@@ -921,22 +966,23 @@ def eval_jet2_batch(e: Expr, pts) -> tuple:
 
     Returns the read-only blocks (value, g_z, g_zb, h_zz, h_zzb, h_zbzb) of
     Jet2 with a leading point axis: shapes (m,), (m, n) and (m, n, n).  Row k
-    equals eval_jet2(e, pts[k]) exactly.  A near-zero divisor or a non-finite
-    entry in any row raises EvalError; non-finite input raises ValueError.
+    equals eval_jet2(e, pts[k]) exactly.  The first row with a near-zero
+    divisor or a non-finite entry raises EvalError (module docstring);
+    non-finite input raises ValueError.
     """
-    return _jet_blocks(e, _as_points(pts, e.n, finite=True))
+    return _raised(_jet_blocks(e, pts))
 
 
 def eval_mixed_jet_batch(e: Expr, pts) -> tuple:
     """The blocks (value, g_z, g_zb, h_zzb) of eval_jet2_batch(e, pts), bit
     for bit, carrying only h_zzb through the tape.  The errors are the same,
-    except that a row where only h_zz or h_zbzb overflows does not raise."""
-    return _jet_blocks(e, _as_points(pts, e.n, finite=True), mixed=True)
+    except that a row where only h_zz or h_zbzb overflows does not fail."""
+    return _raised(_jet_blocks(e, pts, mixed=True))
 
 
 def eval_jet2(e: Expr, z) -> Jet2:
     """Exact forward-mode second-order Wirtinger jet of e at point z."""
-    v, *blocks = _jet_blocks(e, _as_point(z, e.n)[None, :])
+    v, *blocks = _raised(_jet_blocks(e, _as_point(z, e.n)[None, :]))
     return Jet2(complex(v[0]), *(b[0] for b in blocks))
 
 

@@ -227,28 +227,6 @@ def build_problem(n: int, K, Z, members, seed: int, tol: float = 1e-8) -> HullPr
     return HullProblem(n=n, K=K, Z=Z, family=tuple(fam))
 
 
-# Rows per evaluation when a candidate batch fails and the sweep looks for
-# the failing rows.
-_FALLBACK_ROWS = 256
-
-
-def _abs_values_by_chunk(e, Z, out, sing):
-    """|e| at the rows of Z into out, a chunk of rows at a time and row by
-    row inside a chunk that fails; a failing row gets nan and is marked in
-    sing."""
-    for lo in range(0, len(Z), _FALLBACK_ROWS):
-        hi = min(lo + _FALLBACK_ROWS, len(Z))
-        try:
-            out[lo:hi] = np.abs(ex.eval_batch(e, Z[lo:hi]))
-        except ex.EvalError:
-            for zi in range(lo, hi):
-                try:
-                    out[zi] = np.abs(ex.eval_value(e, Z[zi]))
-                except ex.EvalError:
-                    out[zi] = np.nan
-                    sing[zi] = True
-
-
 def discrete_hull(prob: HullProblem) -> HullResult:
     """Membership sweep: z stays iff every family member satisfies
     |f(z)| <= max over K of |f|.
@@ -264,10 +242,10 @@ def discrete_hull(prob: HullProblem) -> HullResult:
     cand_vals = np.empty((len(prob.family), m))
     sing = np.zeros(m, dtype=bool)
     for fi, mem in enumerate(prob.family):
-        try:
-            cand_vals[fi] = np.abs(ex.eval_batch(mem.expr, prob.Z))
-        except ex.EvalError:
-            _abs_values_by_chunk(mem.expr, prob.Z, cand_vals[fi], sing)
+        vals, bad, _ = ex._values(mem.expr, prob.Z)
+        cand_vals[fi] = np.abs(vals)
+        sing |= False if bad is None else bad
+        del vals, bad       # released before the next member is evaluated
 
     cand_vals -= np.array(k_maxima)[:, None]
     margins = np.where(sing, np.inf, np.max(cand_vals, axis=0))

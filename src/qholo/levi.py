@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalError, Expr, eval_jet1_batch, eval_jet2, eval_mixed_jet_batch
+from .expr import Expr, _jet_blocks, eval_mixed_jet_batch
+# Unused here; perfbench's tracer test still wraps this binding.
+from .expr import eval_jet2  # noqa: F401
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
-    "levi_form", "eig_signature", "signature_oracle", "tangent_frame",
-    "tangent_restrict", "restricted_levi_form", "classify_function",
-    "classify_boundary_point", "sample_boundary", "describe_q",
+    "eig_signature", "signature_oracle", "tangent_frame", "restricted_levi_form",
+    "classify_function", "classify_boundary_point", "sample_boundary",
 ]
 
 EPS_HERM = 1e-10
@@ -219,63 +220,10 @@ def tangent_frame(g, pivot: int = 0) -> np.ndarray:
     return _frame(g, norm, pivot)
 
 
-def _restrict(mat, frame):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.swapaxes(np.conj(frame), -1, -2) @ mat @ frame
-
-
-def tangent_restrict(h, g, pivot: int = 0) -> LeviMatrix:
-    """Restriction B* H B of a Levi form to the complex tangent space of g
-    (a matrix and a gradient, or stacks of both)."""
-    mat = _as_matrix(h)
-    b = tangent_frame(g, pivot=pivot)
-    if b.shape[-2] != mat.shape[-1]:
-        raise ValueError("gradient and matrix dimensions differ")
-    return LeviMatrix(_restrict(mat, b))
-
-
 def _not_real(values, imag_tol=1e-9):
     bad = np.abs(values.imag) > imag_tol * np.maximum(1.0, np.abs(values.real))
     return bad, lambda i: (f"function is not real-valued at the point: value "
                            f"{complex(np.ravel(values)[i])}")
-
-
-def levi_form(phi: Expr, z, imag_tol: float = 1e-9) -> LeviMatrix:
-    """Mixed Hessian block of a real-valued function at a point, symmetrized.
-
-    Raises ValueError when phi is not real-valued at z (relative imaginary
-    part above imag_tol): the Levi form of a non-real function has no
-    signature meaning.
-    """
-    j = eval_jet2(phi, z)
-    _raise_first([_not_real(np.asarray(j.value), imag_tol)], ())
-    return LeviMatrix(j.h_zzb)
-
-
-def _jets(phi, p):
-    """(value, g_z, h_zzb) of phi at a point (n,) or the rows of (m, n), and
-    the EvalError of the first row that fails to evaluate, if any; the
-    blocks then cover the rows before it.  A point is a batch of one."""
-    if p.ndim == 1:
-        *blocks, err = _jets(phi, p[None, :])
-        return (*(b[0] for b in blocks), err)
-    err = None
-    try:
-        b = eval_mixed_jet_batch(phi, p)
-    except EvalError as e:
-        err, lo, hi = e, 0, len(p)  # p[:lo] evaluates, p[:hi] raises err
-        while hi - lo > 1:          # a batch raises when one of its rows does
-            mid = (lo + hi) // 2
-            try:
-                eval_mixed_jet_batch(phi, p[:mid])
-                lo = mid
-            except EvalError as e:
-                err, hi = e, mid
-        err.row = lo                # the only raising row of p[:hi]
-        if lo == 0:
-            raise err
-        b = eval_mixed_jet_batch(phi, p[:lo])
-    return b[0], b[1], b[3], err
 
 
 def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
@@ -288,11 +236,22 @@ def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
     eps_bdry (p is not on the boundary), or when the gradient is degenerate;
     then the checks in _extra, per row.
     """
-    value, g, h_zzb, err = _jets(phi, np.asarray(p, dtype=complex))
+    p = np.asarray(p, dtype=complex)
+    (value, g, _, h_zzb), bad, error = _jet_blocks(
+        phi, p[None, :] if p.ndim == 1 else p, mixed=True)
+    if error is not None:           # check the rows before the first failure
+        first = int(np.argmax(bad))
+        if first == 0:
+            raise error()
+        value, g, h_zzb = value[:first], g[:first], h_zzb[:first]
+    if p.ndim == 1:                 # a point is a batch of one
+        value, g, h_zzb = value[0], g[0], h_zzb[0]
     h, h_bad = LeviMatrix._checked(h_zzb)
     norm = _norms(g)
     frame = _frame(g, norm)
-    restricted, r_bad = LeviMatrix._checked(_restrict(h.mat, frame))
+    with np.errstate(over="ignore", invalid="ignore"):
+        restricted, r_bad = LeviMatrix._checked(
+            np.swapaxes(np.conj(frame), -1, -2) @ h.mat @ frame)
     off = np.hypot(value.real, value.imag)      # abs() of one complex, bit for bit
     _raise_first([
         _not_real(value), (h_bad, lambda i: _NON_FINITE),
@@ -300,15 +259,9 @@ def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
                                    f"{float(np.ravel(off)[i]):.3e} > {eps_bdry}"),
         *_gradient_checks(norm, g.shape[-1]), (r_bad, lambda i: _NON_FINITE),
         *_extra], value.shape)
-    if err is not None:
-        raise err
+    if error is not None:
+        raise error()
     return g, frame, restricted
-
-
-def describe_q(q: int, n: int) -> str:
-    if q > n:
-        return f"not q-convex for any q <= {n}"
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -324,7 +277,8 @@ class FunctionClassification:
 
     @property
     def overall_text(self):
-        return describe_q(self.overall_q, self.n)
+        q, n = self.overall_q, self.n
+        return str(q) if q <= n else f"not q-convex for any q <= {n}"
 
 
 def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionClassification:
@@ -397,13 +351,21 @@ def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
 
 def _project(phi, z, eps_bdry, max_iter, cap):
     """Damped zero-finding steps on the rows of z, in place, all live rows at
-    once; returns which rows converged."""
+    once; a row that fails to evaluate leaves them.  Returns the converged and
+    failed masks and the error builder of the lowest failed row, or None."""
     converged = np.zeros(len(z), dtype=bool)
+    failed = np.zeros(len(z), dtype=bool)
+    error = None
     live = np.arange(len(z))
     for _ in range(max_iter):
         if live.size == 0:
             break
-        value, g, _ = eval_jet1_batch(phi, z[live])
+        (value, g, _), bad, fail = _jet_blocks(phi, z[live], order=1)
+        if fail is not None:
+            if not failed[:live[np.argmax(bad)]].any():     # lowest so far
+                error = fail
+            failed[live[bad]] = True
+            live, value, g = live[~bad], value[~bad], g[~bad]
         done = np.abs(value) <= eps_bdry
         converged[live[done]] = True
         gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
@@ -415,7 +377,7 @@ def _project(phi, z, eps_bdry, max_iter, cap):
         long_ = slen > cap
         step[long_] *= (cap / slen[long_])[:, None]
         z[live] = z[live] - step
-    return converged
+    return converged, failed, error
 
 
 def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
@@ -430,11 +392,10 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
     discarded.  The result is the first `count` converged draws in draw
     order, and sampling stalls (RuntimeError) when 60 * count draws yield
     fewer.  Draws run in blocks, each Newton step over all live draws of a
-    block at once and on values and gradients only (eval_jet1_batch); the
-    generator is deterministic in `seed`.  A block may
-    hold draws past the count-th convergence; when the block raises
-    EvalError its draws are redone one at a time up to that convergence, so
-    only a draw the sampler needs can raise.
+    block at once and on values and gradients only (as eval_jet1_batch); the
+    generator is deterministic in `seed`.  A draw that fails to evaluate
+    raises its EvalError (`row` its index in draw order) only when it comes
+    before the count-th converged draw.
     """
     n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
@@ -457,15 +418,11 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
         drawn += block
         x = rng.uniform(-box, box, size=(block, 2 * n))
         z = center + x[:, :n] + 1j * x[:, n:]
-        try:
-            converged = _project(phi, z, eps_bdry, max_iter, cap)
-        except EvalError:
-            z = center + x[:, :n] + 1j * x[:, n:]
-            converged = np.zeros(block, dtype=bool)
-            for i in range(block):
-                converged[i] = _project(phi, z[i:i + 1], eps_bdry, max_iter, cap)[0]
-                if converged[i] and np.count_nonzero(converged) == need:
-                    break
-        out.extend(z[np.flatnonzero(converged)[:need]])
+        converged, failed, error = _project(phi, z, eps_bdry, max_iter, cap)
+        kept = np.flatnonzero(converged)[:need]
+        first = int(np.argmax(failed))      # the lowest failed draw, if any
+        if error is not None and (len(kept) < need or first < kept[-1]):
+            raise error(drawn - block + first)
+        out.extend(z[kept])
     return np.array(out)
 

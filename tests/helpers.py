@@ -16,7 +16,7 @@ from qholo.expr import Jet2
 from qholo.fileio import _csv_header
 from qholo.forms import q_holo_residual
 from qholo.hull import _REL_GUARD, Thm2Report, _align
-from qholo.levi import EPS_BDRY, EPS_GRAD, _as_matrix
+from qholo.levi import EPS_BDRY, EPS_GRAD, LeviMatrix, _as_matrix, tangent_frame
 
 
 def _re(e):
@@ -121,6 +121,27 @@ def random_pair(rng, n_max=4, depth_max=6, allow_div=True):
         z = rng.uniform(-1.0, 1.0, size=n) + 1j * rng.uniform(-1.0, 1.0, size=n)
         if _well_conditioned(e, z, rng):
             return e, z
+
+
+def levi_form(phi, z, imag_tol=1e-9):
+    """Mixed Hessian block of a real-valued function at a point, from its
+    full scalar 2-jet; ValueError when phi is not real-valued at z.  With
+    tangent_restrict, the oracle for levi.restricted_levi_form."""
+    j = ex.eval_jet2(phi, z)
+    if not j.is_real_valued(imag_tol):
+        raise ValueError(f"function is not real-valued at the point: value {j.value}")
+    return LeviMatrix(j.h_zzb)
+
+
+def tangent_restrict(h, g, pivot=0):
+    """Restriction B* H B of a Levi form to the complex tangent space of g
+    (a matrix and a gradient, or stacks of both), B = tangent_frame(g)."""
+    mat = _as_matrix(h)
+    b = tangent_frame(g, pivot=pivot)
+    if b.shape[-2] != mat.shape[-1]:
+        raise ValueError("gradient and matrix dimensions differ")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return LeviMatrix(np.swapaxes(np.conj(b), -1, -2) @ mat @ b)
 
 
 def random_hermitian(rng, m, scale=1.0):
@@ -387,7 +408,8 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
                               max_iter=100, center=None):
     """Scalar reference for levi.sample_boundary: one draw at a time, one
     value-and-gradient evaluation per Newton step, the same rng stream and
-    acceptance rule."""
+    acceptance rule.  A draw that fails to evaluate raises, with its index
+    in draw order in the error's `row`."""
     n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
     if center is None:
@@ -404,22 +426,26 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
                 f"{attempts} draws")
         x = rng.uniform(-box, box, size=2 * n)
         z = center + x[:n] + 1j * x[n:]
-        for _ in range(max_iter):
-            value, g = _value_and_gradient(phi, z)
-            if abs(value) <= eps_bdry:
-                break
-            gn2 = float(np.vdot(g, g).real)
-            if gn2 <= EPS_GRAD ** 2:
-                break
-            step = value.real * np.conj(g) / (2.0 * gn2)
-            slen = float(np.linalg.norm(step))
-            if slen > cap:
-                step *= cap / slen
-            z = z - step
-        else:
-            continue
-        if abs(_value_and_gradient(phi, z)[0]) <= eps_bdry:
-            out.append(z)
+        try:
+            for _ in range(max_iter):
+                value, g = _value_and_gradient(phi, z)
+                if abs(value) <= eps_bdry:
+                    break
+                gn2 = float(np.vdot(g, g).real)
+                if gn2 <= EPS_GRAD ** 2:
+                    break
+                step = value.real * np.conj(g) / (2.0 * gn2)
+                slen = float(np.linalg.norm(step))
+                if slen > cap:
+                    step *= cap / slen
+                z = z - step
+            else:
+                continue
+            if abs(_value_and_gradient(phi, z)[0]) <= eps_bdry:
+                out.append(z)
+        except ex.EvalError as err:
+            err.row = attempts - 1      # the draw's index in draw order
+            raise
     return np.array(out)
 
 
@@ -691,7 +717,8 @@ def _dense_op(op, payload, a, b=None):
     if op == ex._SUB:
         return tuple(x - y for x, y in zip(a, b))
     if op == ex._DIV:
-        ex._divisor_check(b[0], payload)
+        if np.any(np.abs(b[0]) <= ex.EPS_DIV):
+            raise ex.EvalError(f"division by near-zero in '{ex.to_text(payload)}'")
         return _dense_product(a, _dense_reciprocal(b))
     if op == ex._NEG:
         return tuple(-x for x in a)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -732,6 +733,80 @@ def test_non_integer_q_n_or_lambda_count_is_config_error(tmp_path, capsys, site,
         cfg = _hull_cfg()
         cfg["family"][0]["lambda_count"] = value
         _assert_config_error(tmp_path, capsys, "hull", cfg)
+
+
+_LEVI_FUNCTION = {"n": 2, "function": "abs2(z1)+abs2(z2)",
+                  "points": {"random": {"count": 10, "seed": 1}}}
+_CLASSIFY = {"n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": 4}
+_THM2_BATCH = {"configs": 2, "ns": [2], "k_count": 5, "z_count": 5}
+
+
+def _whole_key_config(site, value):
+    """(command, config) with value at one config key read as an integer."""
+    if site == "signature":
+        return "levi", {"matrix": [["1+0i"]], "expect": {"signature": [value, 0, 0]}}
+    if site in ("q", "q_max"):
+        return "levi", dict(_LEVI_FUNCTION, expect={site: value})
+    if site in ("strict_q", "strict_q_max"):
+        return "classify", dict(_CLASSIFY, expect={site: value})
+    if site in ("per_axis", "sphere-count"):
+        cfg = _hull_cfg()
+        if site == "per_axis":
+            cfg["candidates"]["grid"]["per_axis"] = value
+        else:
+            cfg["K"]["sphere"]["count"] = value
+        return "hull", cfg
+    if site == "z-count":
+        cfg = _thm2_single_cfg()
+        cfg["single"]["z"]["count"] = value
+        return "thm2", cfg
+    return "thm2", {"batch": dict(_THM2_BATCH, **{site: [value] if site == "ns" else value})}
+
+
+_COUNT_SITES = ["per_axis", "sphere-count", "z-count", "configs", "k_count", "z_count"]
+
+
+@pytest.mark.parametrize("value", [2.9, True, "2", float("nan")],
+                         ids=["fraction", "bool", "string", "nan"])
+@pytest.mark.parametrize("site", ["signature", "q", "q_max", "strict_q",
+                                  "strict_q_max", "ns", *_COUNT_SITES])
+def test_non_integer_expectation_or_count_is_config_error(tmp_path, capsys, site, value):
+    # read through int(), each of these ran as a truncated integer
+    _assert_config_error(tmp_path, capsys, *_whole_key_config(site, value))
+
+
+@pytest.mark.parametrize("site", _COUNT_SITES)
+def test_count_past_its_cap_is_config_error(tmp_path, capsys, site):
+    _assert_config_error(tmp_path, capsys, *_whole_key_config(site, 2 ** 40))
+
+
+def test_hull_with_huge_coordinates_raises_no_warning(tmp_path):
+    # a grid centred at 1e308: the K-in-Z check rounds its coordinates, and
+    # no numpy overflow warning may reach stderr
+    cfg = _hull_cfg()
+    cfg["candidates"]["grid"]["center"] = ["1e308+0i", "1e308+0i"]
+    path = _write(tmp_path, "h.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hull", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = _read_json(tmp_path / "out", "hull_summary.json")
+    assert summary["candidates"] == 5 and summary["k_in_z_all_member"] is True
+
+
+def test_k_in_z_check_keeps_huge_coordinates_apart(tmp_path):
+    # the K point 1e300 is not the candidate 2e300 (no member), though
+    # scaling both by 1e12 to round them overflows to inf
+    fileio.write_points_csv(str(tmp_path / "k.csv"), np.array([[1e300, 0]], dtype=complex))
+    _write(tmp_path, "fam.json", {"n": 2, "expr": "z1", "q": 1})
+    path = _write(tmp_path, "h.json", {
+        "n": 2, "family": ["fam.json"], "K": {"file": "k.csv"},
+        "candidates": {"grid": {"center": ["2e300+0i", "0+0i"], "halfwidth": 0.5,
+                                 "per_axis": 1}}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hull", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = _read_json(tmp_path / "out", "hull_summary.json")
+    assert summary["members"] == 0 and summary["k_in_z_all_member"] is True
 
 
 def test_string_names_reach_the_reports(tmp_path):

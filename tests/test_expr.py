@@ -1,4 +1,6 @@
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -411,6 +413,48 @@ def test_jet2_batch_with_a_pole_raises():
         ex.eval_jet2_batch(e, pts)
     with pytest.raises(ex.EvalError):
         ex.eval_batch(e, pts)
+
+
+def test_batch_error_is_the_first_failing_rows():
+    # row 0 fails at 1/z2 only, row 1 at 1/z1 only: the error is row 0's,
+    # though 1/z1 comes first in tape order
+    e = ex.parse("1/z1+1/z2", 2)
+    pts = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    for fn in (ex.eval_batch, ex.eval_jet1_batch, ex.eval_jet2_batch,
+               ex.eval_mixed_jet_batch):
+        with pytest.raises(ex.EvalError) as got:
+            fn(e, pts)
+        assert str(got.value) == "division by near-zero in '1/z2'"
+        assert got.value.row == 0
+    for fn in (ex.eval_value, ex.eval_jet2):
+        with pytest.raises(ex.EvalError) as got:
+            fn(e, pts[1])
+        assert str(got.value) == "division by near-zero in '1/z1'"
+        assert got.value.row == 0
+
+
+def test_failing_rows_leave_the_others_bit_for_bit():
+    # rows fail at a divisor, by overflow, or both; every other row keeps
+    # what it evaluates to alone, and failing rows raise no numpy warning
+    e = ex.parse("exp(z2)/z1+z1*conj(z2)", 2)
+    pts = np.array([[1.0, 0.5j], [0.0, 1.0], [0.3, 800.0], [0.0, 900.0],
+                    [-0.2j, 0.1]], dtype=complex)
+    evaluations = [(ex._values, ex.eval_batch),
+                   (partial(ex._jet_blocks, order=1), ex.eval_jet1_batch),
+                   (ex._jet_blocks, ex.eval_jet2_batch),
+                   (partial(ex._jet_blocks, mixed=True), ex.eval_mixed_jet_batch)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for masked, public in evaluations:
+            got, bad, error = masked(e, pts)
+            assert bad.tolist() == [False, True, True, True, False]
+            assert error().row == 1
+            got = got if isinstance(got, tuple) else (got,)
+            for i in (0, 4):
+                want = public(e, pts[i:i + 1])
+                want = want if isinstance(want, tuple) else (want,)
+                for a, b in zip(got, want, strict=True):
+                    assert _same_bits(a[i], b[0])
 
 
 def test_deep_tree_evaluates_without_recursion():

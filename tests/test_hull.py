@@ -233,14 +233,14 @@ def test_hull_marks_singular_candidates():
 
 
 def test_hull_poles_on_a_grid_of_several_chunks():
-    # poles in the first, a middle and the last (partial) chunk of the
-    # fallback sweep; every other row keeps its row-by-row margin
+    # poles near the start, the middle and the end of a grid of several
+    # hundred rows; every other row keeps its row-by-row margin
     lam = hull.Lambda([1.0, 1.0])
     p = np.array([0.25 + 0j, -0.5j])
     rng = np.random.default_rng(4)
-    m = 3 * hull._FALLBACK_ROWS + 17
+    m = 3 * 256 + 17
     Z = p + rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
-    poles = [3, hull._FALLBACK_ROWS + 5, m - 1]
+    poles = [3, 256 + 5, m - 1]
     Z[poles] = p
     f = hull.basener_expr(lam, p, 2)
     prob = hull.build_problem(2, _disc_points(16), Z, [(f, 2, "f", p)], seed=0)
@@ -250,6 +250,54 @@ def test_hull_poles_on_a_grid_of_several_chunks():
     want = [np.abs(ex.eval_value(f, Z[i])) - res.k_maxima[0] for i in rows]
     assert [res.margins[i] for i in rows] == want
     assert all(res.margins[i] == np.inf for i in poles)
+
+
+def _singular_grid_problem(m, pole_share, seed):
+    # two members with the pole p; rows at p and at offsets of 1e-320 and
+    # 1e-160 (squared norm at most EPS_DIV) are singular, rows at 1e-140
+    # (values near 1e140) and at ordinary offsets are not
+    p = np.array([0.25 + 0j, 0j])
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([0.0, 1e-320, 1e-160, 1e-140, 1.0], size=(m, 1),
+                       p=[pole_share / 3] * 3 + [(1 - pole_share) / 2] * 2)
+    Z = p + scale * (rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2)))
+    members = [(hull.basener_expr(hull.Lambda(lam), p, 2), 2, f"f{i}", p)
+               for i, lam in enumerate(([1.0, 1.0], [1j, -1.0]))]
+    return hull.build_problem(2, _disc_points(16), Z, members, seed=0)
+
+
+def test_mostly_singular_grid_matches_row_by_row_evaluation():
+    prob = _singular_grid_problem(500, 0.9, seed=6)
+    res = hull.discrete_hull(prob)
+    want_sing, want_margin = [], []
+    for z in prob.Z:
+        try:
+            vals = [np.abs(ex.eval_value(mem.expr, z)) - k
+                    for mem, k in zip(prob.family, res.k_maxima)]
+        except ex.EvalError:
+            want_sing.append(True)
+            want_margin.append(np.inf)
+            continue
+        want_sing.append(False)
+        want_margin.append(max(vals))
+    assert 0 < sum(not s for s in want_sing) < 0.2 * len(prob.Z)
+    assert res.singular.tolist() == want_sing
+    assert res.margins.tolist() == want_margin
+
+
+def test_all_singular_grid_evaluates_each_member_once(monkeypatch):
+    # the sweep's work is bounded without a clock: one interpreter run per
+    # member over the candidates, and no error text formatted
+    prob = _singular_grid_problem(2000, 1.0, seed=7)
+    runs, texts = [], []
+    run, to_text = ex._run, ex.to_text
+    monkeypatch.setattr(ex, "_run", lambda tape, pts, *a: runs.append(len(pts))
+                        or run(tape, pts, *a))
+    monkeypatch.setattr(ex, "to_text", lambda e: texts.append(e) or to_text(e))
+    res = hull.discrete_hull(prob)
+    assert res.singular.all()
+    assert runs.count(len(prob.Z)) == len(prob.family) and len(runs) == 2 * len(prob.family)
+    assert texts == []
 
 
 def test_hull_excludes_punctured_inner_ball():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    jacobi_eigh, random_hermitian, random_unitary, sample_boundary_reference,
-    tangent_frame_reference,
+    jacobi_eigh, levi_form, random_hermitian, random_unitary,
+    sample_boundary_reference, tangent_frame_reference, tangent_restrict,
 )
 from qholo import expr as ex
 from qholo import levi
@@ -13,26 +13,26 @@ from qholo.peak import ModelDomain
 
 
 def test_levi_form_identity():
-    h = levi.levi_form(ex.parse("abs2(z1)+abs2(z2)", 2),
+    h = levi_form(ex.parse("abs2(z1)+abs2(z2)", 2),
                        np.array([0.3 + 0.4j, -1.0 + 0.2j]))
     assert np.array_equal(h.mat, np.eye(2))
 
 
 def test_levi_form_pluriharmonic_is_zero():
-    h = levi.levi_form(ex.parse("(z1^2+conj(z1)^2)/2", 1),
+    h = levi_form(ex.parse("(z1^2+conj(z1)^2)/2", 1),
                        np.array([0.7 - 0.3j]))
     assert np.array_equal(h.mat, np.zeros((1, 1)))
 
 
 def test_levi_form_indefinite():
-    h = levi.levi_form(ex.parse("abs2(z1)+abs2(z2)-abs2(z3)", 3),
+    h = levi_form(ex.parse("abs2(z1)+abs2(z2)-abs2(z3)", 3),
                        np.array([1.0 + 0j, 2.0 + 0j, -1.0 + 1j]))
     assert np.array_equal(h.mat, np.diag([1.0, 1.0, -1.0]))
 
 
 def test_levi_form_rejects_non_real():
     with pytest.raises(ValueError, match="real-valued"):
-        levi.levi_form(ex.parse("z1", 1), np.array([0.5 + 0.5j]))
+        levi_form(ex.parse("z1", 1), np.array([0.5 + 0.5j]))
 
 
 def test_levi_matrix_symmetrizes_and_reports():
@@ -114,13 +114,13 @@ def test_jacobi_diagonalizes():
 
 
 def test_tangent_restrict_sphere():
-    out = levi.tangent_restrict(levi.LeviMatrix(np.eye(3)),
+    out = tangent_restrict(levi.LeviMatrix(np.eye(3)),
                                 np.array([1.0 + 0j, 0, 0]))
     assert np.allclose(out.mat, np.eye(2), atol=1e-14)
 
 
 def test_tangent_restrict_indefinite():
-    out = levi.tangent_restrict(levi.LeviMatrix(np.diag([1.0, 1.0, -1.0])),
+    out = tangent_restrict(levi.LeviMatrix(np.diag([1.0, 1.0, -1.0])),
                                 np.array([1.0 + 0j, 0, 0]))
     assert np.allclose(out.mat, np.diag([1.0, -1.0]), atol=1e-14)
 
@@ -128,13 +128,13 @@ def test_tangent_restrict_indefinite():
 def test_tangent_restrict_axis_aligned_deletes_row_column():
     rng = np.random.default_rng(23)
     h = random_hermitian(rng, 4)
-    out = levi.tangent_restrict(levi.LeviMatrix(h), np.eye(4, dtype=complex)[0])
+    out = tangent_restrict(levi.LeviMatrix(h), np.eye(4, dtype=complex)[0])
     assert np.allclose(out.mat, levi.LeviMatrix(h).mat[1:, 1:], atol=1e-14)
 
 
 def test_tangent_restrict_rejects_degenerate_gradient():
     with pytest.raises(ValueError):
-        levi.tangent_restrict(levi.LeviMatrix(np.eye(2)),
+        tangent_restrict(levi.LeviMatrix(np.eye(2)),
                               np.array([1e-12 + 0j, 0.0 + 0j]))
 
 
@@ -144,8 +144,8 @@ def test_tangent_restrict_hermitian_and_pivot_independent():
         m = int(rng.integers(2, 6))
         h = levi.LeviMatrix(random_hermitian(rng, m))
         g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        out0 = levi.tangent_restrict(h, g, pivot=0)
-        out1 = levi.tangent_restrict(h, g, pivot=m - 1)
+        out0 = tangent_restrict(h, g, pivot=0)
+        out1 = tangent_restrict(h, g, pivot=m - 1)
         assert np.linalg.norm(out0.mat - out0.mat.conj().T) <= 1e-13
         a = levi.eig_signature(out0, 1e-8)
         b = levi.eig_signature(out1, 1e-8)
@@ -218,9 +218,9 @@ def test_block_signature_fixture_matches_oracle():
         z3 = 0.4 * (rng.standard_normal() + 1j * rng.standard_normal())
         p = np.array([*(w * np.sqrt(1 + abs(z3) ** 2)), z3])
         c = levi.classify_boundary_point(phi, p, eps_bdry=1e-8)
-        h = levi.levi_form(phi, p)
+        h = levi_form(phi, p)
         g = np.asarray(c.gradient)
-        oracle = levi.signature_oracle(levi.tangent_restrict(h, g), 1e-8)
+        oracle = levi.signature_oracle(tangent_restrict(h, g), 1e-8)
         assert c.restricted.as_tuple() == oracle.as_tuple()
         assert c.strict_q == 3 - oracle.n_pos
         found += 1
@@ -428,8 +428,7 @@ _SPHERE2_RAISING = ex.parse("abs2(z1)+abs2(z2)-1+0*(1/exp(-20*abs2(z1-2)))", 2)
 
 def test_sample_boundary_raises_only_for_draws_it_needs():
     # seed 9: the reference stops before its first raising draw, but a later
-    # block, sized by the acceptance rate, holds one and is redone draw by
-    # draw
+    # block, sized by the acceptance rate, holds one past the draws it needs
     kwargs = {"count": 5, "seed": 9, "max_iter": 5}
     got = levi.sample_boundary(_SPHERE2_RAISING, **kwargs)
     want = sample_boundary_reference(_SPHERE2_RAISING, **kwargs)
@@ -443,25 +442,33 @@ def test_sample_boundary_raises_only_for_draws_it_needs():
         levi.sample_boundary(_SPHERE2_RAISING, **kwargs)
 
 
-def test_sample_boundary_redoes_a_raising_block_from_its_draws(monkeypatch):
-    # the first block raises at its second Newton step; redone from the
-    # draws' starting points, no draw gets more than max_iter steps
-    batch = levi.eval_jet1_batch
-    calls = []
+def test_sample_boundary_raises_only_for_failed_draws_before_the_last_needed(monkeypatch):
+    # seed 2, count 5: the second block's failed draws all come after its
+    # fifth convergence, so the sampler does not raise; count 10 needs more
+    # of that block and reaches a failed draw; seed 6 ends on a block with
+    # a failed draw and no convergence.  The error's row is the draw index.
+    project, blocks = levi._project, []
 
-    def raises_once(phi, pts):
-        calls.append(len(pts))
-        if len(calls) == 2:
-            assert len(pts) > 1
-            raise ex.EvalError("injected")
-        return batch(phi, pts)
+    def spy(*args):
+        converged, failed, error = project(*args)
+        blocks.append((np.flatnonzero(converged), np.flatnonzero(failed)))
+        return converged, failed, error
 
-    monkeypatch.setattr(levi, "eval_jet1_batch", raises_once)
-    kwargs = {"count": 30, "seed": 4, "max_iter": 4}
-    got = levi.sample_boundary(_sphere(2), **kwargs)
-    want = sample_boundary_reference(_sphere(2), **kwargs)
-    assert got.shape == want.shape
+    monkeypatch.setattr(levi, "_project", spy)
+    kwargs = {"count": 5, "seed": 2, "max_iter": 5}
+    got = levi.sample_boundary(_SPHERE2_RAISING, **kwargs)
+    want = sample_boundary_reference(_SPHERE2_RAISING, **kwargs)
     assert float(np.max(np.abs(got - want))) <= 1e-12
+    converged, failed = blocks[-1]
+    assert failed.size and failed.min() > converged[4]
+    for count, seed, row in ((10, 2, 37), (10, 6, 78)):
+        kwargs = {"count": count, "seed": seed, "max_iter": 5}
+        with pytest.raises(ex.EvalError) as want:
+            sample_boundary_reference(_SPHERE2_RAISING, **kwargs)
+        with pytest.raises(ex.EvalError) as got:
+            levi.sample_boundary(_SPHERE2_RAISING, **kwargs)
+        assert got.value.row == want.value.row == row
+        assert str(got.value) == str(want.value)
 
 
 def test_default_ztol_scales():
