@@ -55,7 +55,8 @@ MAX_SAMPLES = 100_000
 MAX_GRID = 2_000_000
 
 
-# Bound on config lengths (box and halfwidths), so twice one stays finite.
+# Bound on config lengths and scales (box, halfwidths, radii, peak c), so twice
+# one stays finite.
 MAX_LENGTH = 1e300
 
 
@@ -74,11 +75,11 @@ def _whole(value, what, lo=1, cap=math.inf):
     return int(value)
 
 
-def _wholes(values, what, lo=1, cap=math.inf):
-    """A list of whole numbers in [lo, cap] from the config, as a tuple."""
+def _each(read, values, what, **limits):
+    """read(entry, what, **limits) of each entry of a config list, as a tuple."""
     if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list of integers, got {values!r}")
-    return tuple(_whole(v, f"{what} entry", lo, cap) for v in values)
+        raise ConfigError(f"{what} must be a list, got {values!r}")
+    return tuple(read(v, f"{what} entry", **limits) for v in values)
 
 
 def _seed(value, what="seed"):
@@ -90,8 +91,15 @@ def _run_seed(override, cfg):
     return _seed(cfg.get("seed", 0) if override is None else override)
 
 
+def _finite(value, what):
+    """A finite number from the config."""
+    if not _is_number(value) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _length(value, what, zero_ok=False):
-    """A length from the config: a number in (0, MAX_LENGTH], or in
+    """A length or scale from the config: a number in (0, MAX_LENGTH], or in
     [0, MAX_LENGTH] when zero_ok."""
     if (not _is_number(value) or not value <= MAX_LENGTH
             or not (value >= 0 if zero_ok else value > 0)):
@@ -145,12 +153,7 @@ def _tol(name, overrides, cfg, default):
     """The --tol override, else the config's finite number, else default."""
     if name in overrides:
         return overrides[name]
-    if name not in cfg:
-        return default
-    value = cfg[name]
-    if not _is_number(value) or not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return _finite(cfg[name], name) if name in cfg else default
 
 
 def _jnums(values):
@@ -242,7 +245,7 @@ def cmd_levi(cfg, out_dir, seed, tols):
         }
         expect = cfg.get("expect", {})
         if "signature" in expect:
-            want = _wholes(expect["signature"], "expect.signature", lo=0)
+            want = _each(_whole, expect["signature"], "expect.signature", lo=0)
             if sig.as_tuple() != want:
                 failures.append(
                     f"signature {sig.as_tuple()} != expected {want}")
@@ -418,6 +421,8 @@ def _grid_candidates(n, spec):
     hw = _length(_require(g, "halfwidth", "grid"), "grid halfwidth")
     per = _whole(_require(g, "per_axis", "grid"), "per_axis", cap=MAX_GRID)
     fixed = g.get("fixed_axes", {})
+    if not isinstance(fixed, dict):
+        raise ConfigError(f"fixed_axes must be an object, got {fixed!r}")
     known = {f"{part}{k + 1}" for k in range(n) for part in ("re", "im")}
     for key in fixed:
         if key not in known:
@@ -427,7 +432,7 @@ def _grid_candidates(n, spec):
         for part, base in (("re", center[k].real), ("im", center[k].imag)):
             axis = f"{part}{k + 1}"
             if axis in fixed:
-                axes.append(np.array([float(fixed[axis])]))
+                axes.append(np.array([_finite(fixed[axis], f"fixed axis {axis}")]))
             else:
                 axes.append(np.linspace(base - hw, base + hw, per))
     total = int(np.prod([len(a) for a in axes]))
@@ -444,7 +449,8 @@ def _load_k_set(spec, n, base_dir):
     if "sphere" in spec:
         s = spec["sphere"]
         p = _parse_point(s.get("p", [0.0] * n), n, "sphere center")
-        return hull.sample_sphere(n, p, float(_require(s, "r", "sphere")),
+        r = _length(_require(s, "r", "sphere"), "sphere r")
+        return hull.sample_sphere(n, p, r,
                                   _whole(s.get("count", 100), "sphere count",
                                          cap=MAX_SAMPLES),
                                   _seed(s.get("seed", 0), "sphere seed"))
@@ -532,7 +538,7 @@ def cmd_thm2(cfg, out_dir, seed, tols):
         s = cfg["single"]
         n = _whole(_require(s, "n", "single"), "n")
         p = _parse_point(_require(s, "p", "single"), n, "center")
-        r = float(_require(s, "r", "single"))
+        r = _length(_require(s, "r", "single"), "r")
         K = _load_k_set(_require(s, "K", "single"), n, cfg["_dir"])
         zspec = _require(s, "z", "single")
         if not isinstance(zspec, dict):
@@ -568,10 +574,11 @@ def cmd_thm2(cfg, out_dir, seed, tols):
             rep = hull.run_theorem2_batch(
                 configs=_whole(b.get("configs", 1000), "configs", cap=MAX_SAMPLES),
                 seed=run_seed,
-                ns=_wholes(b.get("ns", [2, 3, 4]), "ns"),
+                ns=_each(_whole, b.get("ns", [2, 3, 4]), "ns"),
                 k_count=_whole(b.get("k_count", 200), "k_count", cap=MAX_SAMPLES),
                 z_count=_whole(b.get("z_count", 50), "z_count", cap=MAX_SAMPLES),
-                r_range=tuple(float(v) for v in b.get("r_range", (0.1, 2.0))))
+                # run_theorem2_batch checks for a pair with lo <= hi
+                r_range=_each(_length, b.get("r_range", [0.1, 2.0]), "r_range"))
         except ValueError as e:
             raise ConfigError(str(e))
         report = {
@@ -601,8 +608,8 @@ def _load_domain(spec, base_dir):
             n = _whole(_require(spec, "n", "domain"), "n")
             center = (_parse_point(spec["center"], n) if "center" in spec
                       else None)
-            return peak.ModelDomain.ball(n, radius=float(spec.get("radius", 1.0)),
-                                         center=center)
+            radius = _length(spec.get("radius", 1.0), "domain radius")
+            return peak.ModelDomain.ball(n, radius=radius, center=center)
         if model == "ellipsoid":
             a = _require(spec, "a", "domain")
             b = spec.get("b", [0.0] * len(a))
@@ -612,10 +619,10 @@ def _load_domain(spec, base_dir):
         n = _whole(_require(spec, "n", "domain"), "n")
         phi = _parse_expr(_require(spec, "defining", "domain"), n)
         return peak.ModelDomain.from_expr(
-            n, phi, float(_require(spec, "box", "domain")),
+            n, phi, _length(_require(spec, "box", "domain"), "domain box"),
             name=_name(spec, "custom", "domain"),
             convex_certified=bool(spec.get("convex_certified", False)))
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:    # OverflowError: radius ** 2
         raise ConfigError(f"bad domain: {e}")
 
 
@@ -625,15 +632,14 @@ def cmd_peak(cfg, out_dir, seed, tols):
     n = dom.n
     p = _parse_point(_require(cfg, "p"), n, "boundary point")
     q = _whole(_require(cfg, "q"), "q")
-    c = float(cfg.get("c", 1.0))
-    rho_v = float(cfg.get("rho_V", 0.5))
+    c = _length(cfg.get("c", 1.0), "c")
+    rho_v = _length(cfg.get("rho_V", 0.5), "rho_V")
     r = cfg.get("r", "auto")
-    if r != "auto":
-        r = float(r)
+    r = r if r == "auto" else _length(r, "r")
     samples = cfg.get("samples", {})
-    boundary = _whole(samples.get("boundary", 200), "samples.boundary")
-    interior = _whole(samples.get("interior", 200), "samples.interior")
-    tube = _whole(samples.get("tube", 500), "samples.tube")
+    boundary, interior, tube = (
+        _whole(samples.get(key, default), f"samples.{key}", cap=MAX_SAMPLES)
+        for key, default in (("boundary", 200), ("interior", 200), ("tube", 500)))
     run_seed = _run_seed(seed, cfg)
     tolerances = {"residual_tol": _tol("residual_tol", tols, cfg, 1e-5),
                   "margin_min": _tol("margin_min", tols, cfg, 1e-3),
@@ -650,18 +656,17 @@ def cmd_peak(cfg, out_dir, seed, tols):
     try:
         cons, f = peak.assemble_peak(dom, p, q, c=c, rho_V=rho_v, r=r,
                                      seed=run_seed, tube_samples=tube)
+        rep = peak.verify_peak(
+            f, dom, p, q, rho_V=rho_v, boundary_samples=boundary,
+            interior_samples=interior, residual_points=interior, seed=run_seed,
+            **tolerances)
     except peak.TubeError as e:
         base["assembled"] = False
         base["error"] = str(e)
         fileio.dump_json(os.path.join(out_dir, "peak_report.json"), base)
         return 1
-    except (ValueError, ex.EvalError) as e:
+    except (ValueError, RuntimeError) as e:    # EvalError, stalled sampling
         raise ConfigError(str(e))
-
-    rep = peak.verify_peak(
-        f, dom, p, q, rho_V=rho_v, boundary_samples=boundary,
-        interior_samples=interior, residual_points=interior, seed=run_seed,
-        **tolerances)
 
     base.update({
         "assembled": True,

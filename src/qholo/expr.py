@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,26 +48,71 @@ class EvalError(ValueError):
     the batch row `row`."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Expr:
-    """Base node.  All nodes carry the ambient dimension n and are immutable."""
+class _Frozen:
+    """Base of qholo's immutable classes.  A subclass names its fields in
+    __slots__ (its bases' fields come first in _fields) and sets them once
+    in __init__ through _set or object.__setattr__; assigning or deleting
+    one later raises AttributeError.  repr shows the fields, == and hash
+    compare their values between objects of one class, and copy and pickle
+    keep them."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in c.__dict__.get("__slots__", ()))
+
+    def _set(self, values):
+        for f, v in zip(self._fields, values, strict=True):
+            object.__setattr__(self, f, v)
+
+    __setstate__ = _set
+
+    def __getstate__(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = zip(self._fields, self.__getstate__())
+        inner = ", ".join(f"{f}={v!r}" for f, v in fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+
+class Expr(_Frozen):
+    """Base node.  All nodes carry the ambient dimension n and are immutable.
+    Every node's constructor validates and sets n through Expr.__init__."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        if n < 1:
             raise ValueError("dimension must be a positive integer")
+        object.__setattr__(self, "n", n)
 
-    def _check_same_n(self, other):
+    def _same_n(self, other):
+        """other, checked to be a node of this node's dimension."""
         if not isinstance(other, Expr):
             raise TypeError(f"expected Expr, got {type(other).__name__}")
         if other.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        return other
 
     def _lift(self, value):
         if isinstance(value, Expr):
-            self._check_same_n(value)
-            return value
+            return self._same_n(value)
         return Const(self.n, complex(value))
 
     def __add__(self, other):
@@ -125,26 +169,25 @@ class Expr:
         return hash((self.n, to_text(self)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
-    value: complex
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        v = complex(self.value)
+    def __init__(self, n, value):
+        Expr.__init__(self, n)
+        v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"constant must be finite, got {v}")
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _Indexed(Expr):
-    index: int  # 1-based
+    __slots__ = ("index",)      # 1-based
 
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        if not 1 <= self.index <= self.n:
-            raise ValueError(f"variable index {self.index} out of range 1..{self.n}")
+    def __init__(self, n, index):
+        Expr.__init__(self, n)
+        if not 1 <= index <= n:
+            raise ValueError(f"variable index {index} out of range 1..{n}")
+        object.__setattr__(self, "index", index)
 
 
 class Var(_Indexed):
@@ -159,15 +202,13 @@ class CVar(_Indexed):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _Binary(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.left)
-        self._check_same_n(self.right)
+    def __init__(self, n, left, right):
+        Expr.__init__(self, n)
+        object.__setattr__(self, "left", self._same_n(left))
+        object.__setattr__(self, "right", self._same_n(right))
 
 
 class Add(_Binary):
@@ -186,27 +227,25 @@ class Div(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.base)
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+    def __init__(self, n, base, exponent):
+        Expr.__init__(self, n)
+        object.__setattr__(self, "base", self._same_n(base))
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise ValueError("exponent must be an integer")
-        if self.exponent < 0:
+        if exponent < 0:
             raise ValueError("negative integer exponent not allowed; use division")
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class _Unary(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
-    def __post_init__(self):
-        Expr.__post_init__(self)
-        self._check_same_n(self.arg)
+    def __init__(self, n, arg):
+        Expr.__init__(self, n)
+        object.__setattr__(self, "arg", self._same_n(arg))
 
 
 class Exp(_Unary):
@@ -895,8 +934,7 @@ def eval_batch(e: Expr, pts) -> np.ndarray:
     return _raised(_values(e, pts))
 
 
-@dataclass(frozen=True, slots=True)
-class Jet2:
+class Jet2(_Frozen):
     """Second-order Wirtinger jet at a point.
 
     value: f(z); g_z[i] = df/dz_i; g_zb[j] = df/dconj(z_j);
@@ -904,12 +942,10 @@ class Jet2:
     h_zbzb[i,j] = d2f/dconj(z_i) dconj(z_j) (symmetric).
     """
 
-    value: complex
-    g_z: np.ndarray
-    g_zb: np.ndarray
-    h_zz: np.ndarray
-    h_zzb: np.ndarray
-    h_zbzb: np.ndarray
+    __slots__ = ("value", "g_z", "g_zb", "h_zz", "h_zzb", "h_zbzb")
+
+    def __init__(self, value, g_z, g_zb, h_zz, h_zzb, h_zbzb):
+        self._set((value, g_z, g_zb, h_zz, h_zzb, h_zbzb))
 
     @property
     def n(self):

@@ -198,8 +198,8 @@ def _pieces(obj, nl):
     the line obj starts on."""
     if isinstance(obj, Records):
         yield from obj._pieces(nl)
-    elif not isinstance(obj, _NESTED):
-        yield _scalar(obj)
+    elif not isinstance(obj, _NESTED) or hasattr(obj, "_fields"):
+        yield _scalar(obj)      # a record (NamedTuple) raises TypeError
     elif not obj:
         yield "{}" if isinstance(obj, dict) else "[]"
     else:

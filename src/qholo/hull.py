@@ -19,7 +19,7 @@ separation experiment at the end of the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +39,10 @@ __all__ = [
 EPS_SING = 1e-12
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(ex._Frozen):
     """Weight vector with all entries on the unit circle (checked to 1e-12)."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         vec = tuple(complex(v) for v in entries)
@@ -127,8 +126,7 @@ def random_lambdas(n: int, count: int, rng) -> list:
     return [Lambda(np.exp(1j * phases[k])) for k in range(count)]
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """A certified family function: expression, its q, measured residual bound."""
 
     expr: ex.Expr
@@ -137,22 +135,21 @@ class FamilyMember:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class HullProblem:
-    n: int
-    K: np.ndarray          # (k, n) sample of the compact set
-    Z: np.ndarray          # (m, n) candidate points
-    family: tuple          # FamilyMember entries
+class HullProblem(ex._Frozen):
+    """n, the (k, n) sample K of the compact set, the (m, n) candidate
+    points Z and the family's FamilyMember entries."""
 
-    def __post_init__(self):
-        if len(self.K) == 0:
+    __slots__ = ("n", "K", "Z", "family")
+
+    def __init__(self, n, K, Z, family):
+        if len(K) == 0:
             raise ValueError("K must be nonempty")
-        if len(self.family) == 0:
+        if len(family) == 0:
             raise ValueError("family must be nonempty")
+        self._set((n, K, Z, family))
 
 
-@dataclass(frozen=True)
-class HullResult:
+class HullResult(NamedTuple):
     """Per-candidate read-only arrays and the per-member K maxima."""
 
     members: np.ndarray     # bool per candidate
@@ -259,8 +256,7 @@ def discrete_hull(prob: HullProblem) -> HullResult:
 # ---------------------------------------------------------------------------
 # Separation experiment
 
-@dataclass(frozen=True)
-class Thm2Report:
+class Thm2Report(NamedTuple):
     """Per-run record of the separation chain around one center.
 
     For every candidate z in the inner ball, with lambda built from z, the
@@ -368,8 +364,7 @@ def _chain(n, r, dk, dz) -> list:
                                      np.max(mono, axis=(0, 2)).tolist())]
 
 
-@dataclass(frozen=True)
-class BatchReport:
+class BatchReport(NamedTuple):
     configs: int
     violations: int
     min_margin: float

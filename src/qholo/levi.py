@@ -17,11 +17,11 @@ attribute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Expr, _jet_blocks, eval_mixed_jet_batch
+from .expr import Expr, _Frozen, _jet_blocks, eval_mixed_jet_batch
 # Unused here; perfbench's tracer test still wraps this binding.
 from .expr import eval_jet2  # noqa: F401
 
@@ -60,8 +60,7 @@ def _raise_first(checks, shape):
         raise err
 
 
-@dataclass(frozen=True)
-class LeviMatrix:
+class LeviMatrix(_Frozen):
     """Hermitian matrix (k, k), or a stack of them (m, k, k), symmetrized at
     construction.
 
@@ -73,8 +72,7 @@ class LeviMatrix:
     meaningful signature for such a matrix.
     """
 
-    mat: np.ndarray
-    herm_dev: float = 0.0
+    __slots__ = ("mat", "herm_dev")
 
     def __init__(self, mat):
         a = np.asarray(mat, dtype=complex)
@@ -108,8 +106,7 @@ class LeviMatrix:
         return self.mat.shape[-1]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Counts of eigenvalues above ztol, below -ztol, and within [-ztol, ztol]."""
 
     n_pos: int
@@ -264,8 +261,7 @@ def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
     return g, frame, restricted
 
 
-@dataclass(frozen=True)
-class FunctionClassification:
+class FunctionClassification(NamedTuple):
     """Minimal q per sampled point (n+1 means no valid q <= n) and overall;
     points is the read-only (m, n) array of the sampled points."""
 
@@ -305,8 +301,7 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
         per_point_q=qs, overall_q=max(qs))
 
 
-@dataclass(frozen=True)
-class BoundaryClassification:
+class BoundaryClassification(NamedTuple):
     """Classification of one boundary point of {phi = 0}.
 
     strict_q is the minimal q with at least n-q positive restricted

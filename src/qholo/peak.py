@@ -18,7 +18,7 @@ finite_diff_jet can check as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,17 +39,14 @@ class TubeError(ValueError):
     """Tube invariants could not be satisfied within the tuning limits."""
 
 
-@dataclass(frozen=True)
-class ModelDomain:
+class ModelDomain(ex._Frozen):
     """Bounded domain {phi < 0} with strictly convex geometry certified
     by construction (balls and ellipsoids) or vouched for by the caller."""
 
-    n: int
-    phi: ex.Expr
-    name: str
-    box_halfwidth: float
-    box_center: np.ndarray
-    convex_certified: bool
+    __slots__ = ("n", "phi", "name", "box_halfwidth", "box_center", "convex_certified")
+
+    def __init__(self, n, phi, name, box_halfwidth, box_center, convex_certified):
+        self._set((n, phi, name, box_halfwidth, box_center, convex_certified))
 
     @staticmethod
     def ball(n: int, radius: float = 1.0, center=None) -> "ModelDomain":
@@ -137,19 +134,19 @@ class ModelDomain:
                                     center=self.box_center)
 
 
-@dataclass(frozen=True)
-class CutoffG:
+class CutoffG(ex._Frozen):
     """Flat smooth cutoff g(t) = s(r-t)/(s(r-t)+s(t)), s(u)=exp(-1/u) for u>0.
 
     Exactly 1 for t <= 0, exactly 0 for t >= r, smooth and nonincreasing in
     between; every derivative vanishes at both ends of the transition.
     """
 
-    r: float
+    __slots__ = ("r",)
 
-    def __post_init__(self):
-        if not self.r > 0:
+    def __init__(self, r):
+        if not r > 0:
             raise ValueError("transition radius must be positive")
+        self._set((r,))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -194,8 +191,7 @@ class CutoffG:
         return g, d1, d2
 
 
-@dataclass(frozen=True)
-class SliceBasis:
+class SliceBasis(NamedTuple):
     """Output of slice selection at a boundary point."""
 
     nu: np.ndarray            # outward unit normal (gradient direction)
@@ -277,19 +273,17 @@ def build_peak_h(p, nu, c: float) -> ex.Expr:
     return ex.Exp(n, arg)
 
 
-@dataclass(frozen=True)
-class PeakExtension:
-    """Callable z -> exp(c <z-p, nu>) g(||b(z)||), exactly zero off the tube.
+class PeakExtension(ex._Frozen):
+    """Callable z -> exp(c <z-p, nu>) g(||b(z)||), exactly zero off the tube;
+    complement is the n x q orthonormal basis of M-perp.
 
     Accepts a single point (n,) or a batch (m, n).
     """
 
-    p: np.ndarray
-    nu: np.ndarray
-    c: float
-    complement: np.ndarray    # n x q orthonormal basis of M-perp
-    cutoff: CutoffG
-    r: float
+    __slots__ = ("p", "nu", "c", "complement", "cutoff", "r")
+
+    def __init__(self, p, nu, c, complement, cutoff, r):
+        self._set((p, nu, c, complement, cutoff, r))
 
     def b_norms(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=complex))
@@ -346,8 +340,7 @@ class PeakExtension:
         return value, g_z, g_zb, f_zz, f_zzb, f_zbzb
 
 
-@dataclass(frozen=True)
-class PeakConstruction:
+class PeakConstruction(NamedTuple):
     p: np.ndarray
     q: int
     nu: np.ndarray
@@ -363,7 +356,11 @@ class PeakConstruction:
     w_steps: int
     tube_min_phi: float       # min phi over the sampled wall of the tube
     cap_max_dist: float       # max ||z-p|| among sampled tube points with |h|>=1
-    slice_info: SliceBasis = field(repr=False)
+    slice_info: SliceBasis
+
+    def __repr__(self):     # without slice_info
+        fields = zip(self._fields[:-1], self)
+        return f"PeakConstruction({', '.join(f'{f}={v!r}' for f, v in fields)})"
 
 
 def _tube_wall_points(rng, p, m_basis, comp, rho_w, r, count):
@@ -454,8 +451,7 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
         f"last violating sample: {last_witness}")
 
 
-@dataclass(frozen=True)
-class PeakReport:
+class PeakReport(NamedTuple):
     """The four verification checks with their measured quantities."""
 
     peak_value_err: float          # (a) |f(p) - 1|

@@ -1,6 +1,5 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
-import dataclasses
 import json
 import warnings
 
@@ -402,7 +401,7 @@ def test_hull_k_in_z_catches_dropped_member(tmp_path, monkeypatch):
         members = res.members.copy()
         assert members[rows[1]]
         members[rows[1]] = False
-        return dataclasses.replace(res, members=members)
+        return res._replace(members=members)
 
     monkeypatch.setattr(hull, "discrete_hull", dropping)
     out = tmp_path / "out"
@@ -472,7 +471,11 @@ def test_thm2_empty_input_is_config_error(tmp_path, cfg):
     {"batch": {"configs": 2, "ns": [0]}},
     {"batch": {"configs": 2, "r_range": [0.0, 0.0]}},
     {"single": {**_thm2_single_cfg()["single"], "r": 0.0}},
-], ids=["batch-no-ns", "batch-n0", "batch-r0", "single-r0"])
+    *({"batch": {"configs": 2, "r_range": r_range}} for r_range in (
+        "x", 1.0, [1.0], [2.0, 1.0], [0.1, 1.0, 2.0], [0.1, "x"], [0.1, None])),
+], ids=["batch-no-ns", "batch-n0", "batch-r0", "single-r0", "r_range-string",
+        "r_range-number", "r_range-one", "r_range-reversed", "r_range-three",
+        "r_range-string-entry", "r_range-null-entry"])
 def test_thm2_invalid_config_is_config_error(tmp_path, cfg):
     # unvalidated, these crash or sample forever
     path = _write(tmp_path, "t.json", cfg)
@@ -835,3 +838,85 @@ def test_tol_override_does_not_leak_into_the_next_run(tmp_path):
         assert run(["peak", "--config", cfg, "--out", str(out), *extra]) == 0
         tols.append(_read_json(out, "peak_report.json")["checks"]["residual"]["tol"])
     assert tols == [1e-3, 1e-5]
+
+
+# ---------------------------------------------------------------------------
+# numbers read through typed readers
+
+
+def _number_key_config(site, value):
+    """(command, config) with value at one config key read as a positive number."""
+    if site == "sphere-r":
+        cfg = _hull_cfg()
+        cfg["K"]["sphere"]["r"] = value
+        return "hull", cfg
+    if site in ("single-r", "single-sphere-r"):
+        cfg = _thm2_single_cfg()
+        (cfg["single"] if site == "single-r" else cfg["single"]["K"]["sphere"])["r"] = value
+        return "thm2", cfg
+    if site == "r_range":
+        return "thm2", {"batch": dict(_THM2_BATCH, r_range=[value, 2.0])}
+    if site == "radius":
+        return "peak", dict(_BALL2_PEAK, domain={"model": "ball", "n": 2, "radius": value})
+    if site == "box":
+        return "peak", dict(_BALL2_PEAK, domain={
+            "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "box": value,
+            "convex_certified": True})
+    return "peak", dict(_BALL2_PEAK, **{site: value})
+
+
+_BAD_POSITIVE = ["x", -1.0, 0, True, [], float("nan"), float("inf"), 1e308]
+_BAD_POSITIVE_IDS = ["string", "negative", "zero", "bool", "list", "nan", "inf", "1e308"]
+
+
+@pytest.mark.parametrize("value", _BAD_POSITIVE, ids=_BAD_POSITIVE_IDS)
+@pytest.mark.parametrize("site", ["sphere-r", "single-r", "single-sphere-r", "r_range",
+                                  "radius", "box", "c", "rho_V", "r"])
+def test_bad_positive_number_is_config_error(tmp_path, capsys, site, value):
+    # read through float(), "x" escaped cli.run as a traceback and -1.0 ran
+    _assert_config_error(tmp_path, capsys, *_number_key_config(site, value))
+
+
+@pytest.mark.parametrize("fixed", [{"re2": "x"}, {"re2": True}, {"re2": []},
+                                   {"re2": None}, {"re2": float("nan")},
+                                   {"re2": float("inf")}, ["re2"], "re2"])
+def test_bad_fixed_axes_are_config_error(tmp_path, capsys, fixed):
+    cfg = _hull_cfg()
+    cfg["candidates"]["grid"]["fixed_axes"] = fixed
+    _assert_config_error(tmp_path, capsys, "hull", cfg)
+
+
+def test_number_readers_keep_valid_values(tmp_path):
+    cfg = _hull_cfg()
+    cfg["candidates"]["grid"]["fixed_axes"]["re2"] = -1
+    cfg["K"]["sphere"]["r"] = 2
+    assert run(["hull", "--config", _write(tmp_path, "h.json", cfg),
+                "--out", str(tmp_path / "h")]) == 0
+    cfg = {"batch": dict(_THM2_BATCH, r_range=[1, 1])}
+    assert run(["thm2", "--config", _write(tmp_path, "t.json", cfg),
+                "--out", str(tmp_path / "t")]) == 0
+    cfg = dict(_BALL2_PEAK, c=2, rho_V=1, r=0.25,
+               domain={"model": "ball", "n": 2, "radius": 1})
+    assert run(["peak", "--config", _write(tmp_path, "p.json", cfg),
+                "--out", str(tmp_path / "p")]) in (0, 1)
+    rep = _read_json(tmp_path / "p", "peak_report.json")
+    assert (rep["c"], rep["rho_V"]) == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("count", [MAX_SAMPLES + 1, 2 ** 40], ids=["cap+1", "2^40"])
+@pytest.mark.parametrize("key", ["boundary", "interior", "tube"])
+def test_peak_samples_past_the_cap_are_config_error(tmp_path, capsys, key, count):
+    # uncapped, 2^40 ended in MemoryError
+    _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, samples={key: count}))
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(_BALL2_PEAK, c=1e300),
+    dict(_BALL2_PEAK, domain={"model": "ball", "n": 2, "radius": 1e200}),
+    dict(_BALL2_PEAK, domain={"n": 2, "defining": "abs2(z1)+abs2(z2)-1",
+                              "box": 1e-300, "convex_certified": True}),
+], ids=["c-overflows", "radius-squared-overflows", "box-too-small"])
+def test_peak_numbers_the_steps_cannot_use_are_config_error(tmp_path, capsys, cfg):
+    # within their readers' ranges, these escaped cli.run: an EvalError from
+    # the verification, an OverflowError and a stalled boundary sampler
+    _assert_config_error(tmp_path, capsys, "peak", cfg)

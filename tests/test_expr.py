@@ -90,15 +90,15 @@ def test_deep_trees_print_and_conjugate_without_recursion():
 def test_nested_conj_cancels_while_parsing(monkeypatch):
     # each conj( used to copy its whole argument: k copies at depth k.  The
     # work is counted as nodes built, which every Expr constructor reports
-    # through Expr.__post_init__.
+    # through Expr.__init__.
     built = [0]
-    init = ex.Expr.__post_init__
+    init = ex.Expr.__init__
 
-    def counting(node):
+    def counting(node, n):
         built[0] += 1
-        init(node)
+        init(node, n)
 
-    monkeypatch.setattr(ex.Expr, "__post_init__", counting)
+    monkeypatch.setattr(ex.Expr, "__init__", counting)
     s = "+".join(["z1", "2*conj(z2)"] * 2000)
     z = [0.3 - 1.1j, 2.0 + 0.5j]
     built[0] = 0
