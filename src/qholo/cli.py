@@ -435,12 +435,17 @@ def _grid_candidates(n, spec):
                 axes.append(np.array([_finite(fixed[axis], f"fixed axis {axis}")]))
             else:
                 axes.append(np.linspace(base - hw, base + hw, per))
-    total = int(np.prod([len(a) for a in axes]))
+    dims = [len(a) for a in axes]
+    total = math.prod(dims)
     if total > MAX_GRID:
         raise ConfigError(f"grid has {total} points; fix more axes")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return flat[:, 0::2] + 1j * flat[:, 1::2]
+    # Coordinate k is re + 1j * im on axes 2k, 2k + 1 alone (a meshgrid's
+    # zero signs), broadcast over the row-major grid.
+    Z = np.empty(dims + [n], dtype=complex)
+    for k in range(n):
+        Z[..., k] = (axes[2 * k][:, None] + 1j * axes[2 * k + 1]).reshape(
+            dims[2 * k:2 * k + 2] + [1] * (2 * n - 2 * k - 2))
+    return Z.reshape(total, n)
 
 
 def _load_k_set(spec, n, base_dir):
@@ -611,8 +616,8 @@ def _load_domain(spec, base_dir):
             radius = _length(spec.get("radius", 1.0), "domain radius")
             return peak.ModelDomain.ball(n, radius=radius, center=center)
         if model == "ellipsoid":
-            a = _require(spec, "a", "domain")
-            b = spec.get("b", [0.0] * len(a))
+            a = _each(_length, _require(spec, "a", "domain"), "domain a")
+            b = _each(_finite, spec.get("b", [0.0] * len(a)), "domain b")
             return peak.ModelDomain.ellipsoid(a, b)
         if model is not None:
             raise ConfigError(f"unknown domain model {model!r}")

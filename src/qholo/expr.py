@@ -640,8 +640,10 @@ _OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
 # Chunk rows bound the interpreter's scratch memory at any n: _BUDGET // n
 # rows at order 1; at order 2, _HESSIAN_ENTRIES carried Hessian entries, so
 # _BUDGET // n^2 rows of full jets and four times as many of mixed ones.
+# A value slot holds one entry per row at any n: _VALUE_ROWS rows, 256 kB.
 _BUDGET = 1024
 _HESSIAN_ENTRIES = 4 * _BUDGET
+_VALUE_ROWS = 16 * _BUDGET
 
 
 def _compile(e):
@@ -822,8 +824,10 @@ def _jet_op(op, payload, hb, a, b=None):
 
 
 def _jet_shapes(n, order, hb):
-    """Per-row shapes of a batch jet's arrays; hb is its Hessian block."""
-    return [(), (2 * n,), tuple(len(range(2 * n)[s]) for s in hb)][:order + 1]
+    """Per-row shapes of a batch jet's arrays (the values' at order 0); hb is
+    its Hessian block."""
+    shapes = [(), (2 * n,)][:order + 1]
+    return shapes + [tuple(len(range(2 * n)[s]) for s in hb)] if order == 2 else shapes
 
 
 def _near_zero(first_div, d, k):
@@ -838,10 +842,10 @@ def _near_zero(first_div, d, k):
 
 
 def _run(tape, pts, order, hb=None):
-    """Interpret the tape over the rows of pts: (m,) values at order 0, the
-    batch jet (v, G) at order 1 or (v, G, H) at order 2, H the Hessian block
-    hb, with every block an array; and first_div (_near_zero).  Rows run on
-    past near-zero divisors, so callers ignore floating point errors.
+    """Interpret the tape over the rows of pts: (v,), the (m,) values, at
+    order 0, the batch jet (v, G) at order 1 or (v, G, H) at order 2, H the
+    Hessian block hb, each block an array; and first_div (_near_zero).  Rows
+    run on past near-zero divisors, so callers ignore floating point errors.
 
     Operands reach each step only through the slots and the call's
     arguments, so a freed slot's arrays are released at once.
@@ -862,9 +866,30 @@ def _run(tape, pts, order, hb=None):
         for a in free:
             slots[a] = None
     if not order:
-        return slots[-1], first_div
+        return (slots[-1],), first_div
     return tuple(np.zeros((m,) + s, dtype=complex) if d is None else d
                  for s, d in zip(_jet_shapes(n, order, hb), slots[-1])), first_div
+
+
+def _chunked(tape, pts, order, hb, rows):
+    """_run over the rows of pts, at most `rows` at a time, with floating
+    point errors ignored; first_div keeps global row positions."""
+    m = len(pts)
+    with np.errstate(all="ignore"):
+        if m <= rows:
+            return _run(tape, pts, order, hb)
+        parts = [np.empty((m,) + s, dtype=complex)
+                 for s in _jet_shapes(pts.shape[1], order, hb)]
+        first_div = None
+        for lo in range(0, m, rows):
+            chunk, div = _run(tape, pts[lo:lo + rows], order, hb)
+            for out, part in zip(parts, chunk):
+                out[lo:lo + rows] = part
+            del chunk       # hold no operands across the next _run
+            if div is not None:
+                first_div = np.full(m, -1) if first_div is None else first_div
+                first_div[lo:lo + rows] = div
+    return parts, first_div
 
 
 def _failures(e, tape, first_div, blocks, what):
@@ -919,8 +944,7 @@ def _values(e, pts):
     """(values, bad rows, error builder) of e at the rows of pts (_failures)."""
     pts = _as_points(pts, e.n)
     tape = _tape(e)
-    with np.errstate(all="ignore"):
-        v, first_div = _run(tape, pts, 0)
+    (v,), first_div = _chunked(tape, pts, 0, None, _VALUE_ROWS)
     return (v, *_failures(e, tape, first_div, (v,), "value"))
 
 
@@ -963,24 +987,9 @@ def _jet_blocks(e, pts, order=2, mixed=False):
     pts = _as_points(pts, n, finite=True)
     tape = _tape(e)
     hb = (slice(0, n), slice(n, 2 * n)) if mixed else (slice(None),) * 2
-    shapes = _jet_shapes(n, order, hb)
-    rows = max(1, _HESSIAN_ENTRIES // math.prod(shapes[2]) if order == 2
-               else _BUDGET // n)
-    m = len(pts)
-    with np.errstate(all="ignore"):
-        if m <= rows:
-            parts, first_div = _run(tape, pts, order, hb)
-        else:
-            parts = [np.empty((m,) + s, dtype=complex) for s in shapes]
-            first_div = None
-            for lo in range(0, m, rows):
-                chunk, div = _run(tape, pts[lo:lo + rows], order, hb)
-                for out, part in zip(parts, chunk):
-                    out[lo:lo + rows] = part
-                del chunk       # hold no operands across the next _run
-                if div is not None:
-                    first_div = np.full(m, -1) if first_div is None else first_div
-                    first_div[lo:lo + rows] = div
+    rows = max(1, _HESSIAN_ENTRIES // math.prod(_jet_shapes(n, order, hb)[2])
+               if order == 2 else _BUDGET // n)
+    parts, first_div = _chunked(tape, pts, order, hb, rows)
     v, g = parts[:2]
     blocks = (v, g[:, :n], g[:, n:])
     if order == 2:

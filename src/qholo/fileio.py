@@ -119,20 +119,20 @@ def write_points_csv(path, points, extra=None):
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     m, n = points.shape
     extra = extra or []
-    coords = np.ascontiguousarray(points).view(float) + 0.0   # re1, im1, ...
-    cols = [(col, repr) for col in coords.T]
+    cols = list(np.ascontiguousarray(points).view(float).T)   # re1, im1, ...
     for name, vals in extra:
         col = np.asarray(vals)
         if len(col) != m:
             raise ValueError(f"extra column {name!r} has {len(col)} values "
                              f"for {m} rows")
-        cols.append((col + 0.0, repr) if col.dtype.kind == "f" else (col, str))
+        cols.append(col)
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             _csv_header(n) + [name for name, _ in extra])
         for lo in range(0, m, _CSV_BLOCK_ROWS):
-            text = [_format_column(col[lo:lo + _CSV_BLOCK_ROWS], fmt)
-                    for col, fmt in cols]
+            blocks = (col[lo:lo + _CSV_BLOCK_ROWS] for col in cols)
+            text = [_format_column(b + 0.0, repr) if b.dtype.kind == "f"
+                    else _format_column(b, str) for b in blocks]
             fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 

@@ -205,7 +205,8 @@ def certification_points(n: int, seed: int, count: int = 100,
         x = rng.uniform(-halfwidth, halfwidth, size=(block, 2 * n))
         z = center + x[:, :n] + 1j * x[:, n:]
         if avoid is not None:
-            z = z[~np.any(_norms(z[:, None, :] - avoid) < avoid_radius, axis=1)]
+            with np.errstate(over="ignore"):    # an overflowing distance is far
+                z = z[~np.any(_norms(z[:, None, :] - avoid) < avoid_radius, axis=1)]
         out.append(z[:count - kept])
         kept += len(out[-1])
     return np.concatenate(out)
@@ -236,16 +237,16 @@ def discrete_hull(prob: HullProblem) -> HullResult:
                 for mem in prob.family]
 
     m = len(prob.Z)
-    cand_vals = np.empty((len(prob.family), m))
+    worst = np.full(m, -np.inf)     # running max over members of |f| - k_max
     sing = np.zeros(m, dtype=bool)
-    for fi, mem in enumerate(prob.family):
+    for mem, k_max in zip(prob.family, k_maxima):
         vals, bad, _ = ex._values(mem.expr, prob.Z)
-        cand_vals[fi] = np.abs(vals)
+        dev = np.abs(vals)
+        del vals            # released before the next member is evaluated
+        dev -= k_max
+        np.maximum(worst, dev, out=worst)
         sing |= False if bad is None else bad
-        del vals, bad       # released before the next member is evaluated
-
-    cand_vals -= np.array(k_maxima)[:, None]
-    margins = np.where(sing, np.inf, np.max(cand_vals, axis=0))
+    margins = np.where(sing, np.inf, worst)
     members = (~sing) & (margins <= 0.0)
     for arr in (members, margins, sing):
         arr.setflags(write=False)
@@ -372,34 +373,48 @@ class BatchReport(NamedTuple):
     max_monotonicity_err: float
 
 
-def _first_kept(draw, make, configs, count):
-    """The first count rows each configuration keeps, shape (configs, count, n).
+def _first_kept(rngs, make, count, bounds, width, normals=0):
+    """The first count rows each configuration keeps, shape (C, count, n).
 
-    draw(idx) draws one block of 4 * count rows from the generator of each
-    configuration in idx, in idx order, as a tuple of (len(idx), 4 * count,
-    ...) arrays; make(idx, *parts) turns rows of those parts into points
-    (len(idx), m, n) and a keep mask (len(idx), m).  The stack's first
-    blocks are drawn together and the first half of every block is made and
-    cut in one pass; a configuration that comes up short makes the rest of
-    its block and then draws further blocks alone.  So each generator draws
-    in the order a one-configuration-at-a-time loop draws from it.
+    A block of configuration i is 4 * count rows from rngs[i]: standard
+    normals of width `normals` (if any), then uniforms in bounds[i] of width
+    `width`.  make(idx, *parts) turns rows of the parts into points
+    (len(idx), rows, n) and a keep mask (len(idx), rows).  The stack's first
+    blocks, with only a prefix of their uniforms, are made and cut in one
+    pass.  A configuration that comes up short draws the rest of its block,
+    then blocks alone; every other one jumps its PCG64 generator past the
+    rest (one output per uniform double; a normal reads a varying number,
+    so normals are drawn whole).  So each generator ends where a
+    one-configuration-at-a-time loop leaves it, with that loop's rows.
     """
-    parts = draw(range(configs))
-    half = 2 * count
-    rows, keep = make(range(configs), *(a[:, :half] for a in parts))
+    rows = 4 * count
+    pre = min(rows, count + count // 8 + 8)
+
+    def head(i):
+        return (rngs[i].normal(size=(rows, normals)),) if normals else ()
+
+    def tail(i, k):
+        return rngs[i].uniform(*bounds[i], size=(k, width))
+
+    heads = [head(i) for i in range(len(rngs))]
+    pts, keep = make(range(len(rngs)),
+                     *(np.stack(h)[:, :pre] for h in zip(*heads)),
+                     np.stack([tail(i, pre) for i in range(len(rngs))]))
     take = keep & (np.cumsum(keep, axis=1) <= count)
     full = take.sum(axis=1) == count
-    out = np.empty((configs, count, rows.shape[-1]), dtype=rows.dtype)
-    out[full] = rows[take & full[:, None]].reshape(-1, count, rows.shape[-1])
+    out = np.empty((len(rngs), count, pts.shape[-1]), dtype=pts.dtype)
+    out[full] = pts[take & full[:, None]].reshape(-1, count, pts.shape[-1])
+    for i in np.flatnonzero(full):
+        rngs[i].bit_generator.advance((rows - pre) * width)
     for i in np.flatnonzero(~full):
-        got = [rows[i, keep[i]]]
-        block = tuple(a[i:i + 1, half:] for a in parts)
+        got = [pts[i, keep[i]]]
+        block = [h[pre:] for h in heads[i]] + [tail(i, rows - pre)]
         while True:
-            more, kept = make([i], *block)
+            more, kept = make([i], *(b[None] for b in block))
             got.append(more[0, kept[0]])
             if sum(map(len, got)) >= count:
                 break
-            block = draw([i])
+            block = [*head(i), tail(i, rows)]
         out[i] = np.concatenate(got)[:count]
     return out
 
@@ -419,43 +434,36 @@ def _outside_balls(rngs, p, r, count, halfwidth_factor=2.5):
     outside B(p[i], r[i])."""
     n = p.shape[1]
 
-    def draw(idx):
-        return (np.stack([rngs[i].uniform(-halfwidth_factor * r[i],
-                                          halfwidth_factor * r[i],
-                                          size=(4 * count, 2 * n)) for i in idx]),)
-
     def make(idx, block):
         idx = list(idx)
         d = _complex(p[idx], block[..., :n], block[..., n:]) - p[idx, None, :]
         return d, np.linalg.norm(d, axis=-1) >= r[idx, None]
 
-    return _first_kept(draw, make, len(rngs), count)
+    half = halfwidth_factor * r
+    return _first_kept(rngs, make, count, list(zip(-half, half)), 2 * n)
+
+
+def _above_floor(radius, floor):
+    bad = ~(radius > floor)     # no draw could be kept
+    if bad.any():
+        raise ValueError(f"ball radius {radius[np.argmax(bad)]} must exceed "
+                         f"the floor {floor}")
 
 
 def _inner_balls(rngs, p, radius, count, floor=1e-9):
     """count uniform points per configuration i of B(p[i], radius[i]) minus
     B(p[i], floor); each block draws its normals, then its radii."""
-    bad = ~(radius > floor)     # no draw could be kept
-    if bad.any():
-        raise ValueError(f"ball radius {radius[np.argmax(bad)]} must exceed "
-                         f"the floor {floor}")
+    _above_floor(radius, floor)
     n = p.shape[1]
-
-    def draw(idx):
-        raw, u = [], []
-        for i in idx:
-            raw.append(rngs[i].normal(size=(4 * count, 2 * n)))
-            u.append(rngs[i].uniform(0.0, 1.0, size=4 * count))
-        return np.stack(raw), np.stack(u)
 
     def make(idx, raw, u):
         idx = list(idx)
         dirs = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        radii = radius[idx, None] * u ** (1.0 / (2 * n))
+        radii = radius[idx, None] * u[..., 0] ** (1.0 / (2 * n))
         rad = radii[..., None]
         return _complex(p[idx], rad * dirs[..., :n], rad * dirs[..., n:]), radii > floor
 
-    return _first_kept(draw, make, len(rngs), count)
+    return _first_kept(rngs, make, count, [(0.0, 1.0)] * len(rngs), 1, 2 * n)
 
 
 def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5):
@@ -464,7 +472,8 @@ def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5
 
     Configuration i draws from np.random.default_rng(children[i]): its center
     p, its radius r, K's blocks (outside B(p, r)), then the candidates'
-    blocks (inside B(p, r/sqrt(n))).
+    blocks (inside B(p, r/sqrt(n))).  The candidates' floor is checked
+    before K is drawn: below it, K's draws need not separate from p.
     """
     rngs = [np.random.default_rng(child) for child in children]
     p = np.empty((len(rngs), n), dtype=complex)
@@ -473,8 +482,10 @@ def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5
         raw = rng.uniform(-1, 1, size=2 * n)
         p[i] = raw[:n] + 1j * raw[n:]
         r[i] = rng.uniform(*r_range)
+    inner = r / np.sqrt(n) * (1 - 1e-12)
+    _above_floor(inner, 1e-9)
     dk = _outside_balls(rngs, p, r, k_count, halfwidth_factor)
-    Z = _inner_balls(rngs, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
+    Z = _inner_balls(rngs, p, inner, z_count)
     return r, dk, Z - p[:, None, :]
 
 

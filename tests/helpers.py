@@ -530,6 +530,37 @@ def write_points_csv_reference(path, points, extra=None):
             w.writerow(row)
 
 
+# The meshgrid construction of the hull's candidate grid that
+# cli._grid_candidates replaced, kept as the reference its points must equal
+# bit for bit, zero signs included.
+def grid_candidates_reference(center, halfwidth, per_axis, fixed):
+    axes = []
+    for k, c in enumerate(center):
+        for part, base in (("re", c.real), ("im", c.imag)):
+            axis = f"{part}{k + 1}"
+            axes.append(np.array([float(fixed[axis])]) if axis in fixed
+                        else np.linspace(base - halfwidth, base + halfwidth, per_axis))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    flat = np.stack([m.ravel() for m in mesh], axis=-1)
+    return flat[:, 0::2] + 1j * flat[:, 1::2]
+
+
+# The (members, candidates) table of |f| - max_K |f| that discrete_hull
+# replaced with a running maximum, kept as the reference for its result.
+def discrete_hull_reference(prob):
+    k_maxima = [float(np.max(np.abs(ex.eval_batch(mem.expr, prob.K))))
+                for mem in prob.family]
+    cand_vals = np.empty((len(prob.family), len(prob.Z)))
+    sing = np.zeros(len(prob.Z), dtype=bool)
+    for fi, mem in enumerate(prob.family):
+        vals, bad, _ = ex._values(mem.expr, prob.Z)
+        cand_vals[fi] = np.abs(vals)
+        sing |= False if bad is None else bad
+    cand_vals -= np.array(k_maxima)[:, None]
+    margins = np.where(sing, np.inf, np.max(cand_vals, axis=0))
+    return (~sing) & (margins <= 0.0), margins, sing, tuple(k_maxima)
+
+
 # The per-configuration separation chain the stacked one replaced, with its
 # row-wise einsum evaluator, kept as the reference for its reports.
 def _values_reference(lams, d):
@@ -604,15 +635,16 @@ def sample_inner_ball_reference(rng, n, p, radius, count, floor=1e-9):
 
 
 def thm2_config_reference(child, n, r_range, k_count, z_count, halfwidth_factor=2.5):
-    """(r, K - p, Z - p) of one batch configuration, drawn as the
-    one-configuration-at-a-time loop drew them."""
+    """(r, K - p, Z - p, generator) of one batch configuration, drawn as the
+    one-configuration-at-a-time loop drew them; the generator is left after
+    its last draw."""
     rng = np.random.default_rng(child)
     p = rng.uniform(-1, 1, size=2 * n)
     p = p[:n] + 1j * p[n:]
     r = float(rng.uniform(*r_range))
     K = sample_outside_ball_reference(rng, n, p, r, k_count, halfwidth_factor)
     Z = sample_inner_ball_reference(rng, n, p, r / np.sqrt(n) * (1 - 1e-12), z_count)
-    return r, K - p, Z - p
+    return r, K - p, Z - p, rng
 
 
 # The point-at-a-time loop the batched peak._residual_points replaced, kept

@@ -7,10 +7,10 @@ import pytest
 
 import numpy as np
 
-from qholo import expr, fileio, hull, levi
+from qholo import cli, expr, fileio, hull, levi
 from qholo.cli import MAX_SAMPLES, run
 
-from helpers import format_complex_reference
+from helpers import format_complex_reference, grid_candidates_reference
 
 
 def _write(tmp_path, name, cfg):
@@ -360,6 +360,14 @@ def test_hull_bad_halfwidth_or_seed_is_config_error(tmp_path, capsys, where, key
     _assert_config_error(tmp_path, capsys, "hull", cfg)
 
 
+def test_hull_grid_whose_size_wraps_int64_is_config_error(tmp_path, capsys):
+    # 65536^4 points: an int64 product wrapped to 0 and passed the cap, and
+    # building the grid raised a ValueError that escaped cli.run
+    cfg = _hull_cfg()
+    cfg["candidates"]["grid"].update(per_axis=65536, fixed_axes={})
+    _assert_config_error(tmp_path, capsys, "hull", cfg)
+
+
 def _hull_k_on_grid(tmp_path):
     """A hull config whose K file holds sphere points plus two grid
     candidates, one written with -0.0 coordinates; returns (cfg, rows)."""
@@ -473,15 +481,14 @@ def test_thm2_empty_input_is_config_error(tmp_path, cfg):
     {"single": {**_thm2_single_cfg()["single"], "r": 0.0}},
     *({"batch": {"configs": 2, "r_range": r_range}} for r_range in (
         "x", 1.0, [1.0], [2.0, 1.0], [0.1, 1.0, 2.0], [0.1, "x"], [0.1, None])),
+    {"batch": {"configs": 1, "ns": [2], "k_count": 5, "z_count": 5,
+               "r_range": [1e-100, 1e-100]}},
 ], ids=["batch-no-ns", "batch-n0", "batch-r0", "single-r0", "r_range-string",
         "r_range-number", "r_range-one", "r_range-reversed", "r_range-three",
-        "r_range-string-entry", "r_range-null-entry"])
-def test_thm2_invalid_config_is_config_error(tmp_path, cfg):
+        "r_range-string-entry", "r_range-null-entry", "r_range-below-floor"])
+def test_thm2_invalid_config_is_config_error(tmp_path, capsys, cfg):
     # unvalidated, these crash or sample forever
-    path = _write(tmp_path, "t.json", cfg)
-    out = tmp_path / "out"
-    assert run(["thm2", "--config", path, "--out", str(out)]) == 2
-    assert not (out / "thm2_report.json").exists()
+    _assert_config_error(tmp_path, capsys, "thm2", cfg)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -796,6 +803,38 @@ def test_hull_with_huge_coordinates_raises_no_warning(tmp_path):
     assert summary["candidates"] == 5 and summary["k_in_z_all_member"] is True
 
 
+def test_hull_with_a_huge_k_sphere_prints_one_error_line(tmp_path, capsys):
+    # r = 1e300 passes its reader but overflows the family's values on K:
+    # exit 2, and no overflow warning from the certification points'
+    # distance check comes before the error line
+    cfg = _hull_cfg()
+    cfg["K"]["sphere"]["r"] = 1e300
+    path = _write(tmp_path, "h.json", cfg)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hull", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("n, center, fixed", [
+    (2, [0.25 - 0.5j, -1.0], {}),
+    (2, [0.25 - 0.5j, -1.0], {"im1": 0.0, "re2": 0.1, "im2": 0.0}),
+    (2, [0.0, 0.5j], {"re1": -0.0, "im2": -0.0}),
+    (3, [1.0, -2.0j, 0.5 + 0.5j], {"re2": -0.0, "im3": 3.5}),
+], ids=["free", "fixed", "negative-zero", "n3"])
+def test_grid_candidates_equal_the_meshgrid_construction(n, center, fixed):
+    # -0.0 on a fixed real axis gives meshgrid's re + 1j * im zero signs,
+    # which depend on the sign of the imaginary part
+    spec = {"grid": {"center": [fileio.format_complex(c) for c in center],
+                     "halfwidth": 0.75, "per_axis": 6, "fixed_axes": fixed}}
+    got = cli._grid_candidates(n, spec)
+    want = grid_candidates_reference(np.array(center, dtype=complex), 0.75, 6, fixed)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_k_in_z_check_keeps_huge_coordinates_apart(tmp_path):
     # the K point 1e300 is not the candidate 2e300 (no member), though
     # scaling both by 1e12 to round them overflows to inf
@@ -908,6 +947,19 @@ def test_number_readers_keep_valid_values(tmp_path):
 def test_peak_samples_past_the_cap_are_config_error(tmp_path, capsys, key, count):
     # uncapped, 2^40 ended in MemoryError
     _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, samples={key: count}))
+
+
+@pytest.mark.parametrize("domain", [
+    {"model": "ellipsoid", "a": [[1.0], 2.0]},
+    {"model": "ellipsoid", "a": [1.0, 2.0], "b": [0.0, [0.5]]},
+    {"model": "ellipsoid", "a": 1.0},
+    {"model": "ellipsoid", "a": [1.0, "x"]},
+    {"model": "ellipsoid", "a": [1.0, 2.0], "b": [float("nan"), 0.0]},
+], ids=["a-list-entry", "b-list-entry", "a-number", "a-string-entry", "b-nan"])
+def test_bad_ellipsoid_coefficients_are_config_error(tmp_path, capsys, domain):
+    # float() of a list entry, or len() of a number, escaped cli.run as a
+    # TypeError
+    _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, domain=domain))
 
 
 @pytest.mark.parametrize("cfg", [

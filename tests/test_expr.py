@@ -457,6 +457,36 @@ def test_failing_rows_leave_the_others_bit_for_bit():
                     assert _same_bits(a[i], b[0])
 
 
+def test_values_in_chunks_equal_one_unchunked_run(monkeypatch):
+    # chunks of 7 rows; a near-zero divisor only in the third chunk gives
+    # the unchunked run's error text and global row
+    e = ex.parse("exp(z1*conj(z2))/(z1-0.5)+z2^3*conj(z1)-re(z2/z1)", 2)
+    rng = np.random.default_rng(73)
+    m = 3 * 7 + 4
+    pts = rng.uniform(-1, 1, size=(m, 2)) + 1j * rng.uniform(-1, 1, size=(m, 2))
+    monkeypatch.setattr(ex, "_VALUE_ROWS", 7)
+    for bad_row in (None, 17):
+        if bad_row is not None:
+            pts[bad_row, 0] = 0.5
+        with np.errstate(all="ignore"):
+            (want,), first_div = ex._run(ex._tape(e), pts, 0)
+        got, bad, error = ex._values(e, pts)
+        assert got.tobytes() == want.tobytes()
+        if bad_row is None:
+            assert bad is None and first_div is None
+            assert ex.eval_batch(e, pts).tobytes() == want.tobytes()
+            continue
+        assert np.flatnonzero(bad).tolist() == [bad_row]
+        with pytest.raises(ex.EvalError) as chunked:
+            ex.eval_batch(e, pts)
+        monkeypatch.setattr(ex, "_VALUE_ROWS", m)
+        with pytest.raises(ex.EvalError) as whole:
+            ex.eval_batch(e, pts)
+        assert str(chunked.value) == str(whole.value) == (
+            "division by near-zero in 'exp(z1*conj(z2))/(z1-0.5)'")
+        assert chunked.value.row == whole.value.row == bad_row
+
+
 def test_deep_tree_evaluates_without_recursion():
     terms = 5000
     e = ex.parse("+".join(["z1"] * terms), 2)

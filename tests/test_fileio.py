@@ -156,6 +156,25 @@ def test_csv_writer_matches_row_by_row_reference(tmp_path, m):
         assert np.array_equal(back, pts + 0.0, equal_nan=True)
 
 
+def test_csv_writer_flushes_negative_zero_in_a_later_block(tmp_path, monkeypatch):
+    # -0.0 only past the first block, in coordinates and a float column
+    monkeypatch.setattr(fileio, "_CSV_BLOCK_ROWS", 4)
+    m = 11
+    pts = np.full((m, 2), 0.5 - 0.25j)
+    pts[6, 0] = complex(-0.0, 1.0)
+    pts[9, 1] = complex(2.0, -0.0)
+    margin = np.linspace(-1.0, 1.0, m)
+    margin[[5, 10]] = -0.0
+    extra = [("member", np.arange(m) % 2), ("margin", margin),
+             ("flag", np.arange(m) < 3)]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    fileio.write_points_csv(got, pts, extra=extra)
+    write_points_csv_reference(want, pts, extra=extra)
+    assert got.read_bytes() == want.read_bytes()
+    assert b"-0.0" not in got.read_bytes()
+    assert np.signbit(pts[6, 0].real) and np.signbit(margin[5])   # inputs kept
+
+
 def test_csv_writer_rejects_short_extra_column(tmp_path):
     with pytest.raises(ValueError, match="has 1 values for 2 rows"):
         fileio.write_points_csv(tmp_path / "x.csv", [[1j], [2j]],

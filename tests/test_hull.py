@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import qholo.expr as ex
 import qholo.hull as hull
-from helpers import (certification_points_reference, sample_inner_ball_reference,
-                     theorem2_reference, thm2_config_reference)
+from helpers import (certification_points_reference, discrete_hull_reference,
+                     sample_inner_ball_reference, theorem2_reference,
+                     thm2_config_reference)
 from qholo.forms import q_holo_residual
 
 
@@ -285,6 +286,22 @@ def test_mostly_singular_grid_matches_row_by_row_evaluation():
     assert res.margins.tolist() == want_margin
 
 
+@pytest.mark.parametrize("pole_share", [0.0, 0.3, 1.0])
+def test_hull_running_maximum_equals_the_member_table(monkeypatch, pole_share):
+    # values in chunks of 64 rows; margins of several members with poles
+    # among the candidates, bit for bit
+    monkeypatch.setattr(ex, "_VALUE_ROWS", 64)
+    prob = _singular_grid_problem(300, pole_share, seed=8)
+    lam = hull.Lambda([1j, 1j])
+    prob = hull.HullProblem(2, prob.K, prob.Z, prob.family + (hull.FamilyMember(
+        hull.basener_expr(lam, np.array([0.5j, -0.25]), 2), 2, 0.0, "g"),))
+    got = hull.discrete_hull(prob)
+    want = discrete_hull_reference(prob)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got.k_maxima == want[3]
+
+
 def test_all_singular_grid_evaluates_each_member_once(monkeypatch):
     # the sweep's work is bounded without a clock: one interpreter run per
     # member over the candidates, and no error text formatted
@@ -416,6 +433,18 @@ def test_theorem2_batch_rejects_invalid_config(kwargs, match):
         hull.run_theorem2_batch(configs=2, **kwargs)
 
 
+def test_theorem2_batch_radius_below_the_floor_raises_before_drawing_k(monkeypatch):
+    # at r = 1e-100, (p + x) - p rounds to 0 and no K draw is ever kept:
+    # the candidates' ball r / sqrt(n) fails its floor before K is drawn
+    def no_k(*args):
+        raise AssertionError("K drawn")
+
+    monkeypatch.setattr(hull, "_outside_balls", no_k)
+    with pytest.raises(ValueError, match="floor"):
+        hull.run_theorem2_batch(configs=1, ns=(2,), k_count=5, z_count=5,
+                                r_range=(1e-100, 1e-100))
+
+
 def test_sample_ball_rejects_radius_at_floor():
     with pytest.raises(ValueError, match="floor"):
         hull.sample_ball(2, np.zeros(2), 0.0, 5, seed=1)
@@ -518,21 +547,24 @@ def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
 def test_stacked_thm2_sampler_matches_the_per_configuration_reference(
         monkeypatch, halfwidth_factor):
     # near 1 the box around B(p, r) is mostly ball at n = 1, so K's first
-    # block comes up short: at 1.2 its second half suffices, at 1.0 it
-    # takes another block
-    short, redraws = [], []
+    # prefix comes up short: at 1.2 the rest of its block suffices, at 1.0
+    # it takes another block; every generator must end where the
+    # reference's does, skipped rows included
+    short, redraws, stacks = [], [], []
     first_kept = hull._first_kept
 
-    def spy(draw, make, configs, count):
-        def counted_draw(idx):
-            redraws.extend(idx if len(idx) == 1 and configs > 1 else [])
-            return draw(idx)
+    def spy(rngs, make, *args):
+        made = []
 
         def counted_make(idx, *parts):
-            short.extend(idx if len(idx) == 1 and configs > 1 else [])
+            made.extend(idx if len(idx) == 1 and len(rngs) > 1 else [])
             return make(idx, *parts)
 
-        return first_kept(counted_draw, counted_make, configs, count)
+        out = first_kept(rngs, counted_make, *args)
+        short.extend(made)
+        redraws.extend(i for i in made if made.count(i) > 1)
+        stacks.append(rngs)
+        return out
 
     monkeypatch.setattr(hull, "_first_kept", spy)
     for seed, n, k_count, z_count in ((0, 1, 40, 9), (1, 2, 30, 11),
@@ -546,6 +578,8 @@ def test_stacked_thm2_sampler_matches_the_per_configuration_reference(
                                          halfwidth_factor)
             assert r[i] == want[0]
             assert np.array_equal(dk[i], want[1]) and np.array_equal(dz[i], want[2])
+            assert stacks[-1][i].uniform(size=3).tobytes() == \
+                want[3].uniform(size=3).tobytes()
     assert bool(short) == (halfwidth_factor < 2.5)
     assert bool(redraws) == (halfwidth_factor == 1.0)
 
