@@ -1,10 +1,16 @@
-"""Command-line surface: config loading, subcommand dispatch, report emission.
+"""Command-line surface: config shapes, subcommand dispatch, report emission.
 
 Subcommands: levi | classify | qholo | hull | thm2 | peak.  Every run reads
 one JSON config, writes its artifacts into --out, and exits with 0 (success),
 1 (a requested property or threshold failed; artifacts are still written), or
 2 (input/config error; nothing is written).  With a fixed seed, reruns emit
 byte-identical files.
+
+Each subcommand declares the shape of its config as data (_SHAPES).  A
+reader takes (value, what, env): the config's value, its dotted name for
+messages, and the values read before it (keys are read in declared order, so
+`n` precedes the readers that need it).  It returns the validated value or
+raises ConfigError; unknown keys are errors.  cmd_* get the validated values.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import ChainMap
 
 import numpy as np
 
@@ -32,21 +39,13 @@ def _load_config(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON in {path}: {e.msg} at line "
                           f"{e.lineno} column {e.colno} (char {e.pos})")
-
-
-def _resolve(path, base_dir):
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
-def _require(cfg, key, where="config"):
-    if key not in cfg:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return cfg[key]
+    except (OSError, ValueError, RecursionError) as e:
+        # a missing file or a directory; text that is not UTF-8 or an integer
+        # past Python's digit limit; arrays nested past the recursion limit
+        raise ConfigError(f"cannot read {path}: {e}")
 
 
 # Resource caps: on every sampled count a config gives (thm2's batch configs
@@ -54,106 +53,398 @@ def _require(cfg, key, where="config"):
 MAX_SAMPLES = 100_000
 MAX_GRID = 2_000_000
 
+# Cap on every dimension n.  The largest per-row object is a (2n, 2n) jet
+# block: up to n = 32 one row fits the interpreter's chunk of 4096 Hessian
+# entries, past it chunks floor at one row and scratch grows as n^2 per slot.
+MAX_N = 32
+
+# Cap on forms.form_width(n, q), the residual engine's widest form in
+# coefficients per row: its chunk budget.  Past it a chunk cannot hold one
+# row, and the gather tables grow with C(n, a+1).
+MAX_FORM = 1 << 16
 
 # Bound on config lengths and scales (box, halfwidths, radii, peak c), so twice
 # one stays finite.
 MAX_LENGTH = 1e300
 
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _whole(value, what, lo=1, cap=math.inf):
-    """A whole number in [lo, cap] from the config; anything else is a
-    ConfigError."""
-    if (not _is_number(value) or not lo <= value < math.inf
-            or value != int(value)):
-        raise ConfigError(f"{what} must be an integer >= {lo}, got {value!r}")
-    if value > cap:
-        raise ConfigError(f"{what} must be at most {cap}, got {value!r}")
-    return int(value)
+_REQUIRED = object()     # the default of a key the config must give
+_FMAX = sys.float_info.max
 
 
-def _each(read, values, what, **limits):
-    """read(entry, what, **limits) of each entry of a config list, as a tuple."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list, got {values!r}")
-    return tuple(read(v, f"{what} entry", **limits) for v in values)
+# ---------------------------------------------------------------- readers
+
+def _obj(fields, build=None):
+    """Reader of an object whose keys are among fields', read in order: key ->
+    reader (a required key) or (reader, default).  A default is None, a
+    callable of env, or a config value read like a given one.
+    build(values, env) makes the result; the library's ValueError or
+    RuntimeError there is a ConfigError."""
+    fields = {key: spec if isinstance(spec, tuple) else (spec, _REQUIRED)
+              for key, spec in fields.items()}
+    def read(value, what, env):
+        where = what or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        for key in value:
+            if key not in fields:
+                raise ConfigError(f"unknown key {key!r} in {where}; "
+                                  f"expected one of {list(fields)}")
+        out = {}
+        scope = ChainMap(out, env)
+        for key, (reader, default) in fields.items():
+            name = f"{what}.{key}" if what else key
+            if key in value:
+                out[key] = reader(value[key], name, scope)
+            elif default is _REQUIRED:
+                raise ConfigError(f"{where} is missing required key {key!r}")
+            else:
+                out[key] = (default(scope) if callable(default) else
+                            None if default is None else reader(default, name, scope))
+        try:
+            return out if build is None else build(out, scope)
+        except (ValueError, OverflowError, RuntimeError) as e:
+            raise ConfigError(f"bad {where}: {e}")
+    read.parts = [(key, reader) for key, (reader, _) in fields.items()]
+    return read
 
 
-def _seed(value, what="seed"):
-    return _whole(value, what, lo=0)
+def _list(item, lo=0, cap=math.inf, build=tuple):
+    """Reader of a list of lo to cap entries, each read by item."""
+    size = "" if (lo, cap) == (0, math.inf) else f" of {lo} to {cap} entries"
+    def read(value, what, env):
+        if not isinstance(value, list) or not lo <= len(value) <= cap:
+            raise ConfigError(f"{what} must be a list{size}, got {value!r}")
+        return build([item(v, f"{what}[{i}]", env) for i, v in enumerate(value)])
+    read.parts, read.capped = [(None, item)], cap < math.inf
+    return read
 
 
-def _run_seed(override, cfg):
-    """The --seed override, else the config's seed (default 0)."""
-    return _seed(cfg.get("seed", 0) if override is None else override)
+def _one_of(expected, *variants):
+    """Reader of a union: the first (test, reader) variant whose test, a type
+    or a predicate, the value passes reads it."""
+    def read(value, what, env):
+        for test, reader in variants:
+            if isinstance(value, test) if isinstance(test, type) else test(value):
+                return reader(value, what, env)
+        raise ConfigError(f"{what or 'config'} must be {expected}, got {value!r}")
+    read.parts = [(None, reader) for _, reader in variants]
+    return read
 
 
-def _finite(value, what):
-    """A finite number from the config."""
-    if not _is_number(value) or not math.isfinite(value):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+def _has(key, *wanted):
+    """Union test: an object holding key, or whose key is wanted[0] (None: absent)."""
+    return lambda v: isinstance(v, dict) and (
+        v.get(key) == wanted[0] if wanted else key in v)
 
 
-def _length(value, what, zero_ok=False):
-    """A length or scale from the config: a number in (0, MAX_LENGTH], or in
-    [0, MAX_LENGTH] when zero_ok."""
-    if (not _is_number(value) or not value <= MAX_LENGTH
-            or not (value >= 0 if zero_ok else value > 0)):
-        low = "[0" if zero_ok else "(0"
-        raise ConfigError(
-            f"{what} must be a number in {low}, {MAX_LENGTH:g}], got {value!r}")
-    return float(value)
+def _only(key, read):
+    """Reader of an object holding key alone; the result is key's value."""
+    return _obj({key: read}, lambda values, env: values[key])
 
 
-def _name(spec, default, where):
-    """The optional string "name" of a config object."""
-    name = spec.get("name", default)
-    if not isinstance(name, str):
-        raise ConfigError(f"{where} name must be a string, got {name!r}")
-    return name
+def _file(read, load=_load_config):
+    """Reader of a file reference: a non-empty string naming a file,
+    resolved against the config's directory.  read takes what load gives,
+    with the reference in env["file"]."""
+    def read_ref(value, what, env):
+        if not isinstance(value, str) or not value:
+            raise ConfigError(
+                f"{what} must be a non-empty string naming a file, got {value!r}")
+        try:
+            loaded = load(os.path.join(env["dir"], value))
+        except (OSError, ValueError) as e:
+            raise ConfigError(str(e))
+        return read(loaded, what, ChainMap({"file": value}, env))
+    read_ref.parts = [(None, read)]
+    return read_ref
 
 
-def _parse_expr(text, n):
+def _number(text, lo=-_FMAX, cap=_FMAX, whole=False, open_lo=False):
+    """Reader of a number in [lo, cap] ((lo, cap] when open_lo), an integral
+    one when whole; text says which."""
+    def read(value, what, env=None):
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (lo < value if open_lo else lo <= value) and value <= cap
+                and (not whole or value == int(value))):
+            raise ConfigError(f"{what} must be {text}, got {value!r}")
+        return int(value) if whole else float(value)
+    read.integer, read.capped = whole, cap < _FMAX
+    return read
+
+
+def _whole(lo=1, cap=_FMAX):
+    return _number(f"an integer >= {lo}" if cap == _FMAX else
+                   f"an integer in [{lo}, {cap}]", lo, cap, whole=True)
+
+
+_WHOLE, _SEED, _COUNT, _DIM = _whole(), _whole(0), _whole(1, MAX_SAMPLES), _whole(1, MAX_N)
+_FINITE = _number("a finite number")
+_LENGTH = _number(f"a number in (0, {MAX_LENGTH:g}]", 0, MAX_LENGTH, open_lo=True)
+_STR = _one_of("a string", (str, lambda value, what, env: value))
+_BOOL = _one_of("true or false", (bool, lambda value, what, env: value))
+
+
+def _complex(value, what, env):
+    """A complex number: a number or an "a+bi" string."""
     try:
-        return ex.parse(text, n)
-    except ValueError as e:     # a ParseError, or a constant that overflows
-        raise ConfigError(f"bad expression {text!r}: {e}")
-
-
-def _parse_point(entries, n, what="point"):
-    try:
-        return fileio.parse_point(entries, n)
-    except ValueError as e:
+        return fileio.parse_complex(value)
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"bad {what}: {e}")
 
 
+def _point(value, what, env):
+    """A point of C^n: a list of n complex numbers with finite parts."""
+    pt = np.array(_list(_complex)(value, what, env), dtype=complex)
+    if len(pt) != env["n"] or not np.isfinite(pt).all():
+        raise ConfigError(f"{what} must be {env['n']} finite complex numbers, "
+                          f"got {value!r}")
+    return pt
+
+
+def _zeros(env):
+    return np.zeros(env["n"], dtype=complex)
+
+
+def _expr(value, what, env):
+    try:
+        return ex.parse(_STR(value, what, env), env["n"])
+    except ValueError as e:     # a ParseError, or a constant that overflows
+        raise ConfigError(f"bad expression {value!r}: {e}")
+
+
+def _run_seed(value, what, env):
+    """The --seed override when given, else the config's seed."""
+    return _SEED(value if env["--seed"] is None else env["--seed"], what)
+
+
+def _form_degree(shift):
+    """Reader of a degree q whose residual, of degree q + shift in C^n, has
+    at most MAX_FORM coefficients per point."""
+    def read(value, what, env):
+        q, n = _WHOLE(value, what), env["n"]
+        width = forms.form_width(n, q + shift) if q + shift <= n else 0
+        if width > MAX_FORM:
+            raise ConfigError(f"{what}: the degree-{q + shift} residual in C^{n} "
+                              f"has {width} coefficients per point, above {MAX_FORM}")
+        return q
+    read.integer = read.capped = True
+    return read
+
+
+def _matrix(value, what, env):
+    """A Hermitian matrix: a square list of rows of complex numbers."""
+    rows = _list(_list(_complex))(value, what, env)
+    try:   # LeviMatrix checks the shape; numpy rejects ragged rows
+        return levi.LeviMatrix(np.array(rows, dtype=complex))
+    except ValueError as e:
+        raise ConfigError(f"bad matrix: {e}")
+
+
+def _csv_points(pts, what, env):
+    if pts.shape[1] != env["n"]:
+        raise ConfigError(f"{env['file']}: points have {pts.shape[1]} "
+                          f"coordinates, expected {env['n']}")
+    return pts
+
+
+def _basener_members(spec, env):
+    """The builtin singular family: (expr, q, name, avoid) per weight."""
+    n, p = env["n"], spec["p"]
+    _form_degree(0)(n, "basener family", env)     # certified at q = n
+    if spec["lambda"] is not None:
+        lams = [hull.Lambda(spec["lambda"])]
+    else:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([spec["seed"], 0x62617365]))
+        lams = hull.random_lambdas(n, spec["lambda_count"], rng)
+    return [(hull.basener_expr(lam, p, n), n, f"basener[{i}]", p)
+            for i, lam in enumerate(lams)]
+
+
+def _fixed_axes(value, what, env):
+    """Grid axes held at one finite value: re1, im1, ..., imN -> number."""
+    return _obj({f"{part}{k + 1}": (_FINITE, None) for k in range(env["n"])
+                 for part in ("re", "im")})(value, what, env)
+
+
+def _grid_candidates(grid, env):
+    n, per, hw = env["n"], grid["per_axis"], grid["halfwidth"]
+    fixed = list(grid["fixed_axes"].values())   # re1, im1, ..., imN
+    dims = [per if v is None else 1 for v in fixed]
+    total = math.prod(dims)
+    if total > MAX_GRID:
+        raise ConfigError(f"grid has {total} points; fix more axes")
+    bases = [part for c in grid["center"] for part in (c.real, c.imag)]
+    axes = [np.linspace(b - hw, b + hw, per) if v is None else np.array([v])
+            for v, b in zip(fixed, bases)]
+    # Coordinate k is re + 1j * im on axes 2k, 2k + 1 alone (a meshgrid's
+    # zero signs), broadcast over the row-major grid.
+    Z = np.empty(dims + [n], dtype=complex)
+    for k in range(n):
+        Z[..., k] = (axes[2 * k][:, None] + 1j * axes[2 * k + 1]).reshape(
+            dims[2 * k:2 * k + 2] + [1] * (2 * n - 2 * k - 2))
+    return Z.reshape(total, n)
+
+
+def _same_n(value, what, env):
+    if _DIM(value, what) != env["n"]:
+        raise ConfigError(f"{what} must be the config's n = {env['n']}, got {value!r}")
+    return env["n"]
+
+
+def _one_function(value, what, env):
+    """qholo's function as (expr, name); its avoided center goes to env for
+    the random points after it."""
+    members = _FUNCTION(value, what, env)
+    if len(members) != 1:
+        raise ConfigError("qholo takes a single function; use lambda_count 1")
+    f, _, name, env["avoid"] = members[0]
+    return f, name or ex.to_text(f)
+
+
+def _domain(value, what, env):
+    """The peak domain; the keys after it are read in its dimension."""
+    dom = _DOMAIN(value, what, env)
+    env["n"] = dom.n
+    return dom
+
+
+_run_seed.integer = _same_n.integer = _same_n.capped = True
+
+
+# ---------------------------------------------------------------- shapes
+
+_RUN_SEED = (_run_seed, 0)
+_CSV = _only("file", _file(_csv_points, fileio.read_points_csv))
+_POINTS = _one_of(
+    "a list of points, {'file': csv} or {'random': {...}}",
+    (list, _list(_point, build=np.array)), (_has("file"), _CSV),
+    (_has("random"), _only("random", _obj({
+        "count": (_COUNT, 100), "seed": (_SEED, 0), "halfwidth": (_LENGTH, 2.0),
+        "avoid_radius": (_number(f"a number in [0, {MAX_LENGTH:g}]", 0, MAX_LENGTH), 0.3),
+        "center": (_point, None),
+    }, lambda s, env: hull.certification_points(
+        env["n"], s["seed"], count=s["count"], halfwidth=s["halfwidth"],
+        center=s["center"], avoid=env.get("avoid"), avoid_radius=s["avoid_radius"])))))
+_K = _one_of(
+    "{'file': csv} or {'sphere': {...}}", (_has("file"), _CSV),
+    (_has("sphere"), _only("sphere", _obj({
+        "p": (_point, _zeros), "r": _LENGTH, "count": (_COUNT, 100), "seed": (_SEED, 0),
+    }, lambda s, env: hull.sample_sphere(env["n"], s["p"], s["r"], s["count"],
+                                         s["seed"])))))
+_CANDIDATES = _only("grid", _obj({
+    "center": (_point, _zeros), "halfwidth": _LENGTH,
+    "per_axis": _whole(cap=MAX_GRID), "fixed_axes": (_fixed_axes, {}),
+}, _grid_candidates))
+_BASENER = (_has("builtin", "basener"), _obj({
+    "builtin": _STR, "p": (_point, _zeros), "lambda": (_point, None),
+    "lambda_count": (_COUNT, 1),
+    "seed": (_SEED, lambda env: env["seed"]),     # default: the run seed
+}, _basener_members))
+_FUNCTION = _one_of(
+    "an expression or {'builtin': 'basener', ...}",
+    (str, lambda value, what, env: [(_expr(value, what, env), None, None, None)]),
+    _BASENER)
+_DOMAIN_TEXT = "a JSON file name or an object with model 'ball', 'ellipsoid' or none"
+_DOMAIN_MODELS = (
+    (_has("model", "ball"), _obj({
+        "model": _STR, "n": _DIM, "center": (_point, None), "radius": (_LENGTH, 1.0),
+    }, lambda d, env: peak.ModelDomain.ball(d["n"], radius=d["radius"],
+                                            center=d["center"]))),
+    (_has("model", "ellipsoid"), _obj({
+        "model": _STR, "a": _list(_LENGTH, cap=MAX_N),
+        "b": (_list(_FINITE), lambda env: (0.0,) * len(env["a"])),
+    }, lambda d, env: peak.ModelDomain.ellipsoid(d["a"], d["b"]))),
+    (_has("model", None), _obj({
+        "n": _DIM, "defining": _expr, "box": _LENGTH, "name": (_STR, "custom"),
+        "convex_certified": (_BOOL, False),
+    }, lambda d, env: peak.ModelDomain.from_expr(
+        d["n"], d["defining"], d["box"], name=d["name"],
+        convex_certified=d["convex_certified"]))))
+_DOMAIN = _one_of(_DOMAIN_TEXT, (str, _file(_one_of(_DOMAIN_TEXT, *_DOMAIN_MODELS))),
+                  *_DOMAIN_MODELS)
+_one_function.parts, _domain.parts = [(None, _FUNCTION)], [(None, _DOMAIN)]
+
+_SHAPES = {
+    "levi": _one_of(
+        "an object with 'matrix' or 'function'",
+        (_has("matrix"), _obj({
+            "matrix": _matrix,
+            "ztol": (_FINITE, lambda env: levi.default_ztol(env["matrix"])),
+            "expect": (_obj({"signature": (_list(_whole(0)), None)}), {}),
+        })),
+        (_has("function"), _obj({
+            "n": _DIM, "function": _expr, "points": _POINTS, "ztol": (_FINITE, None),
+            "expect": (_obj({"q": (_WHOLE, None), "q_max": (_WHOLE, None)}), {}),
+        }))),
+    "classify": _obj({
+        "n": _DIM, "name": (_STR, "domain"), "defining": _expr,
+        "boundary_samples": _COUNT, "seed": _RUN_SEED, "box": (_LENGTH, 2.0),
+        "ztol": (_FINITE, None), "expect": (_obj({
+            "strict_q": (_WHOLE, None), "strict_q_max": (_WHOLE, None)}), {}),
+    }),
+    "qholo": _obj({
+        "n": _DIM, "q": _form_degree(0), "seed": _RUN_SEED,
+        "function": _one_function, "points": _POINTS, "threshold": (_FINITE, 1e-8),
+    }),
+    "hull": _obj({
+        "n": _DIM, "seed": _RUN_SEED,
+        "family": _list(_one_of(
+            "a function file name or {'builtin': 'basener', ...}",
+            (str, _file(_obj({
+                "n": (_same_n, lambda env: env["n"]), "expr": _expr,
+                "q": _form_degree(0),
+                "name": (_STR, lambda env: os.path.basename(env["file"])),
+                "avoid": (_point, None),
+            }, lambda f, env: [(f["expr"], f["q"], f["name"], f["avoid"])]))),
+            _BASENER), lo=1),
+        "K": _K, "candidates": _CANDIDATES, "fam": (_FINITE, 1e-8),
+    }),
+    "thm2": _one_of(
+        "{'single': {...}} or {'batch': {...}}",
+        (_has("single"), _obj({"single": _obj({
+            "n": _DIM, "p": _point, "r": _LENGTH, "K": _K,
+            "z": _one_of(
+                "{'file': csv} or {'count': ..., 'seed': ...}", (_has("file"), _CSV),
+                (dict, _obj({"count": (_COUNT, 50), "seed": (_SEED, 0)},
+                            lambda z, env: hull.sample_ball(
+                                env["n"], env["p"],
+                                env["r"] / np.sqrt(env["n"]) * (1 - 1e-12),
+                                z["count"], z["seed"])))),
+        })})),
+        (dict, _obj({"seed": _RUN_SEED, "batch": (_obj({
+            "configs": (_COUNT, 1000), "seed": (_run_seed, lambda env: env["seed"]),
+            "ns": (_list(_DIM), [2, 3, 4]), "k_count": (_COUNT, 200),
+            "z_count": (_COUNT, 50),
+            # run_theorem2_batch checks for a pair with lo <= hi
+            "r_range": (_list(_LENGTH), [0.1, 2.0]),
+        }), {})}))),
+    "peak": _obj({
+        "domain": _domain, "p": _point, "q": _form_degree(1), "c": (_LENGTH, 1.0),
+        "rho_V": (_LENGTH, 0.5),
+        "r": (_one_of("'auto' or a length", (lambda v: v == "auto", _STR),
+                      (object, _LENGTH)), "auto"),
+        "samples": (_obj({"boundary": (_COUNT, 200), "interior": (_COUNT, 200),
+                          "tube": (_COUNT, 500)}), {}),
+        "seed": _RUN_SEED, "residual_tol": (_FINITE, 1e-5),
+        "margin_min": (_FINITE, 1e-3), "peak_tol": (_FINITE, 1e-12),
+    }),
+}
+
+
 def _tol_overrides(pairs, allowed):
+    """The --tol NAME=VALUE pairs: a known NAME and a finite number."""
     out = {}
     for item in pairs:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")
+        name, _, value = item.partition("=")
         if name not in allowed:
-            raise ConfigError(
-                f"unknown tolerance {name!r}; expected one of {sorted(allowed)}")
+            raise ConfigError(f"--tol expects NAME=VALUE, NAME one of "
+                              f"{sorted(allowed)}; got {item!r}")
         try:
-            out[name] = float(value)
+            out[name] = _FINITE(float(value), f"--tol {name}")
         except ValueError:
             raise ConfigError(f"--tol {name}: not a number: {value!r}")
-        if not math.isfinite(out[name]):
-            raise ConfigError(f"--tol {name}: not finite: {value!r}")
     return out
-
-
-def _tol(name, overrides, cfg, default):
-    """The --tol override, else the config's finite number, else default."""
-    if name in overrides:
-        return overrides[name]
-    return _finite(cfg[name], name) if name in cfg else default
 
 
 def _jnums(values):
@@ -170,41 +461,6 @@ def _jnum(x):
     return _jnums(x)[0]
 
 
-def _random_points(n, spec, avoid=None):
-    count = _whole(spec.get("count", 100), "random.count", cap=MAX_SAMPLES)
-    seed = _seed(spec.get("seed", 0), "random.seed")
-    halfwidth = _length(spec.get("halfwidth", 2.0), "random.halfwidth")
-    radius = _length(spec.get("avoid_radius", 0.3), "random.avoid_radius",
-                     zero_ok=True)
-    center = _parse_point(spec["center"], n) if "center" in spec else None
-    try:
-        return hull.certification_points(
-            n, seed, count=count, halfwidth=halfwidth, center=center,
-            avoid=avoid, avoid_radius=radius)
-    except RuntimeError as e:
-        raise ConfigError(f"random points: {e}")
-
-
-def _load_points(cfg_points, n, base_dir, avoid=None):
-    """Point sources: inline list, {"file": csv}, or {"random": {...}}."""
-    if isinstance(cfg_points, list):
-        return np.array([_parse_point(row, n) for row in cfg_points])
-    if isinstance(cfg_points, dict):
-        if "file" in cfg_points:
-            path = _resolve(cfg_points["file"], base_dir)
-            try:
-                pts = fileio.read_points_csv(path)
-            except (OSError, ValueError) as e:
-                raise ConfigError(str(e))
-            if pts.shape[1] != n:
-                raise ConfigError(
-                    f"{path}: points have {pts.shape[1]} coordinates, expected {n}")
-            return pts
-        if "random" in cfg_points:
-            return _random_points(n, cfg_points["random"], avoid=avoid)
-    raise ConfigError("points must be a list, {'file': csv}, or {'random': {...}}")
-
-
 def _signature_columns(sigs):
     """The report's signature object of each of sigs, as Records columns."""
     return {"pos": [s.n_pos for s in sigs], "neg": [s.n_neg for s in sigs],
@@ -213,72 +469,38 @@ def _signature_columns(sigs):
 
 # ---------------------------------------------------------------- levi
 
-def cmd_levi(cfg, out_dir, seed, tols):
+def cmd_levi(cfg, out_dir):
     """Signature of an explicit Hermitian matrix, or q-convexity
     classification of a function over sampled points."""
-    report = {}
-    failures = []
+    failures, expect = [], cfg["expect"]
     if "matrix" in cfg:
-        rows = cfg["matrix"]
-        try:
-            mat = np.array([[fileio.parse_complex(v) for v in row]
-                            for row in rows], dtype=complex)
-        except ValueError as e:
-            raise ConfigError(f"bad matrix entry: {e}")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ConfigError(f"matrix must be square, got shape {mat.shape}")
-        try:
-            h = levi.LeviMatrix(mat)
-        except ValueError as e:
-            raise ConfigError(f"bad matrix: {e}")
-        ztol = _tol("ztol", tols, cfg, levi.default_ztol(h))
+        h, ztol, want = cfg["matrix"], cfg["ztol"], expect["signature"]
         try:
             sig = levi.eig_signature(h, ztol)
         except ValueError as e:
             raise ConfigError(str(e))
-        report = {
-            "mode": "matrix",
-            "m": h.m,
-            "herm_deviation": _jnum(h.herm_dev),
-            "ztol": _jnum(ztol),
-            "signature": {"pos": sig.n_pos, "neg": sig.n_neg, "zero": sig.n_zero},
-        }
-        expect = cfg.get("expect", {})
-        if "signature" in expect:
-            want = _each(_whole, expect["signature"], "expect.signature", lo=0)
-            if sig.as_tuple() != want:
-                failures.append(
-                    f"signature {sig.as_tuple()} != expected {want}")
-    elif "function" in cfg:
-        n = _whole(_require(cfg, "n"), "n")
-        f = _parse_expr(cfg["function"], n)
-        pts = _load_points(_require(cfg, "points"), n, cfg["_dir"])
-        ztol = _tol("ztol", tols, cfg, None)
+        report = {"mode": "matrix", "m": h.m, "herm_deviation": _jnum(h.herm_dev),
+                  "ztol": _jnum(ztol), "signature": {
+                      "pos": sig.n_pos, "neg": sig.n_neg, "zero": sig.n_zero}}
+        if want is not None and sig.as_tuple() != want:
+            failures.append(f"signature {sig.as_tuple()} != expected {want}")
+    else:
+        f, pts = cfg["function"], cfg["points"]
         try:
-            cls = levi.classify_function(f, pts, ztol=ztol)
+            cls = levi.classify_function(f, pts, ztol=cfg["ztol"])
         except (ValueError, ex.EvalError) as e:
             raise ConfigError(str(e))
-        report = {
-            "mode": "function",
-            "n": n,
-            "function": ex.to_text(f),
-            "points": fileio.Records({
-                "point": tuple(pts.T),
-                "signature": _signature_columns(cls.signatures),
-                "q": list(cls.per_point_q),
-            }),
-            "overall_q": cls.overall_q,
-            "overall": cls.overall_text,
-        }
-        expect = cfg.get("expect", {})
-        if "q" in expect and cls.overall_q != _whole(expect["q"], "expect.q"):
+        report = {"mode": "function", "n": cfg["n"], "function": ex.to_text(f),
+                  "points": fileio.Records({
+                      "point": tuple(pts.T),
+                      "signature": _signature_columns(cls.signatures),
+                      "q": list(cls.per_point_q)}),
+                  "overall_q": cls.overall_q, "overall": cls.overall_text}
+        if expect["q"] is not None and cls.overall_q != expect["q"]:
             failures.append(f"overall q {cls.overall_q} != expected {expect['q']}")
-        if "q_max" in expect and cls.overall_q > _whole(expect["q_max"],
-                                                        "expect.q_max"):
+        if expect["q_max"] is not None and cls.overall_q > expect["q_max"]:
             failures.append(
                 f"overall q {cls.overall_q} > allowed maximum {expect['q_max']}")
-    else:
-        raise ConfigError("levi config needs either 'matrix' or 'function'")
     report["failures"] = failures
     fileio.dump_json(os.path.join(out_dir, "levi_report.json"), report)
     return 1 if failures else 0
@@ -286,181 +508,62 @@ def cmd_levi(cfg, out_dir, seed, tols):
 
 # ---------------------------------------------------------------- classify
 
-def cmd_classify(cfg, out_dir, seed, tols):
+def cmd_classify(cfg, out_dir):
     """Boundary classification of a domain model at sampled boundary points."""
-    n = _whole(_require(cfg, "n"), "n")
-    name = _name(cfg, "domain", "classify")
-    phi = _parse_expr(_require(cfg, "defining"), n)
-    count = _whole(_require(cfg, "boundary_samples"), "boundary_samples",
-                   cap=MAX_SAMPLES)
-    run_seed = _run_seed(seed, cfg)
-    box = _length(cfg.get("box", 2.0), "box")
-    ztol = _tol("ztol", tols, cfg, None)
+    phi, run_seed = cfg["defining"], cfg["seed"]
     try:
-        pts = levi.sample_boundary(phi, count, run_seed, box=box)
+        pts = levi.sample_boundary(phi, cfg["boundary_samples"], run_seed,
+                                   box=cfg["box"])
     except (ValueError, ex.EvalError, RuntimeError) as e:
         raise ConfigError(f"boundary sampling failed: {e}")
     try:
-        classes = levi.classify_boundary_point(phi, pts, ztol=ztol)
+        classes = levi.classify_boundary_point(phi, pts, ztol=cfg["ztol"])
     except (ValueError, ex.EvalError) as e:
         raise ConfigError(
             f"classification failed at {pts[getattr(e, 'row', 0)]}: {e}")
-    strict_qs = [c.strict_q for c in classes]
-    entries = fileio.Records({
-        "point": tuple(pts.T),
-        "gradient": tuple(np.array([c.gradient for c in classes]).T),
-        "signature": _signature_columns([c.restricted for c in classes]),
-        "strict_q": ["none" if q is None else q for q in strict_qs],
-        "weak_q": ["none" if c.weak_q is None else c.weak_q for c in classes],
-    })
-    failures = []
-    expect = cfg.get("expect", {})
-    if "strict_q" in expect:
-        want = _whole(expect["strict_q"], "expect.strict_q")
+    strict_qs, failures = [c.strict_q for c in classes], []
+    want, cap = cfg["expect"]["strict_q"], cfg["expect"]["strict_q_max"]
+    if want is not None:
         bad = sum(1 for q in strict_qs if q != want)
         if bad:
             failures.append(f"{bad}/{len(strict_qs)} points have strict q != {want}")
-    if "strict_q_max" in expect:
-        cap = _whole(expect["strict_q_max"], "expect.strict_q_max")
+    if cap is not None:
         bad = sum(1 for q in strict_qs if q is None or q > cap)
         if bad:
             failures.append(f"{bad}/{len(strict_qs)} points exceed strict q {cap}")
-    report = {
-        "mode": "boundary",
-        "name": name,
-        "n": n,
-        "defining": ex.to_text(phi),
-        "seed": run_seed,
-        "points": entries,
-        "failures": failures,
-    }
+    report = {"mode": "boundary", "name": cfg["name"], "n": cfg["n"],
+              "defining": ex.to_text(phi), "seed": run_seed, "failures": failures,
+              "points": fileio.Records({
+                  "point": tuple(pts.T),
+                  "gradient": tuple(np.array([c.gradient for c in classes]).T),
+                  "signature": _signature_columns([c.restricted for c in classes]),
+                  "strict_q": ["none" if q is None else q for q in strict_qs],
+                  "weak_q": ["none" if c.weak_q is None else c.weak_q
+                             for c in classes]})}
     fileio.dump_json(os.path.join(out_dir, "classify_report.json"), report)
     return 1 if failures else 0
 
 
 # ---------------------------------------------------------------- qholo
 
-def _family_from_config(entry, n, base_dir, default_seed):
-    """One family source: a function-file ref or the builtin singular family.
-
-    Returns a list of (expr, q, name, avoid) tuples.
-    """
-    if isinstance(entry, str):
-        spec = _load_config(_resolve(entry, base_dir))
-        if "n" in spec and _whole(spec["n"], f"{entry}: n") != n:
-            raise ConfigError(
-                f"{entry}: function file has n={spec['n']}, config has n={n}")
-        e = _parse_expr(_require(spec, "expr", entry), n)
-        q = _whole(_require(spec, "q", entry), f"{entry}: q")
-        name = _name(spec, os.path.basename(entry), entry)
-        avoid = _parse_point(spec["avoid"], n) if "avoid" in spec else None
-        return [(e, q, name, avoid)]
-    if isinstance(entry, dict) and entry.get("builtin") == "basener":
-        p = _parse_point(entry.get("p", [0.0] * n), n)
-        count = _whole(entry.get("lambda_count", 1), "lambda_count",
-                       cap=MAX_SAMPLES)
-        fseed = _seed(entry.get("seed", default_seed), "family seed")
-        if "lambda" in entry:
-            try:
-                lams = [hull.Lambda(_parse_point(entry["lambda"], n))]
-            except ValueError as e:
-                raise ConfigError(f"bad lambda: {e}")
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([fseed, 0x62617365]))
-            lams = hull.random_lambdas(n, count, rng)
-        out = []
-        for i, lam in enumerate(lams):
-            out.append((hull.basener_expr(lam, p, n), n,
-                        f"basener[{i}]", p))
-        return out
-    raise ConfigError(f"bad family entry: {entry!r}")
-
-
-def cmd_qholo(cfg, out_dir, seed, tols):
+def cmd_qholo(cfg, out_dir):
     """Pointwise q-holomorphicity residual sweep against a threshold."""
-    n = _whole(_require(cfg, "n"), "n")
-    q = _whole(_require(cfg, "q"), "q")
-    run_seed = _run_seed(seed, cfg)
-    spec = _require(cfg, "function")
-    avoid = None
-    if isinstance(spec, str):
-        f = _parse_expr(spec, n)
-        name = ex.to_text(f)
-    else:
-        entries = _family_from_config(spec, n, cfg["_dir"], run_seed)
-        if len(entries) != 1:
-            raise ConfigError("qholo takes a single function; use lambda_count 1")
-        f, _, name, avoid = entries[0]
-    pts = _load_points(_require(cfg, "points"), n, cfg["_dir"], avoid=avoid)
-    threshold = _tol("threshold", tols, cfg, 1e-8)
+    (f, name), threshold = cfg["function"], cfg["threshold"]
     try:
-        residuals = np.asarray(forms.q_holo_residuals(f, pts, q), dtype=float)
+        residuals = np.asarray(
+            forms.q_holo_residuals(f, cfg["points"], cfg["q"]), dtype=float)
     except ValueError as e:     # EvalError, or an empty point set
         raise ConfigError(f"evaluation failed: {e}")
     worst = max(residuals.tolist())
-    report = {
-        "n": n,
-        "q": q,
-        "function": name,
-        "points": len(residuals),
-        "threshold": _jnum(threshold),
-        "max_residual": _jnum(worst),
-        "residuals": _jnums(residuals),
-        "passed": bool(worst <= threshold),
-    }
+    report = {"n": cfg["n"], "q": cfg["q"], "function": name,
+              "points": len(residuals), "threshold": _jnum(threshold),
+              "max_residual": _jnum(worst), "residuals": _jnums(residuals),
+              "passed": bool(worst <= threshold)}
     fileio.dump_json(os.path.join(out_dir, "qholo_report.json"), report)
     return 0 if worst <= threshold else 1
 
 
 # ---------------------------------------------------------------- hull
-
-def _grid_candidates(n, spec):
-    g = _require(spec, "grid", "candidates")
-    center = _parse_point(g.get("center", [0.0] * n), n, "grid center")
-    hw = _length(_require(g, "halfwidth", "grid"), "grid halfwidth")
-    per = _whole(_require(g, "per_axis", "grid"), "per_axis", cap=MAX_GRID)
-    fixed = g.get("fixed_axes", {})
-    if not isinstance(fixed, dict):
-        raise ConfigError(f"fixed_axes must be an object, got {fixed!r}")
-    known = {f"{part}{k + 1}" for k in range(n) for part in ("re", "im")}
-    for key in fixed:
-        if key not in known:
-            raise ConfigError(f"unknown fixed axis {key!r}")
-    axes = []
-    for k in range(n):
-        for part, base in (("re", center[k].real), ("im", center[k].imag)):
-            axis = f"{part}{k + 1}"
-            if axis in fixed:
-                axes.append(np.array([_finite(fixed[axis], f"fixed axis {axis}")]))
-            else:
-                axes.append(np.linspace(base - hw, base + hw, per))
-    dims = [len(a) for a in axes]
-    total = math.prod(dims)
-    if total > MAX_GRID:
-        raise ConfigError(f"grid has {total} points; fix more axes")
-    # Coordinate k is re + 1j * im on axes 2k, 2k + 1 alone (a meshgrid's
-    # zero signs), broadcast over the row-major grid.
-    Z = np.empty(dims + [n], dtype=complex)
-    for k in range(n):
-        Z[..., k] = (axes[2 * k][:, None] + 1j * axes[2 * k + 1]).reshape(
-            dims[2 * k:2 * k + 2] + [1] * (2 * n - 2 * k - 2))
-    return Z.reshape(total, n)
-
-
-def _load_k_set(spec, n, base_dir):
-    if "file" in spec:
-        return _load_points(spec, n, base_dir)
-    if "sphere" in spec:
-        s = spec["sphere"]
-        p = _parse_point(s.get("p", [0.0] * n), n, "sphere center")
-        r = _length(_require(s, "r", "sphere"), "sphere r")
-        return hull.sample_sphere(n, p, r,
-                                  _whole(s.get("count", 100), "sphere count",
-                                         cap=MAX_SAMPLES),
-                                  _seed(s.get("seed", 0), "sphere seed"))
-    raise ConfigError("K must be {'file': csv} or {'sphere': {...}}")
-
 
 def _key(x):
     """Coordinates rounded to 12 decimals, kept where scaling by 1e12 overflows."""
@@ -471,22 +574,14 @@ def _key(x):
     return r
 
 
-def cmd_hull(cfg, out_dir, seed, tols):
+def cmd_hull(cfg, out_dir):
     """Outer hull approximation of K against a certified finite family."""
-    n = _whole(_require(cfg, "n"), "n")
-    run_seed = _run_seed(seed, cfg)
-    members = []
-    for entry in _require(cfg, "family"):
-        members.extend(_family_from_config(entry, n, cfg["_dir"], run_seed))
-    if not members:
-        raise ConfigError("family is empty")
-    K = _load_k_set(_require(cfg, "K"), n, cfg["_dir"])
-    Z = _grid_candidates(n, _require(cfg, "candidates"))
-    fam_tol = _tol("fam", tols, cfg, 1e-8)
+    n, run_seed, K, Z = cfg["n"], cfg["seed"], cfg["K"], cfg["candidates"]
+    members = [member for entry in cfg["family"] for member in entry]
     try:
-        problem = hull.build_problem(n, K, Z, members, run_seed, tol=fam_tol)
+        problem = hull.build_problem(n, K, Z, members, run_seed, tol=cfg["fam"])
         result = hull.discrete_hull(problem)
-    except (ValueError, ex.EvalError) as e:
+    except (ValueError, OverflowError) as e:    # EvalError; |K| near 1e308
         raise ConfigError(str(e))
 
     fileio.write_points_csv(
@@ -514,22 +609,15 @@ def cmd_hull(cfg, out_dir, seed, tols):
     excluded = result.margins[~result.members & ~result.singular]
     members = int(np.count_nonzero(result.members))
     summary = {
-        "n": n,
-        "label": "outer hull approximation",
-        "seed": run_seed,
-        "candidates": len(Z),
-        "k_points": len(K),
-        "members": members,
+        "n": n, "label": "outer hull approximation", "seed": run_seed,
+        "candidates": len(Z), "k_points": len(K), "members": members,
         "excluded": len(Z) - members,
         "singular": int(np.count_nonzero(result.singular)),
         "min_margin_excluded": _jnum(excluded.min()) if excluded.size else None,
         "k_in_z_all_member": bool(k_in_z_ok),
-        "family": [{
-            "name": m.name,
-            "q": m.q,
-            "residual_bound": _jnum(m.residual_bound),
-            "k_max": _jnum(k),
-        } for m, k in zip(problem.family, result.k_maxima)],
+        "family": [{"name": m.name, "q": m.q,
+                    "residual_bound": _jnum(m.residual_bound), "k_max": _jnum(k)}
+                   for m, k in zip(problem.family, result.k_maxima)],
     }
     fileio.dump_json(os.path.join(out_dir, "hull_summary.json"), summary)
     return 0 if k_in_z_ok else 1
@@ -537,189 +625,95 @@ def cmd_hull(cfg, out_dir, seed, tols):
 
 # ---------------------------------------------------------------- thm2
 
-def cmd_thm2(cfg, out_dir, seed, tols):
+def cmd_thm2(cfg, out_dir):
     """Separation experiment: randomized batch or one explicit configuration."""
-    if "single" in cfg:
-        s = cfg["single"]
-        n = _whole(_require(s, "n", "single"), "n")
-        p = _parse_point(_require(s, "p", "single"), n, "center")
-        r = _length(_require(s, "r", "single"), "r")
-        K = _load_k_set(_require(s, "K", "single"), n, cfg["_dir"])
-        zspec = _require(s, "z", "single")
-        if not isinstance(zspec, dict):
-            raise ConfigError("z must be {'file': csv} or {'count', 'seed'}")
-        try:
-            if "file" in zspec:
-                Z = _load_points(zspec, n, cfg["_dir"])
-            else:
-                Z = hull.sample_ball(n, p, r / np.sqrt(n) * (1 - 1e-12),
-                                     _whole(zspec.get("count", 50), "z count",
-                                            cap=MAX_SAMPLES),
-                                     _seed(zspec.get("seed", 0), "z seed"))
-            rep = hull.theorem2_experiment(n, p, r, K, Z)
-        except ValueError as e:
-            raise ConfigError(str(e))
-        report = {
-            "mode": "single",
-            "n": n,
-            "p": fileio.point_to_strings(p),
-            "r": _jnum(r),
-            "z_count": rep.z_count,
-            "k_count": rep.k_count,
-            "violations": rep.violations,
-            "min_margin": _jnum(rep.min_margin),
-            "link_slacks": [_jnum(v) for v in rep.link_slacks],
-            "monotonicity_err": _jnum(rep.monotonicity_err),
-        }
-        violations = rep.violations
-    else:
-        b = cfg.get("batch", {})
-        run_seed = _run_seed(seed, b if "seed" in b else cfg)
-        try:
+    single = "single" in cfg
+    try:
+        if single:
+            s = cfg["single"]
+            rep = hull.theorem2_experiment(s["n"], s["p"], s["r"], s["K"], s["z"])
+        else:
+            b = cfg["batch"]
             rep = hull.run_theorem2_batch(
-                configs=_whole(b.get("configs", 1000), "configs", cap=MAX_SAMPLES),
-                seed=run_seed,
-                ns=_each(_whole, b.get("ns", [2, 3, 4]), "ns"),
-                k_count=_whole(b.get("k_count", 200), "k_count", cap=MAX_SAMPLES),
-                z_count=_whole(b.get("z_count", 50), "z_count", cap=MAX_SAMPLES),
-                # run_theorem2_batch checks for a pair with lo <= hi
-                r_range=_each(_length, b.get("r_range", [0.1, 2.0]), "r_range"))
-        except ValueError as e:
-            raise ConfigError(str(e))
-        report = {
-            "mode": "batch",
-            "seed": run_seed,
-            "configs": rep.configs,
-            "violations": rep.violations,
-            "min_margin": _jnum(rep.min_margin),
-            "min_link_slacks": [_jnum(v) for v in rep.min_link_slacks],
-            "max_monotonicity_err": _jnum(rep.max_monotonicity_err),
-        }
-        violations = rep.violations
+                configs=b["configs"], seed=b["seed"], ns=b["ns"],
+                k_count=b["k_count"], z_count=b["z_count"], r_range=b["r_range"])
+    except ValueError as e:
+        raise ConfigError(str(e))
+    report = {"violations": rep.violations, "min_margin": _jnum(rep.min_margin)}
+    if single:
+        report.update(mode="single", n=s["n"], p=fileio.point_to_strings(s["p"]),
+                      r=_jnum(s["r"]), z_count=rep.z_count, k_count=rep.k_count,
+                      link_slacks=_jnums(rep.link_slacks),
+                      monotonicity_err=_jnum(rep.monotonicity_err))
+    else:
+        report.update(mode="batch", seed=b["seed"], configs=rep.configs,
+                      min_link_slacks=_jnums(rep.min_link_slacks),
+                      max_monotonicity_err=_jnum(rep.max_monotonicity_err))
     fileio.dump_json(os.path.join(out_dir, "thm2_report.json"), report)
-    return 0 if violations == 0 else 1
+    return 0 if rep.violations == 0 else 1
 
 
 # ---------------------------------------------------------------- peak
 
-def _load_domain(spec, base_dir):
-    if isinstance(spec, str):
-        spec = _load_config(_resolve(spec, base_dir))
-    if not isinstance(spec, dict):
-        raise ConfigError("domain must be an object or a path to a JSON file")
-    model = spec.get("model")
-    try:
-        if model == "ball":
-            n = _whole(_require(spec, "n", "domain"), "n")
-            center = (_parse_point(spec["center"], n) if "center" in spec
-                      else None)
-            radius = _length(spec.get("radius", 1.0), "domain radius")
-            return peak.ModelDomain.ball(n, radius=radius, center=center)
-        if model == "ellipsoid":
-            a = _each(_length, _require(spec, "a", "domain"), "domain a")
-            b = _each(_finite, spec.get("b", [0.0] * len(a)), "domain b")
-            return peak.ModelDomain.ellipsoid(a, b)
-        if model is not None:
-            raise ConfigError(f"unknown domain model {model!r}")
-        n = _whole(_require(spec, "n", "domain"), "n")
-        phi = _parse_expr(_require(spec, "defining", "domain"), n)
-        return peak.ModelDomain.from_expr(
-            n, phi, _length(_require(spec, "box", "domain"), "domain box"),
-            name=_name(spec, "custom", "domain"),
-            convex_certified=bool(spec.get("convex_certified", False)))
-    except (ValueError, OverflowError) as e:    # OverflowError: radius ** 2
-        raise ConfigError(f"bad domain: {e}")
-
-
-def cmd_peak(cfg, out_dir, seed, tols):
+def cmd_peak(cfg, out_dir):
     """Assemble and verify the almost-peak extension at a boundary point."""
-    dom = _load_domain(_require(cfg, "domain"), cfg["_dir"])
-    n = dom.n
-    p = _parse_point(_require(cfg, "p"), n, "boundary point")
-    q = _whole(_require(cfg, "q"), "q")
-    c = _length(cfg.get("c", 1.0), "c")
-    rho_v = _length(cfg.get("rho_V", 0.5), "rho_V")
-    r = cfg.get("r", "auto")
-    r = r if r == "auto" else _length(r, "r")
-    samples = cfg.get("samples", {})
-    boundary, interior, tube = (
-        _whole(samples.get(key, default), f"samples.{key}", cap=MAX_SAMPLES)
-        for key, default in (("boundary", 200), ("interior", 200), ("tube", 500)))
-    run_seed = _run_seed(seed, cfg)
-    tolerances = {"residual_tol": _tol("residual_tol", tols, cfg, 1e-5),
-                  "margin_min": _tol("margin_min", tols, cfg, 1e-3),
-                  "peak_tol": _tol("peak_tol", tols, cfg, 1e-12)}
-
-    base = {
-        "domain": {"name": dom.name, "n": n},
-        "p": fileio.point_to_strings(p),
-        "q": q,
-        "c": _jnum(c),
-        "rho_V": _jnum(rho_v),
-        "seed": run_seed,
-    }
+    dom, p, q, c, rho_v = (cfg[k] for k in ("domain", "p", "q", "c", "rho_V"))
+    run_seed, samples = cfg["seed"], cfg["samples"]
+    report = {"domain": {"name": dom.name, "n": dom.n},
+              "p": fileio.point_to_strings(p), "q": q, "c": _jnum(c),
+              "rho_V": _jnum(rho_v), "seed": run_seed}
+    path = os.path.join(out_dir, "peak_report.json")
     try:
-        cons, f = peak.assemble_peak(dom, p, q, c=c, rho_V=rho_v, r=r,
-                                     seed=run_seed, tube_samples=tube)
+        cons, f = peak.assemble_peak(dom, p, q, c=c, rho_V=rho_v, r=cfg["r"],
+                                     seed=run_seed, tube_samples=samples["tube"])
         rep = peak.verify_peak(
-            f, dom, p, q, rho_V=rho_v, boundary_samples=boundary,
-            interior_samples=interior, residual_points=interior, seed=run_seed,
-            **tolerances)
+            f, dom, p, q, rho_V=rho_v, boundary_samples=samples["boundary"],
+            interior_samples=samples["interior"],
+            residual_points=samples["interior"], seed=run_seed,
+            residual_tol=cfg["residual_tol"], margin_min=cfg["margin_min"],
+            peak_tol=cfg["peak_tol"])
     except peak.TubeError as e:
-        base["assembled"] = False
-        base["error"] = str(e)
-        fileio.dump_json(os.path.join(out_dir, "peak_report.json"), base)
+        fileio.dump_json(path, dict(report, assembled=False, error=str(e)))
         return 1
     except (ValueError, RuntimeError) as e:    # EvalError, stalled sampling
         raise ConfigError(str(e))
 
-    base.update({
-        "assembled": True,
-        "parameters": {
-            "r": _jnum(cons.r),
-            "rho_W": _jnum(cons.rho_W),
-            "r_halvings": cons.r_halvings,
-            "w_steps": cons.w_steps,
-            "tube_min_phi": _jnum(cons.tube_min_phi),
-            "cap_max_dist": _jnum(cons.cap_max_dist),
-        },
-        "checks": {
-            "peak_value": {"err": _jnum(rep.peak_value_err),
-                           "tol": _jnum(rep.peak_tol), "ok": rep.peak_ok},
-            "sup_outside": {"sup": _jnum(rep.sup_outside),
-                            "margin": _jnum(rep.sup_margin),
-                            "min_margin": _jnum(rep.margin_min),
-                            "ok": rep.sup_ok},
-            "residual": {"max": _jnum(rep.max_residual),
-                         "points": rep.residual_points,
-                         "tol": _jnum(rep.residual_tol), "ok": rep.residual_ok},
-            "vanish": {"max": _jnum(rep.vanish_max),
-                       "points": rep.vanish_points, "ok": rep.vanish_ok},
-        },
-        "passed": rep.passed,
+    report.update(assembled=True, passed=rep.passed, parameters={
+        "r": _jnum(cons.r), "rho_W": _jnum(cons.rho_W),
+        "r_halvings": cons.r_halvings, "w_steps": cons.w_steps,
+        "tube_min_phi": _jnum(cons.tube_min_phi),
+        "cap_max_dist": _jnum(cons.cap_max_dist),
+    }, checks={
+        "peak_value": {"err": _jnum(rep.peak_value_err),
+                       "tol": _jnum(rep.peak_tol), "ok": rep.peak_ok},
+        "sup_outside": {"sup": _jnum(rep.sup_outside),
+                        "margin": _jnum(rep.sup_margin),
+                        "min_margin": _jnum(rep.margin_min), "ok": rep.sup_ok},
+        "residual": {"max": _jnum(rep.max_residual),
+                     "points": rep.residual_points,
+                     "tol": _jnum(rep.residual_tol), "ok": rep.residual_ok},
+        "vanish": {"max": _jnum(rep.vanish_max),
+                   "points": rep.vanish_points, "ok": rep.vanish_ok},
     })
-    fileio.dump_json(os.path.join(out_dir, "peak_report.json"), base)
+    fileio.dump_json(path, report)
     return 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------- driver
 
-_COMMANDS = {
-    "levi": (cmd_levi, {"ztol"}),
-    "classify": (cmd_classify, {"ztol"}),
-    "qholo": (cmd_qholo, {"threshold"}),
-    "hull": (cmd_hull, {"fam"}),
-    "thm2": (cmd_thm2, set()),
-    "peak": (cmd_peak, {"residual_tol", "margin_min", "peak_tol"}),
-}
-
-_HELP = {
-    "levi": "signature of a Hermitian matrix or q-convexity of a function",
-    "classify": "boundary-point classification of a domain model",
-    "qholo": "q-holomorphicity residual sweep against a threshold",
-    "hull": "discrete outer hull approximation against a certified family",
-    "thm2": "hull separation experiment (single or randomized batch)",
-    "peak": "peak-extension assembly and verification on a model domain",
+_COMMANDS = {     # name: (handler, --tol names, help)
+    "levi": (cmd_levi, {"ztol"},
+             "signature of a Hermitian matrix or q-convexity of a function"),
+    "classify": (cmd_classify, {"ztol"},
+                 "boundary-point classification of a domain model"),
+    "qholo": (cmd_qholo, {"threshold"},
+              "q-holomorphicity residual sweep against a threshold"),
+    "hull": (cmd_hull, {"fam"},
+             "discrete outer hull approximation against a certified family"),
+    "thm2": (cmd_thm2, set(),
+             "hull separation experiment (single or randomized batch)"),
+    "peak": (cmd_peak, {"residual_tol", "margin_min", "peak_tol"},
+             "peak-extension assembly and verification on a model domain"),
 }
 
 
@@ -730,8 +724,8 @@ def _build_parser():
         prog="qholo",
         description="Levi forms, q-holomorphicity, hulls, and peak extensions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, (_, _, text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", required=True, help="path to JSON config")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
@@ -745,17 +739,17 @@ def _build_parser():
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, allowed = _COMMANDS[args.command]
+    handler, allowed, _ = _COMMANDS[args.command]
     try:
-        if args.threads is not None and args.threads < 1:
+        if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         tols = _tol_overrides(args.tol, allowed)
-        cfg = _load_config(args.config)
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config root must be a JSON object: {args.config}")
-        cfg["_dir"] = os.path.dirname(os.path.abspath(args.config))
+        env = {"dir": os.path.dirname(os.path.abspath(args.config)),
+               "--seed": args.seed}
+        cfg = _SHAPES[args.command](_load_config(args.config), "", env)
+        cfg.update(tols)
         os.makedirs(args.out, exist_ok=True)
-        return handler(cfg, args.out, args.seed, tols)
+        return handler(cfg, args.out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -94,10 +94,14 @@ def _wedge_power(g_zb, h_zzb, q):
     return form
 
 
+def form_width(n, q):
+    """Coefficients per row of the widest form for (n, q), 1 <= q <= n."""
+    return max(math.comb(n, a) * math.comb(n, a + 1) for a in range(q))
+
+
 def _chunk_rows(n, q):
     """Rows per chunk of the residual engine for dimension n and degree q."""
-    widest = max(math.comb(n, a) * math.comb(n, a + 1) for a in range(q))
-    return max(1, _BUDGET // widest)
+    return max(1, _BUDGET // form_width(n, q))
 
 
 def _residuals(g_zb, h_zzb, q) -> np.ndarray:

@@ -1,13 +1,14 @@
 """End-to-end CLI runs: exit codes, artifacts, and byte determinism."""
 
 import json
+import tracemalloc
 import warnings
 
 import pytest
 
 import numpy as np
 
-from qholo import cli, expr, fileio, hull, levi
+from qholo import cli, expr, fileio, forms, hull, levi
 from qholo.cli import MAX_SAMPLES, run
 
 from helpers import format_complex_reference, grid_candidates_reference
@@ -29,8 +30,10 @@ def _assert_config_error(tmp_path, capsys, command, cfg):
     path = _write(tmp_path, "c.json", cfg)
     out = tmp_path / "out"
     assert run([command, "--config", path, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +177,17 @@ def test_classify_samples_above_the_cap_are_config_error(tmp_path, capsys, count
         "n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": count})
 
 
+def _random_points_cfg(command, random):
+    """A levi or qholo config over random points (q is qholo's key alone)."""
+    cfg = {"n": 2, "function": "abs2(z1)+abs2(z2)", "points": {"random": random}}
+    return dict(cfg, q=1) if command == "qholo" else cfg
+
+
 @pytest.mark.parametrize("count", _CAPPED, ids=_CAPPED_IDS)
 @pytest.mark.parametrize("command", ["levi", "qholo"])
 def test_random_count_above_the_cap_is_config_error(tmp_path, capsys, command, count):
-    _assert_config_error(tmp_path, capsys, command, {
-        "n": 2, "q": 1, "function": "abs2(z1)+abs2(z2)",
-        "points": {"random": {"count": count, "seed": 1}}})
+    _assert_config_error(tmp_path, capsys, command,
+                         _random_points_cfg(command, {"count": count, "seed": 1}))
 
 
 _SPHERE2 = {"n": 2, "defining": "abs2(z1)+abs2(z2)-1", "boundary_samples": 4}
@@ -202,9 +210,9 @@ def test_classify_bad_box_or_seed_is_config_error(tmp_path, capsys, key, value):
 ])
 @pytest.mark.parametrize("command", ["levi", "qholo"])
 def test_bad_random_points_spec_is_config_error(tmp_path, capsys, command, key, value):
-    _assert_config_error(tmp_path, capsys, command, {
-        "n": 2, "q": 1, "function": "abs2(z1)+abs2(z2)",
-        "points": {"random": {"count": 4, "seed": 1, key: value}}})
+    err = _assert_config_error(tmp_path, capsys, command, _random_points_cfg(
+        command, {"count": 4, "seed": 1, key: value}))
+    assert f"points.random.{key}" in err
 
 
 def test_random_points_that_all_fall_in_the_avoided_ball_are_config_error(
@@ -819,6 +827,14 @@ def test_hull_with_a_huge_k_sphere_prints_one_error_line(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_hull_with_k_near_the_float_limit_is_config_error(tmp_path, capsys):
+    # K around 1e308 makes the certification box's range overflow, and
+    # numpy's OverflowError escaped cli.run
+    cfg = _hull_cfg()
+    cfg["K"]["sphere"]["p"] = ["1e308+0i", "0+0i"]
+    _assert_config_error(tmp_path, capsys, "hull", cfg)
+
+
 @pytest.mark.parametrize("n, center, fixed", [
     (2, [0.25 - 0.5j, -1.0], {}),
     (2, [0.25 - 0.5j, -1.0], {"im1": 0.0, "re2": 0.1, "im2": 0.0}),
@@ -830,7 +846,7 @@ def test_grid_candidates_equal_the_meshgrid_construction(n, center, fixed):
     # which depend on the sign of the imaginary part
     spec = {"grid": {"center": [fileio.format_complex(c) for c in center],
                      "halfwidth": 0.75, "per_axis": 6, "fixed_axes": fixed}}
-    got = cli._grid_candidates(n, spec)
+    got = cli._CANDIDATES(spec, "candidates", {"n": n})
     want = grid_candidates_reference(np.array(center, dtype=complex), 0.75, 6, fixed)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -972,3 +988,123 @@ def test_peak_numbers_the_steps_cannot_use_are_config_error(tmp_path, capsys, cf
     # within their readers' ranges, these escaped cli.run: an EvalError from
     # the verification, an OverflowError and a stalled boundary sampler
     _assert_config_error(tmp_path, capsys, "peak", cfg)
+
+
+# ---------------------------------------------------------------------------
+# config shapes: structure, file references and caps
+
+
+@pytest.mark.parametrize("command,cfg,named", [
+    ("qholo", {"n": 2, "q": 1, "function": "z1*z2", "points": {"random": 5}},
+     "points.random"),
+    ("peak", dict(_BALL2_PEAK, samples=5), "samples"),
+    ("thm2", {"batch": [1]}, "batch"),
+    ("qholo", {"n": 2, "q": 1, "function": "z1*z2", "points": [1]}, "points[0]"),
+    ("hull", dict(_hull_cfg(), family=[{"builtin": "basener",
+                                        "p": [float("nan"), "0"]}]), "family[0].p"),
+    ("levi", {"n": 2, "function": "abs2(z1)", "points": [["0", "0"]], "ztoll": 1},
+     "ztoll"),
+    ("qholo", {"n": 2, "q": 1, "function": "z1",
+               "points": {"random": {"count": 4, "cuont": 5}}}, "cuont"),
+], ids=["points-random-scalar", "peak-samples-scalar", "thm2-batch-list",
+        "points-list-of-scalars", "family-p-nan", "unknown-key", "unknown-nested-key"])
+def test_structural_errors_are_config_errors(tmp_path, capsys, command, cfg, named):
+    # each escaped cli.run (AttributeError, TypeError, the library's
+    # ValueError), or, for the unknown keys, was ignored
+    assert named in _assert_config_error(tmp_path, capsys, command, cfg)
+
+
+def _unreadable(tmp_path, kind):
+    """A file reference that names no readable JSON file."""
+    if kind == "directory":
+        (tmp_path / "d").mkdir()
+        return "d"
+    if kind == "empty-name":
+        return ""
+    (tmp_path / "bad.json").write_bytes({
+        "utf16-bom": b"\xff\xfe{\x00}\x00", "deep": b"[" * 100_000,
+        "long-int": b"1" * 5000}[kind])
+    return "bad.json"
+
+
+@pytest.mark.parametrize("kind", ["directory", "utf16-bom", "empty-name", "deep",
+                                  "long-int"])
+@pytest.mark.parametrize("site", ["config", "family", "domain"])
+def test_unreadable_files_are_config_errors(tmp_path, capsys, site, kind):
+    # an IsADirectoryError, UnicodeDecodeError, RecursionError or ValueError
+    # from the JSON reader escaped cli.run
+    ref = _unreadable(tmp_path, kind)
+    if site == "family":
+        _assert_config_error(tmp_path, capsys, "hull", dict(_hull_cfg(), family=[ref]))
+    elif site == "domain":
+        _assert_config_error(tmp_path, capsys, "peak", dict(_BALL2_PEAK, domain=ref))
+    else:
+        out = tmp_path / "out"
+        config = str(tmp_path / ref) if ref else ref
+        assert run(["qholo", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_grid_past_the_cap_is_rejected_before_it_is_built(tmp_path, capsys):
+    # the 2n linspace axes of MAX_GRID points each took 97 MB before the
+    # grid total was checked
+    cfg = _hull_cfg()
+    cfg["candidates"]["grid"].update(per_axis=cli.MAX_GRID, fixed_axes={})
+    path = _write(tmp_path, "h.json", cfg)
+    tracemalloc.start()
+    try:
+        code = run(["hull", "--config", path, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "fix more axes" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+_N_SITES = {
+    "levi": ("levi", lambda n: {"n": n, "function": "abs2(z1)", "points": [["0"] * n]}),
+    "classify": ("classify", lambda n: dict(_CLASSIFY, n=n)),
+    "qholo": ("qholo", lambda n: {"n": n, "q": 1, "function": "z1",
+                                  "points": [["0"] * n]}),
+    "hull": ("hull", lambda n: dict(_hull_cfg(), n=n, family=[{"builtin": "basener"}])),
+    "thm2-single": ("thm2", lambda n: {"single": dict(
+        _thm2_single_cfg()["single"], n=n, p=["0"] * n, K={"sphere": {"r": 2.0}})}),
+    "thm2-ns": ("thm2", lambda n: {"batch": dict(_THM2_BATCH, ns=[2, n])}),
+    "peak-ball": ("peak", lambda n: {"domain": {"model": "ball", "n": n},
+                                     "p": ["1"] + ["0"] * (n - 1), "q": 1}),
+    "peak-ellipsoid": ("peak", lambda n: {"domain": {"model": "ellipsoid", "a": [1.0] * n},
+                                          "p": ["1"] + ["0"] * (n - 1), "q": 1}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_N_SITES))
+def test_dimension_past_max_n_is_config_error(tmp_path, capsys, site, monkeypatch):
+    command, make = _N_SITES[site]
+    env = {"dir": str(tmp_path), "--seed": None}
+    # reading the config at MAX_N passes every dimension check (hull's
+    # basener family is capped by its residual form instead)
+    if site != "hull":
+        monkeypatch.setattr(hull, "sample_sphere", lambda n, *args: np.ones((1, n)))
+        cli._SHAPES[command](make(cli.MAX_N), "", env)
+    _assert_config_error(tmp_path, capsys, command, make(cli.MAX_N + 1))
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("qholo", {"n": 30, "q": 15, "function": "z1", "points": [["0"] * 30]}),
+    ("hull", {"n": 11, "family": [{"builtin": "basener"}], "K": {"sphere": {"r": 1.0}},
+              "candidates": {"grid": {"halfwidth": 1.0, "per_axis": 1}}}),
+    ("hull", {"n": 30, "family": ["fam.json"], "K": {"sphere": {"r": 1.0}},
+              "candidates": {"grid": {"halfwidth": 1.0, "per_axis": 1}}}),
+    ("peak", {"domain": {"model": "ball", "n": 20}, "p": ["1"] + ["0"] * 19, "q": 10}),
+], ids=["qholo", "hull-basener", "hull-function-file", "peak"])
+def test_residual_form_past_the_cap_is_rejected_unbuilt(tmp_path, capsys, command, cfg):
+    # n=30, q=15 asked for gather tables of C(30, 15) ~ 1.5e8 subsets
+    _write(tmp_path, "fam.json", {"n": 30, "expr": "z1", "q": 15})
+    built = forms._insertion_table.cache_info().misses
+    err = _assert_config_error(tmp_path, capsys, command, cfg)
+    assert f"above {cli.MAX_FORM}" in err
+    assert forms._insertion_table.cache_info().misses == built
+    for n, q in [(5, 5), (4, 4), (10, 5), (2, 2)]:    # perfbench's and the tests'
+        assert forms.form_width(n, q) <= cli.MAX_FORM
