@@ -461,10 +461,14 @@ def _jnum(x):
     return _jnums(x)[0]
 
 
-def _signature_columns(sigs):
-    """The report's signature object of each of sigs, as Records columns."""
-    return {"pos": [s.n_pos for s in sigs], "neg": [s.n_neg for s in sigs],
-            "zero": [s.n_zero for s in sigs]}
+def _signature_columns(sig):
+    """The report's signature object (Records columns for a stack)."""
+    return {"pos": sig.n_pos, "neg": sig.n_neg, "zero": sig.n_zero}
+
+
+def _q_column(q, n):
+    """A q per row as the report writes it: "none" where q == n."""
+    return np.where(q == n, "none", q.astype(object))
 
 
 # ---------------------------------------------------------------- levi
@@ -480,8 +484,7 @@ def cmd_levi(cfg, out_dir):
         except ValueError as e:
             raise ConfigError(str(e))
         report = {"mode": "matrix", "m": h.m, "herm_deviation": _jnum(h.herm_dev),
-                  "ztol": _jnum(ztol), "signature": {
-                      "pos": sig.n_pos, "neg": sig.n_neg, "zero": sig.n_zero}}
+                  "ztol": _jnum(ztol), "signature": _signature_columns(sig)}
         if want is not None and sig.as_tuple() != want:
             failures.append(f"signature {sig.as_tuple()} != expected {want}")
     else:
@@ -494,7 +497,7 @@ def cmd_levi(cfg, out_dir):
                   "points": fileio.Records({
                       "point": tuple(pts.T),
                       "signature": _signature_columns(cls.signatures),
-                      "q": list(cls.per_point_q)}),
+                      "q": cls.per_point_q}),
                   "overall_q": cls.overall_q, "overall": cls.overall_text}
         if expect["q"] is not None and cls.overall_q != expect["q"]:
             failures.append(f"overall q {cls.overall_q} != expected {expect['q']}")
@@ -517,29 +520,28 @@ def cmd_classify(cfg, out_dir):
     except (ValueError, ex.EvalError, RuntimeError) as e:
         raise ConfigError(f"boundary sampling failed: {e}")
     try:
-        classes = levi.classify_boundary_point(phi, pts, ztol=cfg["ztol"])
+        cls = levi.classify_boundary_point(phi, pts, ztol=cfg["ztol"])
     except (ValueError, ex.EvalError) as e:
         raise ConfigError(
             f"classification failed at {pts[getattr(e, 'row', 0)]}: {e}")
-    strict_qs, failures = [c.strict_q for c in classes], []
+    n, strict, failures = cls.n, cls.strict_q, []
     want, cap = cfg["expect"]["strict_q"], cfg["expect"]["strict_q_max"]
+    none = strict == n      # no strict q: a failure of both checks
     if want is not None:
-        bad = sum(1 for q in strict_qs if q != want)
+        bad = np.count_nonzero(none | (strict != want))
         if bad:
-            failures.append(f"{bad}/{len(strict_qs)} points have strict q != {want}")
+            failures.append(f"{bad}/{len(strict)} points have strict q != {want}")
     if cap is not None:
-        bad = sum(1 for q in strict_qs if q is None or q > cap)
+        bad = np.count_nonzero(none | (strict > cap))
         if bad:
-            failures.append(f"{bad}/{len(strict_qs)} points exceed strict q {cap}")
-    report = {"mode": "boundary", "name": cfg["name"], "n": cfg["n"],
+            failures.append(f"{bad}/{len(strict)} points exceed strict q {cap}")
+    report = {"mode": "boundary", "name": cfg["name"], "n": n,
               "defining": ex.to_text(phi), "seed": run_seed, "failures": failures,
               "points": fileio.Records({
-                  "point": tuple(pts.T),
-                  "gradient": tuple(np.array([c.gradient for c in classes]).T),
-                  "signature": _signature_columns([c.restricted for c in classes]),
-                  "strict_q": ["none" if q is None else q for q in strict_qs],
-                  "weak_q": ["none" if c.weak_q is None else c.weak_q
-                             for c in classes]})}
+                  "point": tuple(pts.T), "gradient": tuple(cls.gradient.T),
+                  "signature": _signature_columns(cls.restricted),
+                  "strict_q": _q_column(strict, n),
+                  "weak_q": _q_column(cls.weak_q, n)})}
     fileio.dump_json(os.path.join(out_dir, "classify_report.json"), report)
     return 1 if failures else 0
 
@@ -748,7 +750,10 @@ def run(argv=None) -> int:
                "--seed": args.seed}
         cfg = _SHAPES[args.command](_load_config(args.config), "", env)
         cfg.update(tols)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:    # --out names a file, or a path below one
+            raise ConfigError(f"cannot make the --out directory: {e}")
         return handler(cfg, args.out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1037,12 +1037,12 @@ def eval_jet2(e: Expr, z) -> Jet2:
 def finite_diff_jet(f, z, h: float = 1e-4, n: int | None = None) -> Jet2:
     """Central-difference approximation of the second-order Wirtinger jet.
 
-    f is an Expr or a callable accepting a length-n complex vector (callables
-    may also accept an (m, n) batch and return (m,) values; that path is
-    tried first).  The full real Hessian in the 2n coordinates (x, y) is
-    assembled from shared stencils, so the symmetry of the derived complex
-    blocks is exact.  Used as an independent oracle for eval_jet2 and for
-    functions outside the expression language.
+    f is an Expr or a callable that maps an (m, n) batch of points to its
+    (m,) values (f is called once, on all stencil points).  The full real
+    Hessian in the 2n coordinates (x, y) is assembled from shared stencils,
+    so the symmetry of the derived complex blocks is exact.  Used as an
+    independent oracle for eval_jet2 and for functions outside the
+    expression language.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -1056,25 +1056,22 @@ def finite_diff_jet(f, z, h: float = 1e-4, n: int | None = None) -> Jet2:
     z = _as_point(z, n)
     m = 2 * n
 
+    e = h * np.eye(m)       # e[a]: the step along real coordinate a
     offsets = [np.zeros(m)]
     for a in range(m):
-        ea = np.zeros(m)
-        ea[a] = h
-        offsets.append(ea)
-        offsets.append(-ea)
+        offsets.extend([e[a], -e[a]])
     pair_index = {}
     for a in range(m):
         for b in range(a + 1, m):
-            ea = np.zeros(m)
-            ea[a] = h
-            eb = np.zeros(m)
-            eb[b] = h
             pair_index[(a, b)] = len(offsets)
-            offsets.extend([ea + eb, ea - eb, -ea + eb, -ea - eb])
+            offsets.extend([e[a] + e[b], e[a] - e[b], -e[a] + e[b], -e[a] - e[b]])
     offsets = np.array(offsets)
     pts = z[None, :] + offsets[:, :n] + 1j * offsets[:, n:]
 
-    vals = _call_points(f, pts, n)
+    vals = (eval_batch(f, pts) if isinstance(f, Expr)
+            else np.asarray(f(pts), dtype=complex))
+    if vals.shape != (len(pts),):
+        raise ValueError(f"f must map an (m, n) batch to (m,) values, got {vals.shape}")
 
     f0 = vals[0]
     d1 = np.empty(m, dtype=complex)
@@ -1103,14 +1100,3 @@ def finite_diff_jet(f, z, h: float = 1e-4, n: int | None = None) -> Jet2:
         b.flags.writeable = False
     return Jet2(complex(f0), gz, gzb, h_zz, h_zzb, h_zbzb)
 
-
-def _call_points(f, pts, n):
-    if isinstance(f, Expr):
-        return eval_batch(f, pts)
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.array([complex(f(p)) for p in pts], dtype=complex)

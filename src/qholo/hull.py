@@ -258,7 +258,8 @@ def discrete_hull(prob: HullProblem) -> HullResult:
 # Separation experiment
 
 class Thm2Report(NamedTuple):
-    """Per-run record of the separation chain around one center.
+    """Record of the separation chain around one center; for a stack of C
+    centers the last four fields are (C,) arrays, link_slacks (C, 5).
 
     For every candidate z in the inner ball, with lambda built from z, the
     chain
@@ -280,22 +281,25 @@ class Thm2Report(NamedTuple):
     n: int
     z_count: int
     k_count: int
-    violations: int
-    min_margin: float
-    link_slacks: tuple      # min slack per chain link, in displayed order
-    monotonicity_err: float
+    violations: int | np.ndarray
+    min_margin: float | np.ndarray
+    link_slacks: tuple | np.ndarray  # min slack per chain link, in displayed order
+    monotonicity_err: float | np.ndarray
 
 
 _REL_GUARD = 1e-9
+_FAR = 1e150        # bound on |K - p|: the chain squares up to twice it
+_MAX_R = 1e100      # bound on a batch radius r: K lies within 2.5 r sqrt(2n) of p
 
 
 def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
     """Verify the separation chain for explicit K and candidate samples.
 
     Preconditions (reported per offending point): K and the candidates
-    nonempty, every K point at distance at least r from p, every candidate
-    strictly between 0 and r/sqrt(n).  Violations are counted as described
-    in Thm2Report.  This is the stacked chain for a stack of one.
+    nonempty, every K point at distance at least r and at most _FAR from p,
+    every candidate strictly between 0 and r/sqrt(n).  Violations are
+    counted as described in Thm2Report.  This is the stacked chain for a
+    stack of one.
     """
     p = np.asarray(p, dtype=complex)
     K = np.asarray(K, dtype=complex)
@@ -304,20 +308,26 @@ def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
         raise ValueError(f"center has shape {p.shape}, expected ({n},)")
     if len(K) == 0 or len(Z) == 0:
         raise ValueError("K and the candidate set must be nonempty")
-    return _chain(n, np.array([r]), (K - p)[None], (Z - p)[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # _chain rejects the result
+        dk, dz = K - p, Z - p
+    rep = _chain(n, np.array([r]), dk[None], dz[None])
+    v, mm, ls, me = (f[0].tolist() for f in rep[3:])    # row 0, as Python scalars
+    return Thm2Report(n, len(Z), len(K), v, mm, tuple(ls), me)
 
 
-def _chain(n, r, dk, dz) -> list:
+def _chain(n, r, dk, dz) -> Thm2Report:
     """The separation chain for a stack of configurations of one dimension n.
 
-    r (C,) radii, dk = K - p (C, k, n) and dz = Z - p (C, z, n); returns one
-    Thm2Report per configuration.  Every reduction runs within one
-    configuration, so a report does not depend on the stack it came in.
+    r (C,) radii, dk = K - p (C, k, n) and dz = Z - p (C, z, n); returns the
+    stack's Thm2Report.  Every reduction runs within one configuration, so a
+    configuration's row does not depend on the stack it came in.
     """
-    dk_norm = np.linalg.norm(dk, axis=-1)
-    dz_norm = np.linalg.norm(dz, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+        dk_norm = np.linalg.norm(dk, axis=-1)
+        dz_norm = np.linalg.norm(dz, axis=-1)
     for bad, what in ((dk_norm < r[:, None] * (1 - 1e-12), "K points inside B(p, r)"),
-                      ((dz_norm >= r[:, None] / np.sqrt(n)) | (dz_norm <= 0),
+                      (~(dk_norm <= _FAR), f"K points not within {_FAR:g} of p"),
+                      (~((dz_norm < r[:, None] / np.sqrt(n)) & (dz_norm > 0)),
                        "candidates outside (0, r/sqrt(n))")):
         if bad.any():
             raise ValueError(
@@ -356,13 +366,9 @@ def _chain(n, r, dk, dz) -> list:
                   + np.sum(margins <= 0, axis=1) + np.sum(mono > 1e-12, axis=(0, 2)))
     slacks = np.stack([-np.max(err1, axis=1), np.min(s2, axis=1),
                        np.min(s3, axis=1), s4, np.min(s5, axis=1)], axis=1)
-    return [Thm2Report(n=n, z_count=dz.shape[1], k_count=dk.shape[1],
-                       violations=v, min_margin=mm, link_slacks=tuple(ls),
-                       monotonicity_err=me)
-            for v, mm, ls, me in zip(violations.tolist(),
-                                     np.min(margins, axis=1).tolist(),
-                                     slacks.tolist(),
-                                     np.max(mono, axis=(0, 2)).tolist())]
+    return Thm2Report(n=n, z_count=dz.shape[1], k_count=dk.shape[1],
+                      violations=violations, min_margin=np.min(margins, axis=1),
+                      link_slacks=slacks, monotonicity_err=np.max(mono, axis=(0, 2)))
 
 
 class BatchReport(NamedTuple):
@@ -521,16 +527,17 @@ def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
     """Randomized sweep of theorem2_experiment over sampled configurations.
 
     Configuration i draws n = ns[i % len(ns)], a center p, a radius r, K
-    outside B(p, r) and candidates inside B(p, r/sqrt(n)).  The per-run
-    reports fold into one: violations add up (so they count failing (link,
-    candidate) pairs as in Thm2Report), margins and link slacks take the
-    minimum, the monotonicity error the maximum.  Configurations of equal n
-    go through the chain together, about _STACK_PAIRS (K point, candidate)
-    pairs at a time; each draws from its own seed in its own order.
+    outside B(p, r) and candidates inside B(p, r/sqrt(n)).  The rows of
+    the configurations fold into one report: violations add up (so they
+    count failing (link, candidate) pairs as in Thm2Report), margins and
+    link slacks take the minimum, the monotonicity error the maximum.
+    Configurations of equal n go through the chain together, about
+    _STACK_PAIRS (K point, candidate) pairs at a time; each draws from its
+    own seed in its own order.
 
     Raises ValueError, before any sampling, when configs, k_count or z_count
-    is < 1, ns is empty or holds an n < 1, or r_range is not a finite
-    (lo, hi) with 0 < lo <= hi.
+    is < 1, ns is empty or holds an n < 1, or r_range is not a pair
+    (lo, hi) with 0 < lo <= hi <= _MAX_R.
     """
     if configs < 1:
         raise ValueError(f"configs must be >= 1, got {configs}")
@@ -538,22 +545,20 @@ def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),
         raise ValueError("K and the candidate set must be nonempty")
     if len(ns) == 0 or min(ns) < 1:
         raise ValueError(f"ns must be nonempty with every n >= 1, got {list(ns)}")
-    if not (len(r_range) == 2 and np.all(np.isfinite(r_range))
-            and 0 < r_range[0] <= r_range[1]):
-        raise ValueError(
-            f"r_range must be finite with 0 < lo <= hi, got {list(r_range)}")
+    if not (len(r_range) == 2 and 0 < r_range[0] <= r_range[1] <= _MAX_R):
+        raise ValueError(f"r_range must be (lo, hi) with 0 < lo <= hi <= {_MAX_R:g}, "
+                         f"got {list(r_range)}")
     children = np.random.SeedSequence([seed, 0x74686d32]).spawn(configs)
     stack = max(1, _STACK_PAIRS // (k_count * z_count))
     reps = []
     for j, n in enumerate(int(v) for v in ns):
         mine = children[j::len(ns)]         # configuration i has n = ns[i % len(ns)]
         for lo in range(0, len(mine), stack):
-            reps.extend(_chain(n, *_sample_configs(mine[lo:lo + stack], n, r_range,
+            reps.append(_chain(n, *_sample_configs(mine[lo:lo + stack], n, r_range,
                                                    k_count, z_count)))
+    # the per-configuration fields of every stack, concatenated
+    v, mm, ls, me = (np.concatenate(f) for f in list(zip(*reps))[3:])
     return BatchReport(
-        configs=configs,
-        violations=sum(rep.violations for rep in reps),
-        min_margin=min(rep.min_margin for rep in reps),
-        min_link_slacks=tuple(float(v) for v in
-                              np.min([rep.link_slacks for rep in reps], axis=0)),
-        max_monotonicity_err=max(rep.monotonicity_err for rep in reps))
+        configs=configs, violations=int(v.sum()), min_margin=float(mm.min()),
+        min_link_slacks=tuple(ls.min(axis=0).tolist()),
+        max_monotonicity_err=float(me.max()))

@@ -107,16 +107,13 @@ class LeviMatrix(_Frozen):
 
 
 class Signature(NamedTuple):
-    """Counts of eigenvalues above ztol, below -ztol, and within [-ztol, ztol]."""
+    """Counts of eigenvalues above ztol, below -ztol, and within [-ztol, ztol]:
+    ints and a float for one matrix, (m,) arrays for a stack of m."""
 
-    n_pos: int
-    n_neg: int
-    n_zero: int
-    ztol: float
-
-    @property
-    def m(self):
-        return self.n_pos + self.n_neg + self.n_zero
+    n_pos: int | np.ndarray
+    n_neg: int | np.ndarray
+    n_zero: int | np.ndarray
+    ztol: float | np.ndarray
 
     def as_tuple(self):
         return (self.n_pos, self.n_neg, self.n_zero)
@@ -141,24 +138,21 @@ def _ztol_check(ztol):
 
 
 def _signatures(h, ztol, eigvals):
-    """Signatures of h (a Signature, or a tuple for a stack) from the
-    eigenvalue rows eigvals(mat), each against its own ztol."""
+    """The Signature of h from the eigenvalue rows eigvals(mat), each row
+    against its own ztol."""
     _raise_first([_ztol_check(ztol)], ())
     mat = _as_matrix(h)
     zt = np.asarray(default_ztol(h) if ztol is None else ztol, dtype=float)
     vals = eigvals(mat)
     pos = np.sum(vals > zt[..., None], axis=-1)
     neg = np.sum(vals < -zt[..., None], axis=-1)
-    k = vals.shape[-1]
-    sigs = tuple(Signature(p, q, k - p - q, z) for p, q, z in zip(
-        pos.ravel().tolist(), neg.ravel().tolist(),
-        np.broadcast_to(zt, pos.shape).ravel().tolist()))
-    return sigs if mat.ndim == 3 else sigs[0]
+    counts = (pos, neg, vals.shape[-1] - pos - neg, np.broadcast_to(zt, pos.shape))
+    return Signature(*(counts if mat.ndim == 3 else (c.item() for c in counts)))
 
 
 def eig_signature(h, ztol: float | None = None):
-    """Eigenvalue signature via LAPACK's complex Hermitian eigensolver: one
-    Signature, or for a stack a tuple of them from one eigensolver call."""
+    """Eigenvalue signature via LAPACK's complex Hermitian eigensolver, one
+    eigensolver call for a stack."""
     return _signatures(h, ztol, np.linalg.eigvalsh)
 
 
@@ -262,13 +256,14 @@ def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
 
 
 class FunctionClassification(NamedTuple):
-    """Minimal q per sampled point (n+1 means no valid q <= n) and overall;
-    points is the read-only (m, n) array of the sampled points."""
+    """Minimal q per sampled point, an (m,) array (n+1 means no valid q <= n),
+    and overall; points is the read-only (m, n) array of the sampled points
+    and signatures their stacked Signature."""
 
     n: int
     points: np.ndarray
-    signatures: tuple
-    per_point_q: tuple
+    signatures: Signature
+    per_point_q: np.ndarray
     overall_q: int
 
     @property
@@ -286,7 +281,7 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
     and one eigensolver call.
     """
     n = f.n
-    pts = np.array([np.asarray(p, dtype=complex) for p in points])
+    pts = np.array(points, dtype=complex, order="C")     # a copy, frozen below
     if not len(pts):
         raise ValueError("need at least one point")
     pts.flags.writeable = False
@@ -295,53 +290,43 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
     _raise_first([_not_real(values), (bad, lambda i: _NON_FINITE),
                   _ztol_check(ztol)], values.shape)
     sigs = eig_signature(h, ztol)
-    qs = tuple(n - sig.n_pos + 1 for sig in sigs)
-    return FunctionClassification(
-        n=n, points=pts, signatures=sigs,
-        per_point_q=qs, overall_q=max(qs))
+    qs = n - sigs.n_pos + 1
+    return FunctionClassification(n=n, points=pts, signatures=sigs,
+                                  per_point_q=qs, overall_q=int(qs.max()))
 
 
 class BoundaryClassification(NamedTuple):
-    """Classification of one boundary point of {phi = 0}.
+    """Classification of boundary points of {phi = 0}: point and gradient
+    (n,) and ints for one point, (m, n) and (m,) arrays for a stack of m.
 
-    strict_q is the minimal q with at least n-q positive restricted
-    eigenvalues (None when there are none); weak_q counts nonnegative
-    eigenvalues the same way.
+    strict_q = n - n_pos is the minimal q with at least n-q positive
+    restricted eigenvalues, weak_q = n - n_pos - n_zero counts nonnegative
+    ones the same way; q = n, which every point has, stands for "none".
     """
 
-    point: tuple
-    gradient: tuple
+    point: np.ndarray
+    gradient: np.ndarray
     restricted: Signature
-    strict_q: int | None
-    weak_q: int | None
+    strict_q: int | np.ndarray
+    weak_q: int | np.ndarray
     n: int
 
 
 def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
-                            eps_bdry: float = 1e-8):
-    """Restricted-signature classification of a smooth boundary point, or a
-    tuple of classifications for a stack of points (m, n), made in one pass.
+                            eps_bdry: float = 1e-8) -> BoundaryClassification:
+    """Restricted-signature classification of a smooth boundary point, or of
+    a stack of points (m, n) in one pass.
 
     Requires |phi(p)| <= eps_bdry (point on the zero set) and a
-    nondegenerate gradient (see restricted_levi_form).  With n_pos positive
-    restricted eigenvalues the minimal strict q is n - n_pos; the weak
-    variant also counts zeros.
+    nondegenerate gradient (see restricted_levi_form).
     """
     p = np.asarray(p, dtype=complex)
     g, _, restricted = restricted_levi_form(phi, p, eps_bdry, [_ztol_check(ztol)])
-    sigs = eig_signature(restricted, ztol)
+    sig = eig_signature(restricted, ztol)
     n = phi.n
-
-    def one(point, grad, sig):
-        weak_count = sig.n_pos + sig.n_zero
-        return BoundaryClassification(
-            point=tuple(point), gradient=tuple(grad), restricted=sig,
-            strict_q=n - sig.n_pos if sig.n_pos >= 1 else None,
-            weak_q=n - weak_count if weak_count >= 1 else None, n=n)
-
-    if p.ndim == 1:
-        return one(p, g, sigs)
-    return tuple(map(one, p, g, sigs))
+    return BoundaryClassification(
+        point=p, gradient=g, restricted=sig, strict_q=n - sig.n_pos,
+        weak_q=n - sig.n_pos - sig.n_zero, n=n)
 
 
 def _project(phi, z, eps_bdry, max_iter, cap):
@@ -397,18 +382,18 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
     if center is None:
         center = np.zeros(n, dtype=complex)
     center = np.asarray(center, dtype=complex)
-    out = []
-    drawn = 0
+    out = [np.empty((0, n), dtype=complex)]
+    got = drawn = 0
     limit = 60 * count
     cap = 0.5 * box
-    while len(out) < count:
+    while got < count:
         if drawn >= limit:
             raise RuntimeError(
-                f"boundary sampling stalled: {len(out)}/{count} points after "
+                f"boundary sampling stalled: {got}/{count} points after "
                 f"{drawn + 1} draws")
-        need = count - len(out)
+        need = count - got
         # enough draws for the acceptance rate seen so far (1/60 at worst)
-        rate = max(len(out) / drawn if drawn else 1.0, 1.0 / 60.0)
+        rate = max(got / drawn if drawn else 1.0, 1.0 / 60.0)
         block = min(limit - drawn, math.ceil(need / rate))
         drawn += block
         x = rng.uniform(-box, box, size=(block, 2 * n))
@@ -418,6 +403,7 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
         first = int(np.argmax(failed))      # the lowest failed draw, if any
         if error is not None and (len(kept) < need or first < kept[-1]):
             raise error(drawn - block + first)
-        out.extend(z[kept])
-    return np.array(out)
+        out.append(z[kept])
+        got += len(kept)
+    return np.concatenate(out)
 

@@ -113,20 +113,20 @@ class ModelDomain(ex._Frozen):
     def sample_interior(self, count: int, rng) -> np.ndarray:
         """Uniform rejection sample of {phi < 0} from the bounding box."""
         n = self.n
-        out = []
-        attempts = 0
-        while len(out) < count:
+        out = [np.empty((0, n), dtype=complex)]
+        got = attempts = 0
+        while got < count:
             attempts += 1
             if attempts > 4000:
                 raise RuntimeError(
                     f"interior sampling stalled for {self.name}")
-            m = max(4 * (count - len(out)), 2000)
+            m = max(4 * (count - got), 2000)
             draw = rng.uniform(-self.box_halfwidth, self.box_halfwidth,
                                size=(m, 2 * n))
             pts = self.box_center[None, :] + draw[:, :n] + 1j * draw[:, n:]
-            vals = ex.eval_batch(self.phi, pts).real
-            out.extend(pts[vals < 0])
-        return np.array(out[:count], dtype=complex).reshape(count, n)
+            out.append(pts[ex.eval_batch(self.phi, pts).real < 0])
+            got += len(out[-1])
+        return np.concatenate(out)[:count]
 
     def sample_boundary(self, count: int, seed: int) -> np.ndarray:
         return levi.sample_boundary(self.phi, count, seed,
@@ -290,18 +290,15 @@ class PeakExtension(ex._Frozen):
         b = (pts - self.p[None, :]) @ np.conj(self.complement)
         return np.linalg.norm(b, axis=1)
 
-    def h_values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-        w1 = (pts - self.p[None, :]) @ np.conj(self.nu)
-        return np.exp(self.c * w1)
-
     def __call__(self, z):
         pts = np.asarray(z, dtype=complex)
         scalar = pts.ndim == 1
         pts = np.atleast_2d(pts)
         t = self.b_norms(pts)
-        vals = np.where(t >= self.r, 0.0 + 0.0j,
-                        self.h_values(pts) * self.cutoff(t))
+        on = ~(t >= self.r)     # f is exactly 0 off the tube, where h may overflow
+        w1 = (pts - self.p[None, :]) @ np.conj(self.nu)
+        vals = np.zeros(len(t), dtype=complex)
+        vals[on] = np.exp(self.c * w1[on]) * self.cutoff(t[on])
         return complex(vals[0]) if scalar else vals
 
     def jet2_batch(self, pts):

@@ -86,8 +86,14 @@ def _legacy_json(report):
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _signature_dict(sig):
-    return {"pos": sig.n_pos, "neg": sig.n_neg, "zero": sig.n_zero}
+def _signature_dicts(sig):
+    """The per-row signature objects of a stacked Signature."""
+    return [{"pos": a, "neg": b, "zero": c} for a, b, c in zip(
+        sig.n_pos.tolist(), sig.n_neg.tolist(), sig.n_zero.tolist())]
+
+
+def _q_text(q, n):
+    return "none" if q == n else q
 
 
 def test_per_point_reports_equal_the_record_by_record_build(tmp_path):
@@ -102,12 +108,12 @@ def test_per_point_reports_equal_the_record_by_record_build(tmp_path):
     f = expr.parse(text, n)
     cls = levi.classify_function(f, [fileio.parse_point(r, n) for r in rows])
     assert cls.points.shape == (len(rows), n) and not cls.points.flags.writeable
-    assert len(set(cls.per_point_q)) > 1
+    assert len(set(cls.per_point_q.tolist())) > 1
     want = {"mode": "function", "n": n, "function": expr.to_text(f),
             "points": [{"point": [format_complex_reference(c) for c in p],
-                        "signature": _signature_dict(sig), "q": q}
-                       for p, sig, q in zip(cls.points, cls.signatures,
-                                            cls.per_point_q)],
+                        "signature": sig, "q": q}
+                       for p, sig, q in zip(cls.points, _signature_dicts(cls.signatures),
+                                            cls.per_point_q.tolist())],
             "overall_q": cls.overall_q, "overall": cls.overall_text,
             "failures": []}
     assert (out / "levi_report.json").read_text() == _legacy_json(want)
@@ -118,17 +124,17 @@ def test_per_point_reports_equal_the_record_by_record_build(tmp_path):
         "n": n, "defining": text, "boundary_samples": 6, "seed": 4}),
         "--out", str(out)]) == 0
     phi = expr.parse(text, n)
-    classes = levi.classify_boundary_point(phi, levi.sample_boundary(phi, 6, 4))
-    assert all(c.strict_q is None for c in classes)
+    cls = levi.classify_boundary_point(phi, levi.sample_boundary(phi, 6, 4))
+    assert (cls.strict_q == n).all()        # no strict q at any point
     want = {"mode": "boundary", "name": "domain", "n": n,
             "defining": expr.to_text(phi), "seed": 4, "failures": [],
-            "points": [{"point": [format_complex_reference(z) for z in c.point],
-                        "gradient": [format_complex_reference(z)
-                                     for z in c.gradient],
-                        "signature": _signature_dict(c.restricted),
-                        "strict_q": "none" if c.strict_q is None else c.strict_q,
-                        "weak_q": "none" if c.weak_q is None else c.weak_q}
-                       for c in classes]}
+            "points": [{"point": [format_complex_reference(z) for z in p],
+                        "gradient": [format_complex_reference(z) for z in g],
+                        "signature": sig, "strict_q": _q_text(sq, n),
+                        "weak_q": _q_text(wq, n)}
+                       for p, g, sig, sq, wq in zip(
+                           cls.point, cls.gradient, _signature_dicts(cls.restricted),
+                           cls.strict_q.tolist(), cls.weak_q.tolist())]}
     assert (out / "classify_report.json").read_text() == _legacy_json(want)
 
 
@@ -220,6 +226,18 @@ def test_random_points_that_all_fall_in_the_avoided_ball_are_config_error(
     _assert_config_error(tmp_path, capsys, "qholo", {
         "n": 2, "q": 2, "function": {"builtin": "basener", "p": ["0", "0"]},
         "points": {"random": {"count": 4, "seed": 1, "avoid_radius": 1e6}}})
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, below):
+    path = _write(tmp_path, "c.json", _SPHERE2)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "out" if below else taken
+    assert run(["classify", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert taken.read_text() == "kept"
 
 
 def test_negative_seed_override_is_config_error(tmp_path, capsys):

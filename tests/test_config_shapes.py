@@ -7,8 +7,9 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from qholo import cli
 
@@ -77,6 +78,16 @@ CASES = [
                            "name": "disc", "convex_certified": True}}),
 ]
 
+# Finite values inside every reader's range whose runs once printed numpy
+# warnings: a center near the float limit, a tube radius of 2^40.
+EXTREMES = [
+    ("thm2", {"c.json": {"single": {"n": 2, "p": ["1e308", "0"], "r": 1.0,
+                                    "K": {"sphere": {"r": 1.5, "count": 5}},
+                                    "z": {"count": 4, "seed": 3}}}}),
+    ("peak", {"c.json": {"domain": {"model": "ball", "n": 2}, "p": ["1", "0"], "q": 1,
+                         "r": 2 ** 40, "samples": _SAMPLES}}),
+]
+
 # Each value replaces a leaf or a whole object or list; integer keys also get
 # a non-integral float.
 BAD = [None, True, False, 0, -1, 0.5, 2 ** 40, 1e308, float("nan"), float("inf"),
@@ -115,18 +126,21 @@ def test_cases_reach_every_declared_key():
 
 def test_every_case_is_valid(tmp_path):
     for i, (command, docs) in enumerate(CASES):
-        assert _run(command, docs, str(tmp_path / str(i)))[0] in (0, 1), (command, docs)
+        code, _, _, caught = _run(command, docs, str(tmp_path / str(i)))
+        assert code in (0, 1) and not caught, (command, docs, caught)
 
 
 def _run(command, docs, work):
+    """(exit code, stderr, out dir, texts of the warnings raised)."""
     os.makedirs(work, exist_ok=True)
     for name, doc in docs.items():
         with open(os.path.join(work, name), "w") as fh:
             fh.write(doc if isinstance(doc, str) else json.dumps(doc))
     err, out = io.StringIO(), os.path.join(work, "out")
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.run([command, "--config", os.path.join(work, "c.json"), "--out", out])
-    return code, err.getvalue(), out
+    return code, err.getvalue(), out, [str(w.message) for w in caught]
 
 
 def _replaced(doc, path, value):
@@ -152,15 +166,30 @@ def _mutations(draw):
     return command, dict(docs, **{name: _replaced(docs[name], path, value)})
 
 
+def test_extreme_inputs_give_a_finite_report_or_exit_2(tmp_path):
+    for i, (command, docs) in enumerate(EXTREMES):
+        code, err, out, caught = _run(command, docs, str(tmp_path / str(i)))
+        assert code in (0, 2) and not caught, (command, code, caught)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            (report,) = os.listdir(out)
+            with open(os.path.join(out, report)) as fh:
+                assert not re.search(r'"-?(inf|nan)"', fh.read())
+
+
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_mutations())
+@example(EXTREMES[0])
+@example(EXTREMES[1])
 def test_mutated_configs_keep_the_exit_contract(mutation):
     command, docs = mutation
     with tempfile.TemporaryDirectory() as work:
-        code, err, out = _run(command, docs, work)
+        code, err, out, caught = _run(command, docs, work)
         event(f"{command} exit {code}")
         assert code in (0, 1, 2)
+        assert not caught, caught
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not os.path.exists(out) or not os.listdir(out)

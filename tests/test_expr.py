@@ -226,6 +226,20 @@ def test_finite_diff_fixtures():
     assert np.all(j.h_zz == 0) and np.all(j.h_zzb == 0) and np.all(j.h_zbzb == 0)
 
 
+def test_finite_diff_jet_calls_a_callable_once_on_every_stencil_point():
+    shapes = []
+
+    def square(pts):
+        shapes.append(pts.shape)
+        return pts[:, 0] ** 2
+
+    j = ex.finite_diff_jet(square, np.array([2.0 + 0j]), h=1e-4)
+    assert shapes == [(9, 1)]       # the center, 2 * 2 axis steps, 4 diagonal steps
+    assert abs(j.g_z[0] - 4) <= 1e-6
+    with pytest.raises(ValueError, match="batch"):
+        ex.finite_diff_jet(lambda pts: 4.0, np.array([2.0 + 0j]))
+
+
 def _jet_scale(j):
     return max(abs(j.value), np.max(np.abs(j.g_z)), np.max(np.abs(j.g_zb)),
                np.max(np.abs(j.h_zz)), np.max(np.abs(j.h_zzb)),

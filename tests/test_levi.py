@@ -157,7 +157,7 @@ def test_classify_function_fixtures():
            np.array([1.0 + 0j, 1.0 + 0j, 1.0 + 0j])]
     cls = levi.classify_function(ex.parse("abs2(z1)+abs2(z2)+abs2(z3)", 3), pts)
     assert cls.overall_q == 1
-    assert cls.per_point_q == (1, 1)
+    assert cls.per_point_q.tolist() == [1, 1]
 
     cls = levi.classify_function(ex.parse("abs2(z1)+abs2(z2)-abs2(z3)", 3), pts)
     assert cls.overall_q == 2
@@ -187,7 +187,7 @@ def test_classify_boundary_cylinder():
     phi = ex.parse("abs2(z1)-1", 2)
     c = levi.classify_boundary_point(phi, np.array([1.0 + 0j, 0.0 + 0j]))
     assert c.restricted.as_tuple() == (0, 0, 1)
-    assert c.strict_q is None
+    assert c.strict_q == c.n == 2           # no positive eigenvalue: "none"
     assert c.weak_q == 1
 
 
@@ -230,6 +230,30 @@ def test_block_signature_fixture_matches_oracle():
 # Stacked engines: a stack is its rows, each taken as a batch of one
 
 
+def _rows(sig):
+    """The (n_pos, n_neg, n_zero) tuple of each row of a stacked Signature."""
+    return list(zip(*(field.tolist() for field in sig.as_tuple())))
+
+
+def test_stacked_records_hold_arrays_and_single_ones_python_scalars():
+    ball2 = ex.parse("abs2(z1)+abs2(z2)-1", 2)
+    one = levi.classify_boundary_point(ball2, [1, 0])
+    assert one.strict_q == 1
+    assert all(type(v) is int for v in (one.strict_q, one.weak_q,
+                                        *one.restricted.as_tuple()))
+    assert type(one.restricted.ztol) is float
+    assert one.point.shape == one.gradient.shape == (2,)
+    pts = np.array([[1, 0], [0, 1j], [0.6, 0.8]], dtype=complex)
+    stack = levi.classify_boundary_point(ball2, pts)
+    assert stack.point.shape == stack.gradient.shape == (3, 2)
+    for field in (stack.strict_q, stack.weak_q, *stack.restricted):
+        assert isinstance(field, np.ndarray) and field.shape == (3,)
+    assert stack.strict_q.tolist() == stack.weak_q.tolist() == [1, 1, 1]
+    cls = levi.classify_function(ball2, pts)
+    assert cls.per_point_q.tolist() == [1, 1, 1] and type(cls.overall_q) is int
+    assert _rows(cls.signatures) == [(2, 0, 0)] * 3
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), k=st.integers(1, 5),
        explicit=st.booleans(), rotate=st.booleans())
@@ -253,12 +277,12 @@ def test_stacked_signature_engines_agree_row_by_row(seed, m, k, explicit, rotate
     stack = levi.LeviMatrix(np.array(mats))
     primary = levi.eig_signature(stack, ztol)
     oracle = levi.signature_oracle(stack, ztol)
-    assert [s.as_tuple() for s in primary] == want
-    assert [s.as_tuple() for s in oracle] == want
+    assert _rows(primary) == _rows(oracle) == want
     for i, mat in enumerate(mats):
         one = levi.LeviMatrix(mat)
-        assert levi.eig_signature(one, ztol) == primary[i]
-        assert levi.signature_oracle(one, ztol) == oracle[i]
+        for engine, stacked in ((levi.eig_signature, primary),
+                                (levi.signature_oracle, oracle)):
+            assert engine(one, ztol) == tuple(field[i] for field in stacked)
         assert one.herm_dev == stack.herm_dev[i]
         assert levi.default_ztol(one) == levi.default_ztol(stack)[i]
 
@@ -289,10 +313,17 @@ _INDEFINITE3 = ex.parse("abs2(z1)+abs2(z2)-abs2(z3)-1", 3)
 def test_stacked_classification_equals_single_calls(phi, seed):
     pts = levi.sample_boundary(phi, 30, seed=seed)
     stacked = levi.classify_boundary_point(phi, pts)
-    assert isinstance(stacked, tuple) and len(stacked) == len(pts)
+    assert stacked.point.shape == stacked.gradient.shape == pts.shape
+    assert stacked.strict_q.shape == stacked.weak_q.shape == (len(pts),)
     g, frame, restricted = levi.restricted_levi_form(phi, pts)
     for i, p in enumerate(pts):
-        assert stacked[i] == levi.classify_boundary_point(phi, p)
+        single = levi.classify_boundary_point(phi, p)
+        assert single.n == stacked.n
+        assert single.point.tobytes() == stacked.point[i].tobytes()
+        assert single.gradient.tobytes() == stacked.gradient[i].tobytes()
+        assert single.restricted == tuple(field[i] for field in stacked.restricted)
+        assert single.strict_q == stacked.strict_q[i]
+        assert single.weak_q == stacked.weak_q[i]
         one = levi.restricted_levi_form(phi, p)
         for a, b in zip((g[i], frame[i], restricted.mat[i]), (one[0], one[1], one[2].mat)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -301,12 +332,13 @@ def test_stacked_classification_equals_single_calls(phi, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, size=(40, 3)) + 1j * rng.uniform(-1, 1, size=(40, 3))
     whole = levi.classify_function(f, pts)
-    assert len({q for q in whole.per_point_q}) > 1
+    assert len(set(whole.per_point_q.tolist())) > 1
     for i, p in enumerate(pts):
         one = levi.classify_function(f, [p])
         assert np.array_equal(one.points, whole.points[i:i + 1])
-        assert one.signatures == (whole.signatures[i],)
-        assert one.per_point_q == (whole.per_point_q[i],)
+        for a, b in zip(one.signatures, whole.signatures):
+            assert np.array_equal(a, b[i:i + 1])
+        assert np.array_equal(one.per_point_q, whole.per_point_q[i:i + 1])
 
 
 # Zero set: the unit sphere and the origin, where the gradient vanishes.  The
@@ -331,7 +363,7 @@ def test_stacked_classification_reports_the_first_failing_row(rows, first, match
             call(_MIXED, pts)
         assert str(got.value) == str(single.value)
         assert got.value.row == first
-    assert len(levi.classify_boundary_point(_MIXED, pts[:first])) == first
+    assert len(levi.classify_boundary_point(_MIXED, pts[:first]).strict_q) == first
 
 
 def test_stacked_classification_orders_evaluation_errors_by_row():
@@ -363,7 +395,7 @@ def test_stacked_evaluation_errors_are_found_across_jet_chunks():
         with pytest.raises(ex.EvalError) as got:
             call(phi, pts)
         assert str(got.value) == str(single.value) and got.value.row == 600
-    assert len(levi.classify_boundary_point(phi, pts[:600])) == 600
+    assert len(levi.classify_boundary_point(phi, pts[:600]).strict_q) == 600
 
 
 def test_classify_function_reports_the_first_non_real_row():
