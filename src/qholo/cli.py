@@ -244,6 +244,10 @@ def _csv_points(pts, what, env):
     if pts.shape[1] != env["n"]:
         raise ConfigError(f"{env['file']}: points have {pts.shape[1]} "
                           f"coordinates, expected {env['n']}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{env['file']}: data line {bad[0] + 1} has a "
+                          f"non-finite coordinate")
     return pts
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -958,31 +959,38 @@ def eval_batch(e: Expr, pts) -> np.ndarray:
     return _raised(_values(e, pts))
 
 
-class Jet2(_Frozen):
-    """Second-order Wirtinger jet at a point.
+class Jet2(NamedTuple):
+    """Second-order Wirtinger jet at a point, or at each row of a stack.
 
     value: f(z); g_z[i] = df/dz_i; g_zb[j] = df/dconj(z_j);
     h_zz[i,j] = d2f/dz_i dz_j (symmetric); h_zzb[i,j] = d2f/dz_i dconj(z_j);
-    h_zbzb[i,j] = d2f/dconj(z_i) dconj(z_j) (symmetric).
+    h_zbzb[i,j] = d2f/dconj(z_i) dconj(z_j) (symmetric).  At a point value
+    is a complex and the blocks are (n,) and (n, n); for a stack of m points
+    every field has a leading point axis: (m,), (m, n) and (m, n, n), and
+    is_real_valued answers per point.
     """
 
-    __slots__ = ("value", "g_z", "g_zb", "h_zz", "h_zzb", "h_zbzb")
-
-    def __init__(self, value, g_z, g_zb, h_zz, h_zzb, h_zbzb):
-        self._set((value, g_z, g_zb, h_zz, h_zzb, h_zbzb))
+    value: complex | np.ndarray
+    g_z: np.ndarray
+    g_zb: np.ndarray
+    h_zz: np.ndarray
+    h_zzb: np.ndarray
+    h_zbzb: np.ndarray
 
     @property
     def n(self):
-        return self.g_z.shape[0]
+        return self.g_z.shape[-1]
 
     def is_real_valued(self, tol=1e-9):
-        return abs(self.value.imag) <= tol * max(1.0, abs(self.value.real))
+        v = self.value
+        ok = np.abs(v.imag) <= tol * np.fmax(1.0, np.abs(v.real))
+        return ok if np.ndim(ok) else bool(ok)
 
 
 def _jet_blocks(e, pts, order=2, mixed=False):
     """(blocks, bad rows, error builder) of e at the rows of pts (_failures);
-    the read-only blocks are (value, g_z, g_zb) and at order 2 also (h_zz,
-    h_zzb, h_zbzb), or h_zzb alone when mixed."""
+    the read-only blocks are (value, g_z, g_zb) and at order 2 also h_zzb
+    alone when mixed, else a stacked Jet2."""
     n = e.n
     pts = _as_points(pts, n, finite=True)
     tape = _tape(e)
@@ -997,6 +1005,8 @@ def _jet_blocks(e, pts, order=2, mixed=False):
         blocks += (h,) if mixed else (h[:, :n, :n], h[:, :n, n:], h[:, n:, n:])
     for b in blocks:
         b.flags.writeable = False
+    if len(blocks) == 6:
+        blocks = Jet2(*blocks)
     return (blocks, *_failures(e, tape, first_div, blocks, "jet"))
 
 
@@ -1006,14 +1016,13 @@ def eval_jet1_batch(e: Expr, pts) -> tuple:
     return _raised(_jet_blocks(e, pts, order=1))
 
 
-def eval_jet2_batch(e: Expr, pts) -> tuple:
+def eval_jet2_batch(e: Expr, pts) -> Jet2:
     """Exact forward-mode 2-jets of e at the rows of pts, shape (m, n).
 
-    Returns the read-only blocks (value, g_z, g_zb, h_zz, h_zzb, h_zbzb) of
-    Jet2 with a leading point axis: shapes (m,), (m, n) and (m, n, n).  Row k
-    equals eval_jet2(e, pts[k]) exactly.  The first row with a near-zero
-    divisor or a non-finite entry raises EvalError (module docstring);
-    non-finite input raises ValueError.
+    Returns one stacked Jet2 of read-only blocks with a leading point axis:
+    shapes (m,), (m, n) and (m, n, n).  Row k equals eval_jet2(e, pts[k])
+    exactly.  The first row with a near-zero divisor or a non-finite entry
+    raises EvalError (module docstring); non-finite input raises ValueError.
     """
     return _raised(_jet_blocks(e, pts))
 
@@ -1027,8 +1036,8 @@ def eval_mixed_jet_batch(e: Expr, pts) -> tuple:
 
 def eval_jet2(e: Expr, z) -> Jet2:
     """Exact forward-mode second-order Wirtinger jet of e at point z."""
-    v, *blocks = _raised(_jet_blocks(e, _as_point(z, e.n)[None, :]))
-    return Jet2(complex(v[0]), *(b[0] for b in blocks))
+    j = _raised(_jet_blocks(e, _as_point(z, e.n)[None, :]))
+    return Jet2(complex(j.value[0]), *(b[0] for b in j[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,12 @@ def _residuals(g_zb, h_zzb, q) -> np.ndarray:
     return out
 
 
-def residual_from_jet(j: Jet2, q: int) -> float:
-    """Sup-coefficient residual of the q-holomorphicity condition for a jet."""
-    return float(_residuals(j.g_zb[None, :], j.h_zzb[None, :, :], q)[0])
+def residual_from_jet(j: Jet2, q: int) -> float | np.ndarray:
+    """Sup-coefficient residual of the q-holomorphicity condition for a jet:
+    a float for a jet at a point, an (m,) array for a stacked jet."""
+    n = j.n
+    r = _residuals(j.g_zb.reshape(-1, n), j.h_zzb.reshape(-1, n, n), q)
+    return r if np.ndim(j.value) else float(r[0])
 
 
 def q_holo_residual(e: Expr, z, q: int) -> float:

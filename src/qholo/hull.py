@@ -30,9 +30,9 @@ from .forms import q_holo_residual, q_holo_residuals  # noqa: F401
 from .levi import _norms
 
 __all__ = [
-    "Lambda", "FamilyMember", "HullProblem", "HullResult", "Thm2Report",
-    "BatchReport", "basener_value", "basener_expr", "construct_lambda",
-    "random_lambdas", "certify_member", "build_problem", "discrete_hull",
+    "Lambda", "FamilyMember", "HullProblem", "HullResult", "Thm2Report", "BatchReport",
+    "basener_value", "basener_expr", "construct_lambda", "random_lambdas",
+    "certify_member", "certification_points", "build_problem", "discrete_hull",
     "theorem2_experiment", "run_theorem2_batch", "sample_sphere", "sample_ball",
 ]
 

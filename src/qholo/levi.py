@@ -21,14 +21,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Expr, _Frozen, _jet_blocks, eval_mixed_jet_batch
+from .expr import Expr, _Frozen, _jet_blocks
 # Unused here; perfbench's tracer test still wraps this binding.
 from .expr import eval_jet2  # noqa: F401
 
 __all__ = [
     "LeviMatrix", "Signature", "BoundaryClassification", "FunctionClassification",
     "eig_signature", "signature_oracle", "tangent_frame", "restricted_levi_form",
-    "classify_function", "classify_boundary_point", "sample_boundary",
+    "classify_function", "classify_boundary_point", "sample_boundary", "default_ztol",
 ]
 
 EPS_HERM = 1e-10
@@ -47,17 +47,23 @@ def _norms(x, axes=1):
     return np.sqrt(sq[..., 0, 0])
 
 
-def _raise_first(checks, shape):
-    """Raise the ValueError the first failing row raises on its own.  checks
-    are (bad, message) pairs in the order one point is checked: bad marks
-    failing rows (batch-shaped, or one bool for all), message(i) is flat row
-    i's text.  The error's `row` is that row."""
-    fails = np.array([np.broadcast_to(bad, shape).ravel() for bad, _ in checks])
+def _raise_first(checks, size):
+    """Raise the error the first failing row of `size` rows raises on its
+    own.  checks are (bad, error) pairs in the order one point is checked:
+    bad marks failing rows (one per row, or one bool for all; None for no
+    failures), error(i) is flat row i's exception.  Its `row` is that row."""
+    checks = [c for c in checks if c[0] is not None]
+    fails = np.array([np.broadcast_to(np.ravel(bad), size) for bad, _ in checks])
     rows = np.flatnonzero(fails.any(axis=0))
     if rows.size:
-        err = ValueError(checks[int(np.argmax(fails[:, rows[0]]))][1](rows[0]))
-        err.row = int(rows[0])
+        row = int(rows[0])
+        err = checks[int(np.argmax(fails[:, row]))][1](row)
+        err.row = row
         raise err
+
+
+def _error(text):     # the builder of an error that is the same for every row
+    return lambda i: ValueError(text)
 
 
 class LeviMatrix(_Frozen):
@@ -134,13 +140,13 @@ def default_ztol(h):
 
 def _ztol_check(ztol):
     return (ztol is not None and bool(np.any(np.asarray(ztol) < 0)),
-            lambda i: "ztol must be nonnegative")
+            _error("ztol must be nonnegative"))
 
 
 def _signatures(h, ztol, eigvals):
     """The Signature of h from the eigenvalue rows eigvals(mat), each row
     against its own ztol."""
-    _raise_first([_ztol_check(ztol)], ())
+    _raise_first([_ztol_check(ztol)], 1)
     mat = _as_matrix(h)
     zt = np.asarray(default_ztol(h) if ztol is None else ztol, dtype=float)
     vals = eigvals(mat)
@@ -176,9 +182,9 @@ def signature_oracle(h, ztol: float | None = None):
 
 
 def _gradient_checks(norm, n):
-    return [(n < 2, lambda i: "need dimension at least 2 to form a tangent space"),
-            (norm <= EPS_GRAD, lambda i: f"degenerate gradient: norm "
-             f"{float(np.ravel(norm)[i]):.3e} <= {EPS_GRAD}")]
+    return [(n < 2, _error("need dimension at least 2 to form a tangent space")),
+            (norm <= EPS_GRAD, lambda i: ValueError(
+                f"degenerate gradient: norm {float(np.ravel(norm)[i]):.3e} <= {EPS_GRAD}"))]
 
 
 def _frame(g, norm, pivot=0):
@@ -207,14 +213,14 @@ def tangent_frame(g, pivot: int = 0) -> np.ndarray:
     """
     g = np.asarray(g, dtype=complex)
     norm = _norms(g)
-    _raise_first(_gradient_checks(norm, g.shape[-1]), norm.shape)
+    _raise_first(_gradient_checks(norm, g.shape[-1]), norm.size)
     return _frame(g, norm, pivot)
 
 
 def _not_real(values, imag_tol=1e-9):
     bad = np.abs(values.imag) > imag_tol * np.maximum(1.0, np.abs(values.real))
-    return bad, lambda i: (f"function is not real-valued at the point: value "
-                           f"{complex(np.ravel(values)[i])}")
+    return bad, lambda i: ValueError(f"function is not real-valued at the point: "
+                                     f"value {complex(np.ravel(values)[i])}")
 
 
 def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
@@ -223,35 +229,28 @@ def restricted_levi_form(phi: Expr, p, eps_bdry: float = 1e-8, _extra=()):
     frame the tangent_frame(g) columns and restricted = frame* H frame.  For
     a stack of points (m, n) each result has a leading point axis.
 
-    Raises ValueError when phi is not real-valued at p, when |phi(p)| >
-    eps_bdry (p is not on the boundary), or when the gradient is degenerate;
-    then the checks in _extra, per row.
+    Raises EvalError when phi fails to evaluate at p, then ValueError when
+    phi is not real-valued, when |phi(p)| > eps_bdry (p is not on the
+    boundary) or when the gradient is degenerate, then the checks in _extra.
     """
     p = np.asarray(p, dtype=complex)
-    (value, g, _, h_zzb), bad, error = _jet_blocks(
-        phi, p[None, :] if p.ndim == 1 else p, mixed=True)
-    if error is not None:           # check the rows before the first failure
-        first = int(np.argmax(bad))
-        if first == 0:
-            raise error()
-        value, g, h_zzb = value[:first], g[:first], h_zzb[:first]
+    (value, g, _, h_zzb), bad, error = _jet_blocks(phi, np.atleast_2d(p), mixed=True)
     if p.ndim == 1:                 # a point is a batch of one
         value, g, h_zzb = value[0], g[0], h_zzb[0]
     h, h_bad = LeviMatrix._checked(h_zzb)
-    norm = _norms(g)
-    frame = _frame(g, norm)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):     # failed or huge rows
+        norm = _norms(g)
+        frame = _frame(g, norm)
         restricted, r_bad = LeviMatrix._checked(
             np.swapaxes(np.conj(frame), -1, -2) @ h.mat @ frame)
     off = np.hypot(value.real, value.imag)      # abs() of one complex, bit for bit
     _raise_first([
-        _not_real(value), (h_bad, lambda i: _NON_FINITE),
-        (off > eps_bdry, lambda i: f"point is not on the boundary: |phi(p)| = "
-                                   f"{float(np.ravel(off)[i]):.3e} > {eps_bdry}"),
-        *_gradient_checks(norm, g.shape[-1]), (r_bad, lambda i: _NON_FINITE),
-        *_extra], value.shape)
-    if error is not None:
-        raise error()
+        (bad, error), _not_real(value), (h_bad, _error(_NON_FINITE)),
+        (off > eps_bdry, lambda i: ValueError(
+            f"point is not on the boundary: |phi(p)| = "
+            f"{float(np.ravel(off)[i]):.3e} > {eps_bdry}")),
+        *_gradient_checks(norm, g.shape[-1]), (r_bad, _error(_NON_FINITE)),
+        *_extra], np.size(value))
     return g, frame, restricted
 
 
@@ -285,10 +284,10 @@ def classify_function(f: Expr, points, ztol: float | None = None) -> FunctionCla
     if not len(pts):
         raise ValueError("need at least one point")
     pts.flags.writeable = False
-    values, _, _, h_zzb = eval_mixed_jet_batch(f, pts)
-    h, bad = LeviMatrix._checked(h_zzb)
-    _raise_first([_not_real(values), (bad, lambda i: _NON_FINITE),
-                  _ztol_check(ztol)], values.shape)
+    (values, _, _, h_zzb), bad, error = _jet_blocks(f, pts, mixed=True)
+    h, h_bad = LeviMatrix._checked(h_zzb)
+    _raise_first([(bad, error), _not_real(values), (h_bad, _error(_NON_FINITE)),
+                  _ztol_check(ztol)], values.size)
     sigs = eig_signature(h, ztol)
     qs = n - sigs.n_pos + 1
     return FunctionClassification(n=n, points=pts, signatures=sigs,

@@ -24,9 +24,7 @@ import numpy as np
 
 from . import expr as ex
 from . import levi
-from .forms import _residuals
-# Unused here; perfbench's tracer test still wraps this binding.
-from .forms import residual_from_jet  # noqa: F401
+from .forms import residual_from_jet
 
 __all__ = [
     "ModelDomain", "CutoffG", "SliceBasis", "PeakConstruction", "PeakExtension",
@@ -304,8 +302,7 @@ class PeakExtension(ex._Frozen):
     def jet2_batch(self, pts):
         """Closed-form 2-jets of f = h G(s) at the rows of pts, shape (m, n).
 
-        Returns the blocks (value, g_z, g_zb, h_zz, h_zzb, h_zbzb) of Jet2
-        with a leading point axis, as eval_jet2_batch does.  h's jet comes
+        Returns one stacked Jet2, as eval_jet2_batch does.  h's jet comes
         from eval_jet2_batch; s = ||b||^2 with b = (z-p) A, A = conj(comp),
         has s_z = conj(b) A^T, s_zb = b A^H, s_zzb = A A^H and s_zz = 0; and
         G(s) = g(sqrt s) has G' = g'/(2t), G'' = (t g'' - g')/(4t^3), both 0
@@ -334,7 +331,7 @@ class PeakExtension(ex._Frozen):
         f_zzb = ((h_z * gp[:, None] + hpp[:, None] * s_z)[:, :, None] * s_zb[:, None, :]
                  + hp[:, None, None] * (a @ a.conj().T)[None])
         f_zbzb = hpp[:, None, None] * s_zb[:, :, None] * s_zb[:, None, :]
-        return value, g_z, g_zb, f_zz, f_zzb, f_zbzb
+        return ex.Jet2(value, g_z, g_zb, f_zz, f_zzb, f_zbzb)
 
 
 class PeakConstruction(NamedTuple):
@@ -512,8 +509,7 @@ def verify_peak(f: PeakExtension, dom: ModelDomain, p, q: int,
     sup_outside = float(np.max(np.abs(f(away)))) if len(away) else 0.0
 
     pts = _residual_points(f, dom, p, residual_points, rng_res)
-    _, _, g_zb, _, h_zzb, _ = f.jet2_batch(pts)
-    worst = float(np.max(_residuals(g_zb, h_zzb, q + 1), initial=0.0))
+    worst = float(np.max(residual_from_jet(f.jet2_batch(pts), q + 1), initial=0.0))
 
     b_all = f.b_norms(closure)
     ring = closure[b_all >= f.r]

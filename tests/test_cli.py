@@ -316,6 +316,18 @@ def test_qholo_points_file(tmp_path):
     assert rep["points"] == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["hull", "qholo"])
+def test_points_file_with_a_non_finite_coordinate_exits_2(tmp_path, capsys, command,
+                                                          value):
+    # hull's K file once reached rng.uniform, whose message named no point
+    (tmp_path / "pts.csv").write_text(f"re1,im1,re2,im2\n0.5,0,0,0\n{value},0,0,0\n")
+    cfg = (dict(_hull_cfg(), K={"file": "pts.csv"}) if command == "hull" else
+           {"n": 2, "q": 1, "function": "z1+z2", "points": {"file": "pts.csv"}})
+    err = _assert_config_error(tmp_path, capsys, command, cfg)
+    assert err == "error: pts.csv: data line 2 has a non-finite coordinate\n"
+
+
 # ---------------------------------------------------------------------------
 # hull
 

@@ -365,6 +365,7 @@ def _same_bits(a, b):
 
 
 def _assert_rows_are_scalar_jets(e, pts, batch):
+    assert isinstance(batch, ex.Jet2) and batch.n == e.n
     for k, p in enumerate(pts):
         j = ex.eval_jet2(e, p)
         assert _same_bits(batch[0][k], j.value)
@@ -385,7 +386,7 @@ def test_jet2_batch_rows_match_scalar_and_oracle():
         _assert_rows_are_scalar_jets(e, pts, batch)
         for k, p in enumerate(pts):
             if _well_conditioned(e, p, rng):
-                row = ex.Jet2(complex(batch[0][k]), *(b[k] for b in batch[1:]))
+                row = ex.Jet2(complex(batch.value[k]), *(b[k] for b in batch[1:]))
                 assert _jet_rel_err(row, ex.finite_diff_jet(e, p, h=1e-4)) <= 1e-5
 
 

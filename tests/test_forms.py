@@ -194,6 +194,8 @@ def test_batched_residuals_equal_pointwise():
         pts = z[None, :] + 1e-3 * rng.standard_normal((5, e.n))
         got = q_holo_residuals(e, pts, q)
         assert got.tolist() == [q_holo_residual(e, p, q) for p in pts]
+        stacked = residual_from_jet(ex.eval_jet2_batch(e, pts), q)
+        assert stacked.shape == got.shape and stacked.tobytes() == got.tobytes()
 
 
 def test_wedge_vs_minor_oracle():

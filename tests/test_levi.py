@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -398,14 +400,39 @@ def test_stacked_evaluation_errors_are_found_across_jet_chunks():
     assert len(levi.classify_boundary_point(phi, pts[:600]).strict_q) == 600
 
 
+def test_failed_rows_raise_their_error_without_a_warning():
+    # row 1's jet is inf - inf = NaN in the first stack; in the second its
+    # jet is finite but the squares in its norms overflow
+    cases = [("abs2(z1)+abs2(z2)-1+exp(1000*abs2(z2))-exp(1000*abs2(z2))", [0, 1],
+              "non-finite jet"),
+             ("abs2(z1)+abs2(z2)-1+exp(800*z2*conj(z1))-1", [0.6, 0.8],
+              "overflows double precision")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, row, match in cases:
+            phi = ex.parse(text, 2)
+            for call in (levi.restricted_levi_form, levi.classify_boundary_point):
+                with pytest.raises(ValueError, match=match) as single:
+                    call(phi, np.array(row, dtype=complex))
+                with pytest.raises(ValueError) as got:
+                    call(phi, np.array([[1, 0], row], dtype=complex))
+                assert str(got.value) == str(single.value) and got.value.row == 1
+
+
 def test_classify_function_reports_the_first_non_real_row():
-    f = ex.parse("abs2(z1)+(z1-conj(z1))*abs2(z2)", 2)
-    pts = np.array([[0.3, 0.1], [0.2j, 0.5], [0.1j, 2.0]], dtype=complex)
-    with pytest.raises(ValueError) as single:
-        levi.classify_function(f, pts[1:2])
-    with pytest.raises(ValueError) as got:
-        levi.classify_function(f, pts)
-    assert str(got.value) == str(single.value) and got.value.row == 1
+    # in the second stack row 1 is a pole, which the jet evaluation meets
+    # before any other check; row 0 alone is not real-valued
+    for text, pts, row in [
+            ("abs2(z1)+(z1-conj(z1))*abs2(z2)", [[0.3, 0.1], [0.2j, 0.5], [0.1j, 2.0]], 1),
+            ("abs2(z1)+i*re(z2)+1/z1", [[1, 0.5], [0, 0]], 0)]:
+        f = ex.parse(text, 2)
+        pts = np.array(pts, dtype=complex)
+        with pytest.raises(ValueError, match="not real-valued") as single:
+            levi.classify_function(f, pts[row:row + 1])
+        with pytest.raises(ValueError) as got:
+            levi.classify_function(f, pts)
+        assert type(got.value) is ValueError
+        assert str(got.value) == str(single.value) and got.value.row == row
 
 
 def test_sample_boundary_deterministic_and_on_surface():

@@ -317,6 +317,7 @@ def test_closed_form_jets_match_finite_differences(fixture):
     b = f.b_norms(pts)
     assert np.sum((b > 0) & (b < f.r)) >= 100     # the cutoff varies at most
     blocks = f.jet2_batch(pts)
+    assert isinstance(blocks, ex.Jet2) and blocks.n == dom.n
     assert np.allclose(blocks[0], f(pts), rtol=1e-13, atol=0.0)
     worst = 0.0
     for k, z in enumerate(pts):

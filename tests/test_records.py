@@ -1,11 +1,13 @@
 """The package's records and expression nodes: no dataclasses at import,
 immutable fields, value equality, constructor checks, and no JSON for a
-record."""
+record; the package's exports and the README's library tour."""
 
+import ast
 import copy
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import qholo
-from qholo import expr as ex, fileio, hull, levi, peak
+from qholo import expr as ex, fileio, forms, hull, levi, peak
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
@@ -115,6 +117,34 @@ def test_copy_and_pickle_keep_the_fields(make):
 def test_constructor_checks_keep_their_messages(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_package_exports_the_module_lists():
+    mods = (ex, forms, levi, hull, peak)
+    assert qholo.__all__ == [name for m in mods for name in m.__all__] + ["__version__"]
+    for m in mods:
+        for name in m.__all__:
+            obj = getattr(m, name)
+            assert getattr(qholo, name) is obj
+            # perfbench's tracer wraps a function in its defining module only
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == m.__name__, name
+
+
+def test_readme_tour_gives_the_results_in_its_comments():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        block = re.search(r"## Library tour.*?```python\n(.*?)```", fh.read(), re.S)[1]
+    lines, ns, results = block.splitlines(), {}, {}
+    for node in ast.parse(block).body:      # each bare expression's comment is its value
+        if isinstance(node, ast.Expr):
+            got = eval(compile(ast.Expression(node.value), "README", "eval"), ns)
+            results[lines[node.lineno - 1].rpartition("#")[2].strip()] = got
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), ns)
+    assert list(results) == ["0.0", "1", "True", "10/3"]
+    for text, got in results.items():
+        want = eval(text)
+        assert type(got) is type(want) and got == pytest.approx(want, rel=1e-15)
 
 
 def test_field_order_and_defaults():
