@@ -790,3 +790,59 @@ def dense_jet_blocks_reference(e, pts, order=2):
     if not all(np.all(np.isfinite(b)) for b in blocks):
         raise ex.EvalError(f"non-finite jet while evaluating '{ex.to_text(e)}'")
     return blocks
+
+
+# The criterion-9 CLI fixtures: (name, subcommand, config), each run with
+# --seed 42 by the determinism and golden-digest tests.
+def cli_fixtures():
+    zero2 = ["0+0i", "0+0i"]
+    return [
+        ("levi_matrix", "levi", {
+            "matrix": [["2+0i", "0+1i"], ["0-1i", "1+0i"]],
+        }),
+        ("levi_function", "levi", {
+            "n": 2, "function": "abs2(z1)+abs2(z2)",
+            "points": {"random": {"count": 15, "seed": 3}},
+            "expect": {"q_max": 1},
+        }),
+        ("classify", "classify", {
+            "n": 2, "name": "sphere2",
+            "defining": "abs2(z1)+abs2(z2)-1",
+            "boundary_samples": 10, "seed": 5,
+            "expect": {"strict_q": 1},
+        }),
+        ("qholo_fn", "qholo", {
+            "n": 2, "q": 1, "function": "z1*z2+exp(z2)",
+            "points": {"random": {"count": 25, "seed": 7}},
+        }),
+        ("qholo_family", "qholo", {
+            "n": 2, "q": 2,
+            "function": {"builtin": "basener", "p": zero2, "seed": 11},
+            "points": {"random": {"count": 25, "seed": 4,
+                                      "avoid_radius": 0.3}},
+            "threshold": 1e-9,
+        }),
+        ("hull", "hull", {
+            "n": 2, "seed": 0,
+            "family": [{"builtin": "basener", "p": zero2,
+                        "lambda_count": 4, "seed": 2}],
+            "K": {"sphere": {"p": zero2, "r": 1.0, "count": 48, "seed": 1}},
+            "candidates": {"grid": {"center": zero2, "halfwidth": 0.4,
+                                       "per_axis": 5,
+                                       "fixed_axes": {"im1": 0.0, "re2": 0.1,
+                                                      "im2": 0.0}}},
+        }),
+        ("thm2_single", "thm2", {
+            "single": {"n": 2, "p": zero2, "r": 1.0,
+                        "K": {"sphere": {"p": zero2, "r": 1.0,
+                                          "count": 60, "seed": 2}},
+                        "z": {"count": 25, "seed": 3}},
+        }),
+        ("thm2_batch", "thm2", {"batch": {"configs": 25, "seed": 9}}),
+        ("peak", "peak", {
+            "domain": {"model": "ball", "n": 2},
+            "p": ["1+0i", "0+0i"], "q": 1,
+            "samples": {"boundary": 60, "interior": 60, "tube": 200},
+            "seed": 0,
+        }),
+    ]

@@ -15,7 +15,8 @@ import qholo.peak as pk
 from qholo.cli import run as cli_run
 from qholo.forms import minor_oracle_residual, q_holo_residual, q_holo_residuals
 
-from helpers import certified_sample, random_hermitian, random_pair, random_unitary
+from helpers import (certified_sample, cli_fixtures, random_hermitian, random_pair,
+                     random_unitary)
 
 
 def _report(num, label, ok, detail=""):
@@ -216,63 +217,9 @@ def test_criterion_8_hull_laws():
             f"20 randomized instances, {violations} violations")
 
 
-def _cli_fixture_set(base):
-    zero2 = ["0+0i", "0+0i"]
-    return [
-        ("levi_matrix", "levi", {
-            "matrix": [["2+0i", "0+1i"], ["0-1i", "1+0i"]],
-        }),
-        ("levi_function", "levi", {
-            "n": 2, "function": "abs2(z1)+abs2(z2)",
-            "points": {"random": {"count": 15, "seed": 3}},
-            "expect": {"q_max": 1},
-        }),
-        ("classify", "classify", {
-            "n": 2, "name": "sphere2",
-            "defining": "abs2(z1)+abs2(z2)-1",
-            "boundary_samples": 10, "seed": 5,
-            "expect": {"strict_q": 1},
-        }),
-        ("qholo_fn", "qholo", {
-            "n": 2, "q": 1, "function": "z1*z2+exp(z2)",
-            "points": {"random": {"count": 25, "seed": 7}},
-        }),
-        ("qholo_family", "qholo", {
-            "n": 2, "q": 2,
-            "function": {"builtin": "basener", "p": zero2, "seed": 11},
-            "points": {"random": {"count": 25, "seed": 4,
-                                      "avoid_radius": 0.3}},
-            "threshold": 1e-9,
-        }),
-        ("hull", "hull", {
-            "n": 2, "seed": 0,
-            "family": [{"builtin": "basener", "p": zero2,
-                        "lambda_count": 4, "seed": 2}],
-            "K": {"sphere": {"p": zero2, "r": 1.0, "count": 48, "seed": 1}},
-            "candidates": {"grid": {"center": zero2, "halfwidth": 0.4,
-                                       "per_axis": 5,
-                                       "fixed_axes": {"im1": 0.0, "re2": 0.1,
-                                                      "im2": 0.0}}},
-        }),
-        ("thm2_single", "thm2", {
-            "single": {"n": 2, "p": zero2, "r": 1.0,
-                        "K": {"sphere": {"p": zero2, "r": 1.0,
-                                          "count": 60, "seed": 2}},
-                        "z": {"count": 25, "seed": 3}},
-        }),
-        ("thm2_batch", "thm2", {"batch": {"configs": 25, "seed": 9}}),
-        ("peak", "peak", {
-            "domain": {"model": "ball", "n": 2},
-            "p": ["1+0i", "0+0i"], "q": 1,
-            "samples": {"boundary": 60, "interior": 60, "tube": 200},
-            "seed": 0,
-        }),
-    ]
-
-
 def test_criterion_9_cli_determinism(tmp_path):
     mismatches = []
-    fixtures = _cli_fixture_set(tmp_path)
+    fixtures = cli_fixtures()
     for name, sub, cfg in fixtures:
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
