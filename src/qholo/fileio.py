@@ -157,7 +157,10 @@ def read_points_csv(path) -> np.ndarray:
         if len(row) < 2 * n:
             raise ValueError(f"{path}:{lineno}: row has {len(row)} fields, "
                              f"expected at least {2 * n}")
-        vals = [float(x) for x in row[:2 * n]]
+        try:
+            vals = [float(x) for x in row[:2 * n]]
+        except ValueError as e:     # names the value, not where it is
+            raise ValueError(f"{path}:{lineno}: {e}") from None
         pts.append([complex(vals[2 * k], vals[2 * k + 1]) for k in range(n)])
     if not pts:
         raise ValueError(f"no points in {path}")

@@ -27,7 +27,7 @@ from . import expr as ex
 # q_holo_residual stays bound here: perfbench/test_perfbench.py checks that its
 # tracer wraps this binding.
 from .forms import q_holo_residual, q_holo_residuals  # noqa: F401
-from .levi import _norms
+from .levi import _norms, _sample_box
 
 __all__ = [
     "Lambda", "FamilyMember", "HullProblem", "HullResult", "Thm2Report", "BatchReport",
@@ -173,11 +173,6 @@ def certify_member(e: ex.Expr, q: int, sample_pts, tol: float = 1e-8,
     return FamilyMember(expr=e, q=q, residual_bound=worst, name=name)
 
 
-# Rows per uniform draw in certification_points: bounds its scratch memory
-# (a (rows, avoid centers, n) distance array) at any count.
-_CERT_BLOCK = 4096
-
-
 def certification_points(n: int, seed: int, count: int = 100,
                          halfwidth: float = 2.0, center=None,
                          avoid=None, avoid_radius: float = 0.3) -> np.ndarray:
@@ -185,31 +180,24 @@ def certification_points(n: int, seed: int, count: int = 100,
 
     Points closer than avoid_radius to any `avoid` center (singularities of
     the member) are redrawn, since roundoff amplification near a pole would
-    measure the arithmetic, not the function.  Draws come in blocks of
-    uniform rows, which read the generator in the same order as one draw at
-    a time; the first `count` kept rows in draw order are returned, and
-    sampling stalls (RuntimeError) when 100 * count draws keep fewer.
+    measure the arithmetic, not the function.  The first `count` kept draws
+    are returned, from at most 100 * count draws (_sample_box, in blocks sized
+    by the acceptance rate, 0.01 at worst, and of at most 4096 rows, which
+    bounds the (rows, avoid centers, n) distance array at any count).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x63657274]))
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=complex)
     avoid = None if avoid is None else np.atleast_2d(np.asarray(avoid, dtype=complex))
-    out = [np.empty((0, n), dtype=complex)]
-    kept = drawn = 0
-    limit = 100 * count
-    while kept < count:
-        if drawn >= limit:
-            raise RuntimeError("certification sampling stalled")
-        rate = max(kept / drawn if drawn else 1.0, 0.01)
-        block = min(limit - drawn, _CERT_BLOCK, math.ceil((count - kept) / rate))
-        drawn += block
-        x = rng.uniform(-halfwidth, halfwidth, size=(block, 2 * n))
-        z = center + x[:, :n] + 1j * x[:, n:]
-        if avoid is not None:
-            with np.errstate(over="ignore"):    # an overflowing distance is far
-                z = z[~np.any(_norms(z[:, None, :] - avoid) < avoid_radius, axis=1)]
-        out.append(z[:count - kept])
-        kept += len(out[-1])
-    return np.concatenate(out)
+
+    def accept(z):
+        if avoid is None:
+            return np.ones(len(z), dtype=bool), None, None
+        with np.errstate(over="ignore"):    # an overflowing distance is far
+            return ~np.any(_norms(z[:, None, :] - avoid) < avoid_radius, axis=1), None, None
+
+    return _sample_box(
+        "certification", n, count, rng, center, halfwidth,
+        lambda need, rate: min(4096, math.ceil(need / max(rate, 0.01))),
+        accept, 100 * count)
 
 
 def build_problem(n: int, K, Z, members, seed: int, tol: float = 1e-8) -> HullProblem:

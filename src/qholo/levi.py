@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import Expr, _Frozen, _jet_blocks
+from .expr import EvalError, Expr, _Frozen, _jet_blocks
 # Unused here; perfbench's tracer test still wraps this binding.
 from .expr import eval_jet2  # noqa: F401
 
@@ -330,33 +330,74 @@ def classify_boundary_point(phi: Expr, p, ztol: float | None = None,
 
 def _project(phi, z, eps_bdry, max_iter, cap):
     """Damped zero-finding steps on the rows of z, in place, all live rows at
-    once; a row that fails to evaluate leaves them.  Returns the converged and
+    once; a row that fails to evaluate, or whose step overflows (a step or
+    step length that is not finite), leaves them.  Returns the converged and
     failed masks and the error builder of the lowest failed row, or None."""
-    converged = np.zeros(len(z), dtype=bool)
-    failed = np.zeros(len(z), dtype=bool)
+    converged, failed = np.zeros((2, len(z)), dtype=bool)
     error = None
     live = np.arange(len(z))
     for _ in range(max_iter):
         if live.size == 0:
             break
         (value, g, _), bad, fail = _jet_blocks(phi, z[live], order=1)
-        if fail is not None:
-            if not failed[:live[np.argmax(bad)]].any():     # lowest so far
-                error = fail
-            failed[live[bad]] = True
-            live, value, g = live[~bad], value[~bad], g[~bad]
+        with np.errstate(all="ignore"):     # failed, flat or huge gradients
+            gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
+            step = value.real[:, None] * np.conj(g) / (2.0 * gn2[:, None])
+            slen = np.linalg.norm(step, axis=1)
         done = np.abs(value) <= eps_bdry
-        converged[live[done]] = True
-        gn2 = np.sum(g.real ** 2 + g.imag ** 2, axis=1)
         step_on = ~done & (gn2 > EPS_GRAD ** 2)
-        live, value, g, gn2 = (live[step_on], value[step_on], g[step_on],
-                               gn2[step_on])
-        step = value.real[:, None] * np.conj(g) / (2.0 * gn2[:, None])
-        slen = np.linalg.norm(step, axis=1)
+        lost = step_on & ~np.isfinite(slen)
+        lost |= False if bad is None else bad
+        if lost.any():
+            first = int(np.argmax(lost))
+            if not failed[:live[first]].any():      # lowest so far
+                error = (fail if fail and bad[first]
+                         else lambda i: EvalError("Newton step overflows"))
+            failed[live[lost]] = True
+            done, step_on = done & ~lost, step_on & ~lost
+        converged[live[done]] = True
+        live, step, slen = live[step_on], step[step_on], slen[step_on]
         long_ = slen > cap
         step[long_] *= (cap / slen[long_])[:, None]
         z[live] = z[live] - step
     return converged, failed, error
+
+
+def _sample_box(what, n, count, rng, center, halfwidth, block, accept, limit):
+    """The first `count` accepted draws, in draw order, of uniform points in
+    the box of `halfwidth` around `center` (the origin if None) in C^n.
+
+    Draws come in blocks of block(need, rate) rows, rate the share accepted
+    so far, and at most `limit` in all; the generator's end state is part of
+    the result.  accept(z) returns a block's accepted and failed masks (it may
+    move the rows of z in place) and its lowest failed row's error builder,
+    or None.  A failed draw raises, naming its draw index (also in `row`),
+    only when it comes before the count-th accepted draw; `limit` draws with
+    fewer accepted stall (RuntimeError).
+    """
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=complex)
+    out = np.empty((max(count, 0), n), dtype=complex)
+    got = drawn = 0
+    while got < count:
+        if drawn >= limit:
+            raise RuntimeError(
+                f"{what} sampling stalled: {got}/{count} points after {drawn} draws")
+        need = count - got
+        size = min(limit - drawn, block(need, got / drawn if drawn else 1.0))
+        x = rng.uniform(-halfwidth, halfwidth, size=(size, 2 * n))
+        z = center + x[:, :n] + 1j * x[:, n:]
+        ok, failed, error = accept(z)
+        kept = np.flatnonzero(ok if error is None else ok & ~failed)[:need]
+        if error is not None:
+            first = drawn + int(np.argmax(failed))
+            if len(kept) < need or first < drawn + kept[-1]:
+                err = error(first)
+                err.row, err.args = first, (f"{what} draw {first}: {err}",)
+                raise err
+        np.take(z, kept, 0, out[got:got + len(kept)], "clip")  # mode "raise" buffers out
+        got += len(kept)
+        drawn += size
+    return out
 
 
 def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
@@ -368,41 +409,14 @@ def sample_boundary(phi: Expr, count: int, seed: int, box: float = 2.0,
     first-order zero-finding step z <- z - phi(z) conj(g)/(2 ||g||^2) with the
     step length capped, until |phi| <= eps_bdry; a draw that has not
     converged after max_iter steps, or meets a vanishing gradient, is
-    discarded.  The result is the first `count` converged draws in draw
-    order, and sampling stalls (RuntimeError) when 60 * count draws yield
-    fewer.  Draws run in blocks, each Newton step over all live draws of a
-    block at once and on values and gradients only (as eval_jet1_batch); the
-    generator is deterministic in `seed`.  A draw that fails to evaluate
-    raises its EvalError (`row` its index in draw order) only when it comes
-    before the count-th converged draw.
+    discarded, and one that fails to evaluate or whose step overflows fails
+    (an EvalError).  The first `count` converged draws are kept, from at
+    most 60 * count draws (_sample_box, in blocks sized by the acceptance
+    rate, 1/60 at worst); each Newton step runs over a block's live draws
+    at once, on values and gradients only (as eval_jet1_batch).
     """
-    n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
-    if center is None:
-        center = np.zeros(n, dtype=complex)
-    center = np.asarray(center, dtype=complex)
-    out = [np.empty((0, n), dtype=complex)]
-    got = drawn = 0
-    limit = 60 * count
-    cap = 0.5 * box
-    while got < count:
-        if drawn >= limit:
-            raise RuntimeError(
-                f"boundary sampling stalled: {got}/{count} points after "
-                f"{drawn + 1} draws")
-        need = count - got
-        # enough draws for the acceptance rate seen so far (1/60 at worst)
-        rate = max(got / drawn if drawn else 1.0, 1.0 / 60.0)
-        block = min(limit - drawn, math.ceil(need / rate))
-        drawn += block
-        x = rng.uniform(-box, box, size=(block, 2 * n))
-        z = center + x[:, :n] + 1j * x[:, n:]
-        converged, failed, error = _project(phi, z, eps_bdry, max_iter, cap)
-        kept = np.flatnonzero(converged)[:need]
-        first = int(np.argmax(failed))      # the lowest failed draw, if any
-        if error is not None and (len(kept) < need or first < kept[-1]):
-            raise error(drawn - block + first)
-        out.append(z[kept])
-        got += len(kept)
-    return np.concatenate(out)
-
+    return _sample_box(
+        "boundary", phi.n, count, rng, center, box,
+        lambda need, rate: math.ceil(need / max(rate, 1.0 / 60.0)),
+        lambda z: _project(phi, z, eps_bdry, max_iter, 0.5 * box), 60 * count)

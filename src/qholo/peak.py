@@ -109,22 +109,17 @@ class ModelDomain(ex._Frozen):
                            convex_certified=bool(convex_certified))
 
     def sample_interior(self, count: int, rng) -> np.ndarray:
-        """Uniform rejection sample of {phi < 0} from the bounding box."""
-        n = self.n
-        out = [np.empty((0, n), dtype=complex)]
-        got = attempts = 0
-        while got < count:
-            attempts += 1
-            if attempts > 4000:
-                raise RuntimeError(
-                    f"interior sampling stalled for {self.name}")
-            m = max(4 * (count - got), 2000)
-            draw = rng.uniform(-self.box_halfwidth, self.box_halfwidth,
-                               size=(m, 2 * n))
-            pts = self.box_center[None, :] + draw[:, :n] + 1j * draw[:, n:]
-            out.append(pts[ex.eval_batch(self.phi, pts).real < 0])
-            got += len(out[-1])
-        return np.concatenate(out)[:count]
+        """Uniform rejection sample of {phi < 0} from the bounding box, in
+        blocks of max(4 * need, 2000) draws; a draw that fails to evaluate
+        raises only when it comes before the count-th interior one."""
+        def accept(z):
+            values, bad, error = ex._values(self.phi, z)
+            return values.real < 0, bad, error
+
+        return levi._sample_box(
+            f"{self.name} interior", self.n, count, rng, self.box_center,
+            self.box_halfwidth, lambda need, rate: max(4 * need, 2000), accept,
+            4000 * max(4 * count, 2000))
 
     def sample_boundary(self, count: int, seed: int) -> np.ndarray:
         return levi.sample_boundary(self.phi, count, seed,

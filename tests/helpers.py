@@ -408,8 +408,9 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
                               max_iter=100, center=None):
     """Scalar reference for levi.sample_boundary: one draw at a time, one
     value-and-gradient evaluation per Newton step, the same rng stream and
-    acceptance rule.  A draw that fails to evaluate raises, with its index
-    in draw order in the error's `row`."""
+    acceptance rule.  A draw that fails to evaluate, or whose Newton step or
+    its length is not finite, raises an EvalError naming its index in draw
+    order, which is also its `row`."""
     n = phi.n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62647279]))
     if center is None:
@@ -419,11 +420,11 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
     attempts = 0
     cap = 0.5 * box
     while len(out) < count:
-        attempts += 1
-        if attempts > 60 * count:
+        if attempts >= 60 * count:
             raise RuntimeError(
                 f"boundary sampling stalled: {len(out)}/{count} points after "
                 f"{attempts} draws")
+        attempts += 1
         x = rng.uniform(-box, box, size=2 * n)
         z = center + x[:n] + 1j * x[n:]
         try:
@@ -431,11 +432,14 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
                 value, g = _value_and_gradient(phi, z)
                 if abs(value) <= eps_bdry:
                     break
-                gn2 = float(np.vdot(g, g).real)
+                with np.errstate(all="ignore"):     # a huge gradient overflows
+                    gn2 = float(np.vdot(g, g).real)
+                    step = value.real * np.conj(g) / (2.0 * gn2)
+                    slen = float(np.linalg.norm(step))
                 if gn2 <= EPS_GRAD ** 2:
                     break
-                step = value.real * np.conj(g) / (2.0 * gn2)
-                slen = float(np.linalg.norm(step))
+                if not np.isfinite(slen):
+                    raise ex.EvalError("Newton step overflows")
                 if slen > cap:
                     step *= cap / slen
                 z = z - step
@@ -445,6 +449,7 @@ def sample_boundary_reference(phi, count, seed, box=2.0, eps_bdry=EPS_BDRY,
                 out.append(z)
         except ex.EvalError as err:
             err.row = attempts - 1      # the draw's index in draw order
+            err.args = (f"boundary draw {err.row}: {err}",)
             raise
     return np.array(out)
 
@@ -479,9 +484,10 @@ def certification_points_reference(n, seed, count=100, halfwidth=2.0,
     out = []
     attempts = 0
     while len(out) < count:
+        if attempts >= 100 * count:
+            raise RuntimeError(f"certification sampling stalled: {len(out)}/{count} "
+                               f"points after {attempts} draws")
         attempts += 1
-        if attempts > 100 * count:
-            raise RuntimeError("certification sampling stalled")
         x = rng.uniform(-halfwidth, halfwidth, size=2 * n)
         z = center + x[:n] + 1j * x[n:]
         if any(np.linalg.norm(z - a) < avoid_radius for a in avoid):

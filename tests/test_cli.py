@@ -248,6 +248,23 @@ def test_negative_seed_override_is_config_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("defining, seed", [
+    ("abs2(z1)+abs2(z2)-1+exp(800*re(z2*conj(z1)))-1", 1),
+    ("exp(exp(exp(z1)))+abs2(z2)-1", 4),
+    ("exp(460)+re(z1)+abs2(z2)", 1),
+], ids=["exp-800", "triple-exp", "step-length"])
+def test_classify_overflowing_draw_exits_2_naming_it(tmp_path, capsys, defining, seed):
+    # a finite gradient beyond about 1e154 overflowed the Newton step to NaN:
+    # numpy warnings, then an abort whose message named no draw; a step of
+    # length about 1e200 overflowed its norm: a warning, then a stall
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _assert_config_error(tmp_path, capsys, "classify", {
+            "n": 2, "defining": defining, "boundary_samples": 20, "box": 2,
+            "seed": seed})
+    assert err.startswith("error: boundary sampling failed: boundary draw ")
+
+
 def test_classify_failure_names_the_first_failing_point(tmp_path, capsys, monkeypatch):
     # the origin (degenerate gradient) precedes an off-boundary point
     pts = np.array([[1, 0], [0, 1], [0, 0], [0.5, 0]], dtype=complex)
@@ -316,16 +333,19 @@ def test_qholo_points_file(tmp_path):
     assert rep["points"] == 2
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "a"])
 @pytest.mark.parametrize("command", ["hull", "qholo"])
 def test_points_file_with_a_non_finite_coordinate_exits_2(tmp_path, capsys, command,
                                                           value):
-    # hull's K file once reached rng.uniform, whose message named no point
+    # hull's K file once reached rng.uniform, whose message named no point;
+    # a field that is no number once named neither the file nor the line
     (tmp_path / "pts.csv").write_text(f"re1,im1,re2,im2\n0.5,0,0,0\n{value},0,0,0\n")
     cfg = (dict(_hull_cfg(), K={"file": "pts.csv"}) if command == "hull" else
            {"n": 2, "q": 1, "function": "z1+z2", "points": {"file": "pts.csv"}})
     err = _assert_config_error(tmp_path, capsys, command, cfg)
-    assert err == "error: pts.csv: data line 2 has a non-finite coordinate\n"
+    assert err == ("error: pts.csv: data line 2 has a non-finite coordinate\n"
+                   if value != "a" else f"error: {tmp_path / 'pts.csv'}:3: "
+                   f"could not convert string to float: 'a'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -670,8 +670,9 @@ def test_certification_points_stall_like_the_reference(count, seed, radius, stal
     if stalls:
         with pytest.raises(RuntimeError) as want:
             certification_points_reference(2, seed, **kwargs)
-        with pytest.raises(RuntimeError, match=str(want.value)):
+        with pytest.raises(RuntimeError) as got:
             hull.certification_points(2, seed, **kwargs)
+        assert str(got.value) == str(want.value)
         return
     want = certification_points_reference(2, seed, **kwargs)
     assert hull.certification_points(2, seed, **kwargs).tobytes() == want.tobytes()

@@ -530,6 +530,39 @@ def test_sample_boundary_raises_only_for_failed_draws_before_the_last_needed(mon
         assert str(got.value) == str(want.value)
 
 
+_TRIPLE_EXP = ex.parse("exp(exp(exp(z1)))+abs2(z2)-1", 2)
+
+
+def test_sample_boundary_fails_a_draw_whose_newton_step_overflows(monkeypatch):
+    # a gradient beyond about 1e154 once overflowed the step to NaN, and the
+    # next jet evaluation aborted the whole block.  Now the step fails its
+    # draw, under the failed-draw rule: seed 7's last block has one failed
+    # draw, after its second convergence; seed 0 with count 10 needs draws
+    # past its failed draw 444.
+    project, blocks = levi._project, []
+
+    def spy(*args):
+        converged, failed, error = project(*args)
+        blocks.append((np.flatnonzero(converged), np.flatnonzero(failed), error))
+        return converged, failed, error
+
+    monkeypatch.setattr(levi, "_project", spy)
+    kwargs = {"count": 2, "seed": 7, "max_iter": 5}
+    got = levi.sample_boundary(_TRIPLE_EXP, **kwargs)
+    want = sample_boundary_reference(_TRIPLE_EXP, **kwargs)
+    assert float(np.max(np.abs(got - want))) <= 1e-12
+    converged, failed, error = blocks[-1]
+    assert failed.size and failed.min() > converged[1]
+    assert str(error(0)) == "Newton step overflows"
+    kwargs = {"count": 10, "seed": 0, "max_iter": 5}
+    with pytest.raises(ex.EvalError) as want:
+        sample_boundary_reference(_TRIPLE_EXP, **kwargs)
+    with pytest.raises(ex.EvalError) as got:
+        levi.sample_boundary(_TRIPLE_EXP, **kwargs)
+    assert got.value.row == want.value.row == 444
+    assert str(got.value) == str(want.value) == "boundary draw 444: Newton step overflows"
+
+
 def test_default_ztol_scales():
     h = levi.LeviMatrix(np.eye(3))
     assert levi.default_ztol(h) == pytest.approx(1e-8 * np.sqrt(3))

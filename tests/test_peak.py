@@ -110,6 +110,21 @@ def test_interior_sampling_stays_inside():
     assert np.array_equal(pts, again)
 
 
+def test_interior_sampling_raises_only_for_failed_draws_before_the_last_needed():
+    # the unit ball, with a term that is 0 where it evaluates and has a
+    # near-zero divisor at draws with |z1 - 2|^2 above about 49; seed 3's
+    # first block of 2000 draws has interior draws 781 and 1120, and failed
+    # draws 824, 1088 and 1905
+    phi = ex.parse("abs2(z1)+abs2(z2)-1+0*(1/exp(-14*abs2(z1-2)))", 2)
+    dom = pk.ModelDomain.from_expr(2, phi, 4.0)
+    x = np.random.default_rng(3).uniform(-4.0, 4.0, size=(2000, 4))
+    got = dom.sample_interior(1, np.random.default_rng(3))
+    assert got.tobytes() == (x[781:782, :2] + 1j * x[781:782, 2:]).tobytes()
+    with pytest.raises(ex.EvalError, match="^custom interior draw 824: division") as err:
+        dom.sample_interior(2, np.random.default_rng(3))
+    assert err.value.row == 824
+
+
 def test_interior_sampling_of_no_points_has_shape_0_by_n():
     pts = pk.ModelDomain.ball(3).sample_interior(0, np.random.default_rng(0))
     assert pts.shape == (0, 3) and pts.dtype == complex
