@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -252,7 +253,7 @@ def _csv_points(pts, what, env):
 
 
 def _basener_members(spec, env):
-    """The builtin singular family: (expr, q, name, avoid) per weight."""
+    """The builtin singular family: (expr, q, None, avoid) per weight."""
     n, p = env["n"], spec["p"]
     _form_degree(0)(n, "basener family", env)     # certified at q = n
     if spec["lambda"] is not None:
@@ -261,8 +262,7 @@ def _basener_members(spec, env):
         rng = np.random.default_rng(
             np.random.SeedSequence([spec["seed"], 0x62617365]))
         lams = hull.random_lambdas(n, spec["lambda_count"], rng)
-    return [(hull.basener_expr(lam, p, n), n, f"basener[{i}]", p)
-            for i, lam in enumerate(lams)]
+    return [(hull.basener_expr(lam, p, n), n, None, p) for lam in lams]
 
 
 def _fixed_axes(value, what, env):
@@ -303,7 +303,7 @@ def _one_function(value, what, env):
     if len(members) != 1:
         raise ConfigError("qholo takes a single function; use lambda_count 1")
     f, _, name, env["avoid"] = members[0]
-    return f, name or ex.to_text(f)
+    return f, "basener[0]" if name is None else name
 
 
 def _domain(value, what, env):
@@ -347,7 +347,8 @@ _BASENER = (_has("builtin", "basener"), _obj({
 }, _basener_members))
 _FUNCTION = _one_of(
     "an expression or {'builtin': 'basener', ...}",
-    (str, lambda value, what, env: [(_expr(value, what, env), None, None, None)]),
+    (str, lambda value, what, env: [(f, None, ex.to_text(f), None)
+                                    for f in [_expr(value, what, env)]]),
     _BASENER)
 _DOMAIN_TEXT = "a JSON file name or an object with model 'ball', 'ellipsoid' or none"
 _DOMAIN_MODELS = (
@@ -522,7 +523,7 @@ def cmd_classify(cfg, out_dir):
         pts = levi.sample_boundary(phi, cfg["boundary_samples"], run_seed,
                                    box=cfg["box"])
     except (ValueError, ex.EvalError, RuntimeError) as e:
-        raise ConfigError(f"boundary sampling failed: {e}")
+        raise ConfigError(str(e))     # the sampler names the draw or the stall
     try:
         cls = levi.classify_boundary_point(phi, pts, ztol=cfg["ztol"])
     except (ValueError, ex.EvalError) as e:
@@ -583,7 +584,9 @@ def _key(x):
 def cmd_hull(cfg, out_dir):
     """Outer hull approximation of K against a certified finite family."""
     n, run_seed, K, Z = cfg["n"], cfg["seed"], cfg["K"], cfg["candidates"]
-    members = [member for entry in cfg["family"] for member in entry]
+    basener = itertools.count()     # one running index over every entry
+    members = [(e, q, f"basener[{next(basener)}]" if name is None else name, avoid)
+               for entry in cfg["family"] for e, q, name, avoid in entry]
     try:
         problem = hull.build_problem(n, K, Z, members, run_seed, tol=cfg["fam"])
         result = hull.discrete_hull(problem)

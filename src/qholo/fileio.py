@@ -90,21 +90,21 @@ def parse_point(entries, n: int | None = None) -> np.ndarray:
     return pt
 
 
-def _csv_header(n: int) -> list:
-    cols = []
-    for k in range(1, n + 1):
-        cols.extend([f"re{k}", f"im{k}"])
-    return cols
-
-
-# Rows formatted and written per block, so the text in memory stays small.
+# Rows built and distinct values formatted per block, so memory stays small.
 _CSV_BLOCK_ROWS = 4096
 
 
-def _format_column(col, fmt):
-    """fmt of each value of col, computed once per distinct value."""
-    uniq, inv = np.unique(col, return_inverse=True)
-    return map(list(map(fmt, uniq.tolist())).__getitem__, inv.tolist())
+def _text_table(col):
+    """A NUL-padded bytes table of the repr of each distinct value of col, one
+    per row, and the table row of each entry of col, in the smallest uint."""
+    uniq, inv = np.unique(col, return_inverse=True)     # -0.0 joins 0.0
+    if uniq.dtype.kind == "f":
+        uniq += 0.0                                     # and prints as 0.0
+    chunks = [np.array(list(map(repr, uniq[lo:lo + _CSV_BLOCK_ROWS].tolist())), "S")
+              for lo in range(0, len(uniq), _CSV_BLOCK_ROWS)]
+    table = np.concatenate(chunks) if chunks else np.zeros(0, "S1")
+    return table.view(np.uint8).reshape(-1, table.itemsize), inv.astype(
+        np.min_scalar_type(len(uniq)))
 
 
 def write_points_csv(path, points, extra=None):
@@ -113,8 +113,9 @@ def write_points_csv(path, points, extra=None):
     extra: list of (name, sequence) pairs appended after the coordinates,
     one value per row.  An extra column must be all-integer (bools included)
     or all-float.  Floats print as repr with -0.0 flushed to 0.0, other
-    values as str.  The text is built a column at a time and written a block
-    of rows at a time.
+    values as str, each distinct value of a column once.  Rows are built as
+    bytes a block at a time from tables padded with NUL, which no number's
+    text holds.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     m, n = points.shape
@@ -122,18 +123,27 @@ def write_points_csv(path, points, extra=None):
     cols = list(np.ascontiguousarray(points).view(float).T)   # re1, im1, ...
     for name, vals in extra:
         col = np.asarray(vals)
+        if col.dtype.kind == "f" and all(isinstance(v, int) for v in vals):
+            col = np.array(vals, dtype=object)      # ints past int64, not floats
         if len(col) != m:
             raise ValueError(f"extra column {name!r} has {len(col)} values "
                              f"for {m} rows")
         cols.append(col)
+    tables = list(map(_text_table, cols))
+    widths = [table.shape[1] + 1 for table, _ in tables]     # text, separator
+    rows = np.full((min(m, _CSV_BLOCK_ROWS), sum(widths)), ord(","), np.uint8)
+    rows[:, -1] = ord("\n")
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
-            _csv_header(n) + [name for name, _ in extra])
+            [f"{part}{k}" for k in range(1, n + 1) for part in ("re", "im")]
+            + [name for name, _ in extra])
+        fh.flush()
         for lo in range(0, m, _CSV_BLOCK_ROWS):
-            blocks = (col[lo:lo + _CSV_BLOCK_ROWS] for col in cols)
-            text = [_format_column(b + 0.0, repr) if b.dtype.kind == "f"
-                    else _format_column(b, str) for b in blocks]
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+            block, at = rows[:m - lo], 0
+            for (table, inv), width in zip(tables, widths):
+                block[:, at:at + width - 1] = table[inv[lo:lo + _CSV_BLOCK_ROWS]]
+                at += width
+            fh.buffer.write(block[block != 0])
 
 
 def read_points_csv(path) -> np.ndarray:

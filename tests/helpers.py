@@ -13,7 +13,6 @@ import numpy as np
 
 from qholo import expr as ex
 from qholo.expr import Jet2
-from qholo.fileio import _csv_header
 from qholo.forms import q_holo_residual
 from qholo.hull import _REL_GUARD, Thm2Report, _align
 from qholo.levi import EPS_BDRY, EPS_GRAD, LeviMatrix, _as_matrix, tangent_frame
@@ -520,7 +519,7 @@ def write_points_csv_reference(path, points, extra=None):
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     n = points.shape[1]
-    header = _csv_header(n)
+    header = [f"{part}{k}" for k in range(1, n + 1) for part in ("re", "im")]
     extra = extra or []
     header += [name for name, _ in extra]
     with open(path, "w", newline="") as fh:

@@ -262,7 +262,15 @@ def test_classify_overflowing_draw_exits_2_naming_it(tmp_path, capsys, defining,
         err = _assert_config_error(tmp_path, capsys, "classify", {
             "n": 2, "defining": defining, "boundary_samples": 20, "box": 2,
             "seed": seed})
-    assert err.startswith("error: boundary sampling failed: boundary draw ")
+    assert err.startswith("error: boundary draw ")
+
+
+def test_classify_stall_prints_the_sampler_message_once(tmp_path, capsys):
+    # no boundary at all: every draw fails to converge, and the stall names
+    # itself without a second "sampling failed" prefix
+    err = _assert_config_error(tmp_path, capsys, "classify", {
+        "n": 2, "defining": "abs2(z1)+abs2(z2)+1", "boundary_samples": 5, "seed": 1})
+    assert err == "error: boundary sampling stalled: 0/5 points after 300 draws\n"
 
 
 def test_classify_failure_names_the_first_failing_point(tmp_path, capsys, monkeypatch):
@@ -402,6 +410,17 @@ def test_hull_seed_override_changes_family(tmp_path):
     s2 = _read_json(out2, "hull_summary.json")
     assert s1["family"][0]["name"] == s2["family"][0]["name"]
     assert s1["family"][0]["k_max"] != s2["family"][0]["k_max"]
+
+
+def test_hull_numbers_basener_members_across_family_entries(tmp_path):
+    # two entries of two weights each: basener[0..3], one name per member
+    fam = [{"builtin": "basener", "p": ["0+0i", "0+0i"], "lambda_count": 2,
+            "seed": seed} for seed in (2, 3)]
+    cfg = _write(tmp_path, "h.json", dict(_hull_cfg(), family=fam))
+    out = tmp_path / "out"
+    assert run(["hull", "--config", cfg, "--out", str(out)]) == 0
+    names = [m["name"] for m in _read_json(out, "hull_summary.json")["family"]]
+    assert names == ["basener[0]", "basener[1]", "basener[2]", "basener[3]"]
 
 
 @pytest.mark.parametrize("where,key,value", [

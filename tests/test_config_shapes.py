@@ -1,17 +1,24 @@
-"""The declared config shapes: every key reached, mutation fuzz, README caps."""
+"""The declared config shapes: every key reached, mutation fuzz (values and
+expression strings), README caps."""
 
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import tempfile
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from qholo import cli
+from qholo import expr as ex
+
+from helpers import random_expr
 
 # Small valid configs, as {file name: JSON document}; "c.json" is the config
 # and the CSV files are written as they are.
@@ -184,7 +191,12 @@ def test_extreme_inputs_give_a_finite_report_or_exit_2(tmp_path):
 @example(EXTREMES[0])
 @example(EXTREMES[1])
 def test_mutated_configs_keep_the_exit_contract(mutation):
-    command, docs = mutation
+    _assert_exit_contract(*mutation)
+
+
+def _assert_exit_contract(command, docs):
+    """Exit 0, 1 or 2 without a warning; exit 2 prints one error line and
+    leaves the out directory empty."""
     with tempfile.TemporaryDirectory() as work:
         code, err, out, caught = _run(command, docs, work)
         event(f"{command} exit {code}")
@@ -193,6 +205,40 @@ def test_mutated_configs_keep_the_exit_contract(mutation):
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not os.path.exists(out) or not os.listdir(out)
+
+
+# Every expression string of the cases, as (command, docs, file name, path).
+_EXPR_SITES = [(command, docs, name, path) for command, docs in CASES
+               for name, doc in docs.items() if not isinstance(doc, str)
+               for path in _nodes(doc) if path and path[-1] in ("function", "defining", "expr")
+               and isinstance(functools.reduce(operator.getitem, path, doc), str)]
+# Wrappers around a random expression that overflow somewhere in the box:
+# nested and scaled exponentials and long literals, written out positionally
+# because the parser takes no exponent notation such as 1e300.
+_HUGE, _TINY = "1" + "0" * 300, "0." + "0" * 300 + "1"
+_OVERFLOWING = ["exp(exp({}))", "exp(exp(exp(z1)))+{}", "exp(800*re({}))",
+                "({})*" + _HUGE, "({})^3-" + _HUGE, "({})/" + _TINY, "exp(460)+{}"]
+
+
+@st.composite
+def _expression_mutations(draw):
+    command, docs, name, path = draw(st.sampled_from(_EXPR_SITES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    text = ex.to_text(random_expr(rng, 2, draw(st.integers(0, 3))))
+    for wrapper in draw(st.lists(st.sampled_from(_OVERFLOWING), max_size=2)):
+        text = wrapper.format(text)
+    return command, dict(docs, **{name: _replaced(docs[name], path, text)})
+
+
+def test_expression_sites_cover_every_expression_key():
+    assert {path[-1] for _, _, _, path in _EXPR_SITES} == {"function", "defining", "expr"}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_expression_mutations())
+def test_mutated_expressions_keep_the_exit_contract(mutation):
+    _assert_exit_contract(*mutation)
 
 
 def test_readme_names_exactly_the_capped_keys():

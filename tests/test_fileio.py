@@ -135,6 +135,7 @@ def test_csv_writer_matches_row_by_row_reference(tmp_path, m):
         ("flag", [bool(b) for b in rng.random(m) < 0.5]),       # bool list
         ("count", [int(k) for k in rng.integers(-3, 2**62, size=m)]),
         ("big", [2**70 + k for k in range(m)]),                 # past int64
+        ("wide", [2**63 + k if k % 2 else k for k in range(m)]),  # numpy: floats
         ("margin", floats),                                     # float array
         ("slack", floats.tolist()),                             # float list
         ("mask", rng.random(m) < 0.5),                          # bool array
@@ -173,6 +174,56 @@ def test_csv_writer_flushes_negative_zero_in_a_later_block(tmp_path, monkeypatch
     assert got.read_bytes() == want.read_bytes()
     assert b"-0.0" not in got.read_bytes()
     assert np.signbit(pts[6, 0].real) and np.signbit(margin[5])   # inputs kept
+
+
+_CSV_FLOATS = st.floats() | st.sampled_from(_SPECIALS.tolist())
+# (name, values) per extra-column kind, from the column's list of values
+_CSV_EXTRA_KINDS = {
+    "flag": (st.booleans(), list),                                  # bool list
+    "mask": (st.booleans(), np.array),                              # bool array
+    "member": (st.integers(-2**63, 2**63 - 1), np.array),           # int array
+    "big": (st.integers(2**63, 2**80) | st.integers(-2**80, 0), list),  # past int64
+    "margin": (_CSV_FLOATS, np.array),                              # float array
+    "slack": (_CSV_FLOATS, list),                                   # float list
+}
+
+
+@st.composite
+def _csv_cases(draw):
+    """(block rows, points, extra): m = 0..24 rows, at most m // 2 per block.
+    Each column takes its rows from a prefix of one to m values of a pool
+    drawn once per kind of value, so it has few or many distinct values,
+    repeated blocks apart."""
+    m, n = draw(st.integers(0, 24)), draw(st.integers(1, 3))
+    rows, pools = np.random.default_rng(draw(st.integers(0, 2**32 - 1))), {}
+
+    def column(values):
+        if values not in pools:
+            pools[values] = draw(st.lists(values, min_size=1, max_size=max(m, 1)))
+        pool = pools[values][:rows.integers(1, len(pools[values]) + 1)]
+        return [pool[i] for i in rows.integers(0, len(pool), size=m)]
+
+    parts = np.array([column(_CSV_FLOATS) for _ in range(2 * n)]).reshape(2 * n, m)
+    points = np.empty((m, n), dtype=complex)
+    points.real, points.imag = parts[0::2].T, parts[1::2].T
+    extra = []
+    for name in draw(st.lists(st.sampled_from(sorted(_CSV_EXTRA_KINDS)), max_size=4)):
+        values, container = _CSV_EXTRA_KINDS[name]
+        extra.append((name, container(column(values))))
+    return draw(st.integers(1, max(m // 2, 1))), points, extra
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_csv_cases())
+def test_csv_writer_matches_the_reference_on_random_columns(tmp_path_factory, case):
+    block, pts, extra = case
+    got = tmp_path_factory.getbasetemp() / "random_columns.csv"
+    want = got.with_name("random_columns_reference.csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_CSV_BLOCK_ROWS", block)
+        fileio.write_points_csv(got, pts, extra=extra)
+    write_points_csv_reference(want, pts, extra=extra)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_csv_writer_rejects_short_extra_column(tmp_path):
