@@ -95,16 +95,15 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def _text_table(col):
-    """A NUL-padded bytes table of the repr of each distinct value of col, one
-    per row, and the table row of each entry of col, in the smallest uint."""
+    """A NUL-padded bytes item of the repr of each distinct value of col, and
+    the item of each entry of col, in the smallest uint."""
     uniq, inv = np.unique(col, return_inverse=True)     # -0.0 joins 0.0
     if uniq.dtype.kind == "f":
         uniq += 0.0                                     # and prints as 0.0
     chunks = [np.array(list(map(repr, uniq[lo:lo + _CSV_BLOCK_ROWS].tolist())), "S")
               for lo in range(0, len(uniq), _CSV_BLOCK_ROWS)]
     table = np.concatenate(chunks) if chunks else np.zeros(0, "S1")
-    return table.view(np.uint8).reshape(-1, table.itemsize), inv.astype(
-        np.min_scalar_type(len(uniq)))
+    return table, inv.astype(np.min_scalar_type(len(uniq)))
 
 
 def write_points_csv(path, points, extra=None):
@@ -130,7 +129,7 @@ def write_points_csv(path, points, extra=None):
                              f"for {m} rows")
         cols.append(col)
     tables = list(map(_text_table, cols))
-    widths = [table.shape[1] + 1 for table, _ in tables]     # text, separator
+    widths = [table.itemsize + 1 for table, _ in tables]     # text, separator
     rows = np.full((min(m, _CSV_BLOCK_ROWS), sum(widths)), ord(","), np.uint8)
     rows[:, -1] = ord("\n")
     with open(path, "w", newline="") as fh:
@@ -140,8 +139,9 @@ def write_points_csv(path, points, extra=None):
         fh.flush()
         for lo in range(0, m, _CSV_BLOCK_ROWS):
             block, at = rows[:m - lo], 0
-            for (table, inv), width in zip(tables, widths):
-                block[:, at:at + width - 1] = table[inv[lo:lo + _CSV_BLOCK_ROWS]]
+            for (table, inv), width in zip(tables, widths):     # one item per row
+                np.take(table, inv[lo:lo + _CSV_BLOCK_ROWS], mode="clip",  # no out buffer
+                        out=block[:, at:at + width - 1].view(table.dtype)[:, 0])
                 at += width
             fh.buffer.write(block[block != 0])
 

@@ -61,14 +61,14 @@ class Lambda(ex._Frozen):
         return np.array(self.entries, dtype=complex)
 
 
-def _values(lams, d):
-    """f_lambda(d) for every lambda row of lams at every row of d.
+def _weights(d):
+    """conj(d) / ||d||^2 row by row, so that f_lambda(d) = _weights(d) @ lambda.
 
-    lams (..., L, n) and d (..., D, n), leading axes broadcast, give the
-    (..., D, L) table, one batched matmul; L = D = 1 evaluates one pair.
+    For d (..., D, n) and lams (..., L, n), leading axes broadcast,
+    _weights(d) @ swapaxes(lams) is the (..., D, L) table of f_lambda(d) for
+    every lambda row at every row of d, one batched matmul.
     """
-    w = np.conj(d) / np.sum(np.abs(d) ** 2, axis=-1)[..., None]
-    return w @ np.swapaxes(lams, -1, -2)
+    return np.conj(d) / np.sum(np.abs(d) ** 2, axis=-1)[..., None]
 
 
 def _align(d):
@@ -88,7 +88,7 @@ def basener_value(lam: Lambda, z) -> complex:
         raise ValueError(f"point has shape {z.shape}, expected ({lam.n},)")
     if float(np.sum(np.abs(z) ** 2)) <= EPS_SING ** 2:
         raise ValueError("singularity: displacement too close to the center")
-    return complex(_values(lam.as_array()[None], z[None])[0, 0])
+    return complex((_weights(z[None]) @ lam.as_array()[:, None])[0, 0])
 
 
 def basener_expr(lam: Lambda, p, n: int) -> ex.Expr:
@@ -328,8 +328,8 @@ def _chain(n, r, dk, dz) -> Thm2Report:
     lams = _align(dz)                                      # one lambda per z
     # |f_lambda(t (z-p))| t at t = 1 and, for the radial scaling check, 0.5, 2
     ts = np.array([1.0, 0.5, 2.0])[:, None, None]
-    scaled = np.abs(_values(lams[..., None, :],
-                            (ts[..., None] * dz)[..., None, :])[..., 0, 0]) * ts
+    scaled = np.abs(_weights((ts[..., None] * dz)[..., None, :])
+                    @ lams[..., None])[..., 0, 0] * ts
     lhs = scaled[0]
     closed = np.sum(np.abs(dz), axis=-1) / dz_norm ** 2
     # link 1: evaluated |f_lambda(z-p)| equals its closed form
@@ -340,10 +340,18 @@ def _chain(n, r, dk, dz) -> Thm2Report:
     s3 = 1.0 / dz_norm - np.max(k_bound, axis=1, keepdims=True)
     # link 4: sqrt(n)/||w-p|| >= sum|w_i-p_i|/||w-p||^2
     s4 = np.min(k_bound - closed_k, axis=1)
-    # link 5: that middle expression >= |f_lambda(w-p)|, per (w, z)
-    f_on_k = np.abs(_values(lams, dk))
-    s5 = np.min(closed_k[..., None] - f_on_k, axis=1)
-    margins = lhs - np.max(f_on_k, axis=1)
+    # link 5: that middle expression >= |f_lambda(w-p)|, per (w, z), and the
+    # margins against max_K |f_lambda|, a K chunk of _STACK_PAIRS / 8 pairs at
+    # a time: its table holds |f|, then the slacks; running min and max
+    chunk = max(1, _STACK_PAIRS // 8 // (len(r) * dz.shape[1]))
+    s5, f_max = np.full(lhs.shape, np.inf), np.full(lhs.shape, -np.inf)
+    wk, lt = _weights(dk), np.swapaxes(lams, -1, -2)
+    for lo in range(0, dk.shape[1], chunk):
+        f = np.abs(wk[:, lo:lo + chunk] @ lt)
+        np.maximum(f_max, np.max(f, axis=1), out=f_max)
+        np.minimum(s5, np.min(np.subtract(closed_k[:, lo:lo + chunk, None], f, out=f),
+                              axis=1), out=s5)
+    margins = lhs - f_max
     # radial scaling |f(t d)| t = |f(d)|, per (t, z)
     mono = np.abs(scaled[1:] - lhs) / np.maximum(1.0, lhs)
 
@@ -367,74 +375,77 @@ class BatchReport(NamedTuple):
     max_monotonicity_err: float
 
 
-def _first_kept(rngs, make, count, bounds, width, normals=0):
-    """The first count rows each configuration keeps, shape (C, count, n).
+def _first_kept(rngs, make, count, width, normals=0):
+    """The first count rows each configuration keeps, shape (C, count, w).
 
     A block of configuration i is 4 * count rows from rngs[i]: standard
-    normals of width `normals` (if any), then uniforms in bounds[i] of width
-    `width`.  make(idx, *parts) turns rows of the parts into points
-    (len(idx), rows, n) and a keep mask (len(idx), rows).  The stack's first
-    blocks, with only a prefix of their uniforms, are made and cut in one
-    pass.  A configuration that comes up short draws the rest of its block,
-    then blocks alone; every other one jumps its PCG64 generator past the
-    rest (one output per uniform double; a normal reads a varying number,
-    so normals are drawn whole).  So each generator ends where a
-    one-configuration-at-a-time loop leaves it, with that loop's rows.
-    """
+    normals of width `normals` (maybe 0), then uniform [0, 1) doubles of
+    width `width`.  make(idx, normals, uniforms) turns those rows into rows
+    (len(idx), rows, w) and a keep mask (len(idx), rows).  The stack's first
+    blocks, with only a prefix of their uniforms, go into stacked buffers
+    and are made and cut in one pass.  A configuration that comes up short
+    draws the rest of its block, then blocks alone; every other one jumps
+    its PCG64 generator past the rest (one output per uniform double; a
+    normal reads a varying number, so normals are drawn whole).  So each
+    generator ends where a one-configuration-at-a-time loop leaves it."""
     rows = 4 * count
     pre = min(rows, count + count // 8 + 8)
-
-    def head(i):
-        return (rngs[i].normal(size=(rows, normals)),) if normals else ()
-
-    def tail(i, k):
-        return rngs[i].uniform(*bounds[i], size=(k, width))
-
-    heads = [head(i) for i in range(len(rngs))]
-    pts, keep = make(range(len(rngs)),
-                     *(np.stack(h)[:, :pre] for h in zip(*heads)),
-                     np.stack([tail(i, pre) for i in range(len(rngs))]))
+    heads, u = np.empty((len(rngs), rows, normals)), np.empty((len(rngs), pre, width))
+    for i, rng in enumerate(rngs):
+        rng.standard_normal(out=heads[i])
+        rng.random(out=u[i])
+    heads += 0.0        # Generator.normal() is 0.0 + standard_normal(): no -0.0
+    pts, keep = make(range(len(rngs)), heads[:, :pre], u)
     take = keep & (np.cumsum(keep, axis=1) <= count)
     full = take.sum(axis=1) == count
-    out = np.empty((len(rngs), count, pts.shape[-1]), dtype=pts.dtype)
+    out = np.empty((len(rngs), count, pts.shape[-1]))
     out[full] = pts[take & full[:, None]].reshape(-1, count, pts.shape[-1])
     for i in np.flatnonzero(full):
         rngs[i].bit_generator.advance((rows - pre) * width)
     for i in np.flatnonzero(~full):
         got = [pts[i, keep[i]]]
-        block = [h[pre:] for h in heads[i]] + [tail(i, rows - pre)]
+        block = [heads[i, pre:], rngs[i].random((rows - pre, width))]
         while True:
             more, kept = make([i], *(b[None] for b in block))
             got.append(more[0, kept[0]])
             if sum(map(len, got)) >= count:
                 break
-            block = [*head(i), tail(i, rows)]
+            block = [rngs[i].normal(size=(rows, normals)), rngs[i].random((rows, width))]
         out[i] = np.concatenate(got)[:count]
     return out
 
 
-def _complex(p, re, im):
-    """p[:, None, :] + re + 1j * im, shape (C, m, n), without its complex
-    temporaries: the same values up to the sign of a zero part."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = p.real[:, None, :] + re
-    out.imag = p.imag[:, None, :] + im
+def _complex(x):
+    """The complex points (..., n) of rows [re_1..re_n | im_1..im_n] of x."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] // 2,), dtype=complex)
+    out.real, out.imag = np.split(x, 2, axis=-1)
     return out
 
 
-def _outside_balls(rngs, p, r, count, halfwidth_factor=2.5):
+def _outside(d, r):
+    """||d|| >= r for rows d of _complex's form, as np.linalg.norm decides it:
+    a sum of squares in another order is within a few ulps of that norm, so
+    only rows within 1e-12 r of r take the norm itself, whose bits depend on
+    the row alone (r > 1e-9 here, far above where the squares underflow)."""
+    s = np.sqrt((d * d) @ np.ones(d.shape[-1]))
+    near = np.abs(s - r) <= 1e-12 * r
+    s[near] = np.linalg.norm(_complex(d[near]), axis=-1)
+    return s >= r
+
+
+def _outside_balls(rngs, pr, r, count, halfwidth_factor=2.5):
     """count uniform displacements z - p[i] per configuration i, z in the box
-    of half-width halfwidth_factor * r[i] around p[i] (shape (C, n)) and
-    outside B(p[i], r[i])."""
-    n = p.shape[1]
+    of half-width halfwidth_factor * r[i] around p[i] and outside B(p[i],
+    r[i]), as _complex rows; pr (C, 1, 2n) holds the centers as rows.  A box
+    coordinate is Generator.uniform(-half, half), -half + (half - -half) u."""
+    half = (halfwidth_factor * r)[:, None, None]
 
-    def make(idx, block):
+    def make(idx, _, u):
         idx = list(idx)
-        d = _complex(p[idx], block[..., :n], block[..., n:]) - p[idx, None, :]
-        return d, np.linalg.norm(d, axis=-1) >= r[idx, None]
+        d = ((half[idx] - -half[idx]) * u - half[idx] + pr[idx]) - pr[idx]
+        return d, _outside(d, r[idx, None])
 
-    half = halfwidth_factor * r
-    return _first_kept(rngs, make, count, list(zip(-half, half)), 2 * n)
+    return _first_kept(rngs, make, count, pr.shape[-1])
 
 
 def _above_floor(radius, floor):
@@ -444,20 +455,20 @@ def _above_floor(radius, floor):
                          f"the floor {floor}")
 
 
-def _inner_balls(rngs, p, radius, count, floor=1e-9):
+def _inner_balls(rngs, pr, radius, count, floor=1e-9):
     """count uniform points per configuration i of B(p[i], radius[i]) minus
-    B(p[i], floor); each block draws its normals, then its radii."""
+    B(p[i], floor), as _complex rows, pr as in _outside_balls; each block
+    draws its normals, then its radii (Generator.uniform(0, 1) is u)."""
     _above_floor(radius, floor)
-    n = p.shape[1]
+    width = pr.shape[-1]
 
     def make(idx, raw, u):
         idx = list(idx)
+        radii = radius[idx, None] * u[..., 0] ** (1.0 / width)
         dirs = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        radii = radius[idx, None] * u[..., 0] ** (1.0 / (2 * n))
-        rad = radii[..., None]
-        return _complex(p[idx], rad * dirs[..., :n], rad * dirs[..., n:]), radii > floor
+        return radii[..., None] * dirs + pr[idx], radii > floor
 
-    return _first_kept(rngs, make, count, [(0.0, 1.0)] * len(rngs), 1, 2 * n)
+    return _first_kept(rngs, make, count, 1, width)
 
 
 def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5):
@@ -465,22 +476,20 @@ def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5
     (C, z_count, n) of a stack of configurations of dimension n.
 
     Configuration i draws from np.random.default_rng(children[i]): its center
-    p, its radius r, K's blocks (outside B(p, r)), then the candidates'
-    blocks (inside B(p, r/sqrt(n))).  The candidates' floor is checked
-    before K is drawn: below it, K's draws need not separate from p.
-    """
+    p and radius r in one draw (Generator.uniform(-1, 1) and
+    uniform(*r_range), bit for bit), K's blocks (outside B(p, r)), then the
+    candidates' blocks (inside B(p, r/sqrt(n))).  The candidates' floor is
+    checked before K is drawn: below it, K's draws need not separate from p."""
     rngs = [np.random.default_rng(child) for child in children]
-    p = np.empty((len(rngs), n), dtype=complex)
-    r = np.empty(len(rngs))
-    for i, rng in enumerate(rngs):
-        raw = rng.uniform(-1, 1, size=2 * n)
-        p[i] = raw[:n] + 1j * raw[n:]
-        r[i] = rng.uniform(*r_range)
+    u = np.empty((len(rngs), 2 * n + 1))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    lo, hi = (float(v) for v in r_range)
+    r, pr = lo + (hi - lo) * u[:, -1], 2.0 * u[:, None, :-1] - 1.0
     inner = r / np.sqrt(n) * (1 - 1e-12)
     _above_floor(inner, 1e-9)
-    dk = _outside_balls(rngs, p, r, k_count, halfwidth_factor)
-    Z = _inner_balls(rngs, p, inner, z_count)
-    return r, dk, Z - p[:, None, :]
+    dk = _outside_balls(rngs, pr, r, k_count, halfwidth_factor)
+    return r, _complex(dk), _complex(_inner_balls(rngs, pr, inner, z_count) - pr)
 
 
 def sample_sphere(n: int, p, r: float, count: int, seed: int) -> np.ndarray:
@@ -500,14 +509,15 @@ def sample_ball(n: int, p, radius: float, count: int, seed: int,
     """
     p = np.asarray(p, dtype=complex)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x62616c6c]))
-    return _inner_balls([rng], p[None, :], np.array([radius], dtype=float),
-                        count, floor=floor)[0]
+    pr = np.concatenate([p.real, p.imag])[None, None]
+    return _complex(_inner_balls([rng], pr, np.array([radius], float), count, floor)[0])
 
 
-# (K point, candidate) pairs per stack of configurations in the batched chain;
-# its largest tables are a few times this many floats.  A 1000-configuration
-# batch (k 200, z 50) peaks at 45 MB VmHWM in a fresh process, 41 at 2 ** 17.
-_STACK_PAIRS = 2 ** 18
+# (K point, candidate) pairs per stack of configurations in the batched
+# chain, whose K chunks hold an eighth of them.  A 1000-configuration batch
+# (k 200, z 50) peaks at 40.4 MB VmHWM in a fresh process (43.8 at 2 ** 18
+# with whole-K tables); 2 ** 18 and 2 ** 20 ran 1-5% slower.
+_STACK_PAIRS = 2 ** 19
 
 
 def run_theorem2_batch(configs: int = 1000, seed: int = 0, ns=(2, 3, 4),

@@ -844,6 +844,8 @@ def cli_fixtures():
                         "z": {"count": 25, "seed": 3}},
         }),
         ("thm2_batch", "thm2", {"batch": {"configs": 25, "seed": 9}}),
+        # several stacks per n, the last one ragged, and several K chunks each
+        ("thm2_batch_stacks", "thm2", {"batch": {"configs": 400, "seed": 9}}),
         ("peak", "peak", {
             "domain": {"model": "ball", "n": 2},
             "p": ["1+0i", "0+0i"], "q": 1,

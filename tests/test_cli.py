@@ -573,8 +573,8 @@ def test_thm2_invalid_config_is_config_error(tmp_path, capsys, cfg):
     _thm2_single_cfg(),
 ], ids=["batch", "single"])
 def test_thm2_planted_fault_exits_1(tmp_path, monkeypatch, cfg):
-    exact = hull._values
-    monkeypatch.setattr(hull, "_values", lambda lams, d: exact(lams, d) * (1 + 1e-6))
+    exact = hull._weights
+    monkeypatch.setattr(hull, "_weights", lambda d: exact(d) * (1 + 1e-6))
     path = _write(tmp_path, "t.json", cfg)
     out = tmp_path / "out"
     assert run(["thm2", "--config", path, "--out", str(out)]) == 1

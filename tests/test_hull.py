@@ -525,20 +525,43 @@ def test_theorem2_experiment_matches_the_per_configuration_reference(n):
 
 @pytest.mark.parametrize("seed", [0, 7, 105])
 def test_theorem2_batch_does_not_depend_on_the_stack_size(monkeypatch, seed):
-    # stacks of one configuration, of five (the last one partial), of all
+    # stacks of one configuration, of five (the last one partial) and of
+    # all pass K's 60 points through the chain in chunks of 7, 9 or 21, the
+    # last one ragged; the last setting takes one stack and one chunk
     kw = dict(configs=40, seed=seed, ns=(2, 3, 9), k_count=60, z_count=20)
     reps = []
-    for stack in (1, 5, 40):
-        monkeypatch.setattr(hull, "_STACK_PAIRS", stack * 60 * 20)
+    for pairs in (60 * 20, 5 * 60 * 20, 40 * 60 * 20, 2 ** 40):
+        monkeypatch.setattr(hull, "_STACK_PAIRS", pairs)
         reps.append(hull.run_theorem2_batch(**kw))
-    assert reps[0] == reps[1] == reps[2]
+    assert reps[0] == reps[1] == reps[2] == reps[3]
     assert reps[0].configs == 40 and reps[0].violations == 0
+
+    # every configuration's row: K in chunks of 7 that tile it, the last one
+    # of 4, against K whole
+    args = hull._sample_configs(np.random.SeedSequence([seed, 5]).spawn(24), 3,
+                                (0.1, 2.0), 60, 20)
+    seen, weights = [], hull._weights
+
+    class Chunks(np.ndarray):       # records the K side's chunks
+        def __getitem__(self, key):
+            seen.append(np.asarray(self)[key])
+            return seen[-1]
+
+    monkeypatch.setattr(hull, "_weights",
+                        lambda d: weights(d).view(Chunks) if d.ndim == 3 else weights(d))
+    monkeypatch.setattr(hull, "_STACK_PAIRS", 8 * 7 * 24 * 20)
+    chunked = hull._chain(3, *args)
+    assert [w.shape[1] for w in seen] == [7] * 8 + [4]
+    assert np.array_equal(np.concatenate(seen, axis=1), weights(args[1]))
+    monkeypatch.setattr(hull, "_STACK_PAIRS", 2 ** 40)
+    for got, want in zip(chunked, hull._chain(3, *args)):
+        assert np.array_equal(got, want)
 
 
 def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
     # a relative error of 1e-6 in f_lambda must break link 1 on every candidate
-    exact = hull._values
-    monkeypatch.setattr(hull, "_values", lambda lams, d: exact(lams, d) * (1 + 1e-6))
+    exact = hull._weights
+    monkeypatch.setattr(hull, "_weights", lambda d: exact(d) * (1 + 1e-6))
     n, r = 2, 1.0
     p = np.zeros(n, complex)
     K = hull.sample_sphere(n, p, 1.25, 40, seed=1)
@@ -549,14 +572,22 @@ def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
     assert hull.run_theorem2_batch(configs=3, seed=0).violations >= 150
 
 
-@pytest.mark.parametrize("halfwidth_factor", [2.5, 1.2, 1.0])
+@pytest.mark.parametrize("halfwidth_factor, r_range, short, redrawn", [
+    pytest.param(2.5, (0.1, 2.0), False, False, id="2.5"),
+    pytest.param(1.2, (0.1, 2.0), True, False, id="1.2"),
+    pytest.param(1.0, (0.1, 2.0), True, True, id="1.0"),
+    pytest.param(2.5, (3.003e-9, 3.006e-9), True, True, id="near-floor"),
+    pytest.param(2.5, (1e99, hull._MAX_R), False, False, id="max-r")])
 def test_stacked_thm2_sampler_matches_the_per_configuration_reference(
-        monkeypatch, halfwidth_factor):
+        monkeypatch, halfwidth_factor, r_range, short, redrawn):
     # near 1 the box around B(p, r) is mostly ball at n = 1, so K's first
     # prefix comes up short: at 1.2 the rest of its block suffices, at 1.0
-    # it takes another block; every generator must end where the
-    # reference's does, skipped rows included
-    short, redraws, stacks = [], [], []
+    # it takes another block.  With r/3 next to the 1e-9 floor, n = 9's
+    # candidates keep ~2% of their draws and take many blocks.  Every
+    # generator must end where the reference's does, skipped rows included,
+    # and the center, the radius and the box, affine maps of raw doubles
+    # here, must equal uniform's at every scale
+    shorts, redraws, stacks = [], [], []
     first_kept = hull._first_kept
 
     def spy(rngs, make, *args):
@@ -567,7 +598,7 @@ def test_stacked_thm2_sampler_matches_the_per_configuration_reference(
             return make(idx, *parts)
 
         out = first_kept(rngs, counted_make, *args)
-        short.extend(made)
+        shorts.extend(made)
         redraws.extend(i for i in made if made.count(i) > 1)
         stacks.append(rngs)
         return out
@@ -576,18 +607,28 @@ def test_stacked_thm2_sampler_matches_the_per_configuration_reference(
     for seed, n, k_count, z_count in ((0, 1, 40, 9), (1, 2, 30, 11),
                                       (2, 3, 25, 6), (3, 9, 12, 5)):
         children = np.random.SeedSequence([seed, 5]).spawn(6)
-        r, dk, dz = hull._sample_configs(children, n, (0.1, 2.0), k_count,
+        r, dk, dz = hull._sample_configs(children, n, r_range, k_count,
                                          z_count, halfwidth_factor)
         assert dk.shape == (6, k_count, n) and dz.shape == (6, z_count, n)
         for i, child in enumerate(children):
-            want = thm2_config_reference(child, n, (0.1, 2.0), k_count, z_count,
+            want = thm2_config_reference(child, n, r_range, k_count, z_count,
                                          halfwidth_factor)
             assert r[i] == want[0]
             assert np.array_equal(dk[i], want[1]) and np.array_equal(dz[i], want[2])
             assert stacks[-1][i].uniform(size=3).tobytes() == \
                 want[3].uniform(size=3).tobytes()
-    assert bool(short) == (halfwidth_factor < 2.5)
-    assert bool(redraws) == (halfwidth_factor == 1.0)
+    assert bool(shorts) == short and bool(redraws) == redrawn
+
+
+def test_outside_mask_follows_the_complex_norm_at_ties():
+    # rows at a radius r equal to their norm or one ulp either side of it,
+    # where a sum of squares in another order misjudges some rows
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 9):
+        d = rng.uniform(-2, 2, size=(400, 2 * n))
+        norm = np.linalg.norm(hull._complex(d), axis=-1)
+        for r in (norm, np.nextafter(norm, 0), np.nextafter(norm, np.inf)):
+            assert np.array_equal(hull._outside(d, r), norm >= r)
 
 
 @pytest.mark.parametrize("n", [1, 2])
