@@ -122,6 +122,16 @@ def random_pair(rng, n_max=4, depth_max=6, allow_div=True):
             return e, z
 
 
+def jet_rel_err(exact, fd):
+    """Largest blockwise difference of two 2-jets (the six blocks of each, in
+    Jet2 order), relative to the largest block of exact or 1: the
+    shared-stencil oracle's error in any one block scales with the largest
+    block present, so an exactly zero block cannot be resolved better."""
+    scale = max(1.0, *(np.max(np.abs(b)) for b in exact))
+    return max(np.max(np.abs(np.subtract(a, b)))
+               for a, b in zip(exact, fd, strict=True)) / scale
+
+
 def levi_form(phi, z, imag_tol=1e-9):
     """Mixed Hessian block of a real-valued function at a point, from its
     full scalar 2-jet; ValueError when phi is not real-valued at z.  With
@@ -340,6 +350,15 @@ def residual_form_from_jet(j: Jet2, q: int) -> Form:
     return acc
 
 
+def random_blocks(rng, m, n):
+    """Random (g_zb, h_zzb) rows with some exact zeros, as jets have."""
+    g = rng.uniform(-1, 1, (m, n)) + 1j * rng.uniform(-1, 1, (m, n))
+    h = rng.uniform(-1, 1, (m, n, n)) + 1j * rng.uniform(-1, 1, (m, n, n))
+    g[rng.random((m, n)) < 0.2] = 0.0
+    h[rng.random((m, n, n)) < 0.2] = 0.0
+    return g, h
+
+
 def random_unitary(rng, m, reflections=3):
     """Product of Householder reflections."""
     u = np.eye(m, dtype=complex)
@@ -458,43 +477,6 @@ def _value_and_gradient(phi, z):
     return complex(value[0]), g_z[0]
 
 
-# The one-gradient Householder frame the library's stacked tangent_frame
-# replaced, kept as the reference its rows must equal bit for bit (the peak
-# pipeline lifts eigenvectors through these frames into its reports).
-def tangent_frame_reference(g, pivot=0):
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    norm = float(np.linalg.norm(g))
-    u = np.conj(g) / norm
-    phase = u[pivot] / abs(u[pivot]) if u[pivot] != 0 else 1.0
-    w = u.copy()
-    w[pivot] += phase
-    p = np.eye(n, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / np.vdot(w, w).real
-    return p[:, [j for j in range(n) if j != pivot]]
-
-
-# The draw-at-a-time loop the library's block-drawn certification_points
-# replaced, kept as the reference for its points and its stall error.
-def certification_points_reference(n, seed, count=100, halfwidth=2.0,
-                                   center=None, avoid=None, avoid_radius=0.3):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x63657274]))
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=complex)
-    avoid = [] if avoid is None else np.atleast_2d(np.asarray(avoid, dtype=complex))
-    out = []
-    attempts = 0
-    while len(out) < count:
-        if attempts >= 100 * count:
-            raise RuntimeError(f"certification sampling stalled: {len(out)}/{count} "
-                               f"points after {attempts} draws")
-        attempts += 1
-        x = rng.uniform(-halfwidth, halfwidth, size=2 * n)
-        z = center + x[:n] + 1j * x[n:]
-        if any(np.linalg.norm(z - a) < avoid_radius for a in avoid):
-            continue
-        out.append(z)
-    return np.array(out)
-
-
 def _clean(x):
     # -0.0 prints as "-0.0"; the writers flush it to +0.0
     x = float(x)
@@ -548,22 +530,6 @@ def grid_candidates_reference(center, halfwidth, per_axis, fixed):
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)
     return flat[:, 0::2] + 1j * flat[:, 1::2]
-
-
-# The (members, candidates) table of |f| - max_K |f| that discrete_hull
-# replaced with a running maximum, kept as the reference for its result.
-def discrete_hull_reference(prob):
-    k_maxima = [float(np.max(np.abs(ex.eval_batch(mem.expr, prob.K))))
-                for mem in prob.family]
-    cand_vals = np.empty((len(prob.family), len(prob.Z)))
-    sing = np.zeros(len(prob.Z), dtype=bool)
-    for fi, mem in enumerate(prob.family):
-        vals, bad, _ = ex._values(mem.expr, prob.Z)
-        cand_vals[fi] = np.abs(vals)
-        sing |= False if bad is None else bad
-    cand_vals -= np.array(k_maxima)[:, None]
-    margins = np.where(sing, np.inf, np.max(cand_vals, axis=0))
-    return (~sing) & (margins <= 0.0), margins, sing, tuple(k_maxima)
 
 
 # The per-configuration separation chain the stacked one replaced, with its
@@ -675,126 +641,6 @@ def residual_points_reference(f, dom, p, count, rng):
     keep = count - len(steered)
     pts = list(uniform[:keep]) + steered
     return np.array(pts[:count])
-
-
-# The dense tape interpreter that the zero-block one replaced: every slot
-# carries full derivative arrays, zero or not.  Kept as the reference the
-# zero-block jets must equal bit for bit.
-def _dense_outer(a, b):
-    return a[:, :, None] * b[:, None, :]
-
-
-def _dense_product(a, b):
-    av, ag = a[:2]
-    bv, bg = b[:2]
-    out = (av * bv, ag * bv[:, None] + av[:, None] * bg)
-    if len(a) == 2:
-        return out
-    h = a[2] * bv[:, None, None]
-    h += _dense_outer(ag, bg)
-    h += _dense_outer(bg, ag)
-    h += av[:, None, None] * b[2]
-    return out + (h,)
-
-
-def _dense_reciprocal(b):
-    bv, bg = b[:2]
-    iv = 1.0 / bv
-    iv2 = iv * iv
-    out = (iv, -bg * iv2[:, None])
-    if len(b) == 2:
-        return out
-    iv3 = iv2 * iv
-    return out + (2.0 * _dense_outer(bg, bg) * iv3[:, None, None]
-                  - b[2] * iv2[:, None, None],)
-
-
-def _dense_power(a, k):
-    av, ag = a[:2]
-    if k == 0:
-        return (np.ones_like(av),) + tuple(np.zeros_like(d) for d in a[1:])
-    if k == 1:
-        return a
-    c1 = k * av ** (k - 1)
-    out = (av ** k, c1[:, None] * ag)
-    if len(a) == 2:
-        return out
-    c2 = k * (k - 1) * av ** (k - 2)
-    return out + (c2[:, None, None] * _dense_outer(ag, ag) + c1[:, None, None] * a[2],)
-
-
-def _dense_exp(a):
-    u = np.exp(a[0])
-    out = (u, u[:, None] * a[1])
-    if len(a) == 2:
-        return out
-    return out + (u[:, None, None] * (_dense_outer(a[1], a[1]) + a[2]),)
-
-
-def _dense_leaf(op, index_or_value, pts, zeros):
-    m, n = pts.shape
-    if op == ex._CONST:
-        v = np.full(m, index_or_value, dtype=complex)
-    elif op == ex._VAR:
-        v = pts[:, index_or_value].copy()
-    else:
-        v = np.conj(pts[:, index_or_value])
-    if op == ex._CONST:
-        return (v,) + zeros
-    g = zeros[0].copy()
-    g[:, index_or_value if op == ex._VAR else n + index_or_value] = 1.0
-    return (v, g) + zeros[1:]
-
-
-def _dense_op(op, payload, a, b=None):
-    if op == ex._MUL:
-        return _dense_product(a, b)
-    if op == ex._ADD:
-        return tuple(x + y for x, y in zip(a, b))
-    if op == ex._SUB:
-        return tuple(x - y for x, y in zip(a, b))
-    if op == ex._DIV:
-        if np.any(np.abs(b[0]) <= ex.EPS_DIV):
-            raise ex.EvalError(f"division by near-zero in '{ex.to_text(payload)}'")
-        return _dense_product(a, _dense_reciprocal(b))
-    if op == ex._NEG:
-        return tuple(-x for x in a)
-    if op == ex._POW:
-        return _dense_power(a, payload)
-    return _dense_exp(a)
-
-
-def _dense_run(tape, pts, order):
-    m, n = pts.shape
-    zeros = tuple(np.zeros((m,) + (2 * n,) * k, dtype=complex)
-                  for k in range(1, order + 1))
-    slots = [None] * len(tape)
-    for k, (op, args, payload, free) in enumerate(tape):
-        if op <= ex._CVAR:
-            slots[k] = _dense_leaf(op, payload, pts, zeros)
-        else:
-            slots[k] = _dense_op(op, payload, *[slots[a] for a in args])
-        for a in free:
-            slots[a] = None
-    return slots[-1]
-
-
-def dense_jet_blocks_reference(e, pts, order=2):
-    """eval_jet2_batch (order 2) or eval_jet1_batch (order 1) of e, computed
-    by the dense interpreter in the same chunks."""
-    n = e.n
-    tape = ex._tape(e)
-    rows = max(1, ex._BUDGET // n ** order)
-    with np.errstate(over="ignore", invalid="ignore"):
-        chunks = [_dense_run(tape, pts[lo:lo + rows], order)
-                  for lo in range(0, len(pts), rows)]
-    v, g, *h = (np.concatenate(part) for part in zip(*chunks))
-    blocks = (v, g[:, :n], g[:, n:])
-    if h:
-        blocks += (h[0][:, :n, :n], h[0][:, :n, n:], h[0][:, n:, n:])
-    if not all(np.all(np.isfinite(b)) for b in blocks):
-        raise ex.EvalError(f"non-finite jet while evaluating '{ex.to_text(e)}'")
-    return blocks
 
 
 # The criterion-9 CLI fixtures: (name, subcommand, config), each run with

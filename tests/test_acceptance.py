@@ -15,8 +15,8 @@ import qholo.peak as pk
 from qholo.cli import run as cli_run
 from qholo.forms import minor_oracle_residual, q_holo_residual, q_holo_residuals
 
-from helpers import (certified_sample, cli_fixtures, random_hermitian, random_pair,
-                     random_unitary)
+from helpers import (certified_sample, cli_fixtures, jet_rel_err, random_hermitian,
+                     random_pair, random_unitary)
 
 
 def _report(num, label, ok, detail=""):
@@ -27,19 +27,6 @@ def _report(num, label, ok, detail=""):
     assert ok, line
 
 
-def _jet_rel_err(exact, fd):
-    # relative to the jet's overall magnitude: the shared-stencil oracle's
-    # error in any one block scales with the largest block present
-    scale = max(abs(exact.value), np.max(np.abs(exact.g_z)),
-                np.max(np.abs(exact.g_zb)), np.max(np.abs(exact.h_zz)),
-                np.max(np.abs(exact.h_zzb)), np.max(np.abs(exact.h_zbzb)), 1.0)
-    worst = abs(exact.value - fd.value)
-    for name in ("g_z", "g_zb", "h_zz", "h_zzb", "h_zbzb"):
-        worst = max(worst, np.max(np.abs(np.asarray(getattr(exact, name))
-                                         - np.asarray(getattr(fd, name)))))
-    return worst / scale
-
-
 def test_criterion_1_jets_match_finite_differences():
     rng = np.random.default_rng(101)
     t0 = time.monotonic()
@@ -48,7 +35,7 @@ def test_criterion_1_jets_match_finite_differences():
         e, z = random_pair(rng, n_max=4, depth_max=6)
         exact = ex.eval_jet2(e, z)
         fd = ex.finite_diff_jet(e, z, h=1e-4)
-        worst = max(worst, _jet_rel_err(exact, fd))
+        worst = max(worst, jet_rel_err(exact, fd))
     elapsed = time.monotonic() - t0
     _report(1, "jet engine vs finite differences",
             worst <= 1e-5 and elapsed < 10.0,

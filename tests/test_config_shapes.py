@@ -185,8 +185,7 @@ def test_extreme_inputs_give_a_finite_report_or_exit_2(tmp_path):
                 assert not re.search(r'"-?(inf|nan)"', fh.read())
 
 
-@settings(max_examples=500, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=500, suppress_health_check=[HealthCheck.too_slow])
 @given(_mutations())
 @example(EXTREMES[0])
 @example(EXTREMES[1])
@@ -234,8 +233,7 @@ def test_expression_sites_cover_every_expression_key():
     assert {path[-1] for _, _, _, path in _EXPR_SITES} == {"function", "defining", "expr"}
 
 
-@settings(max_examples=120, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 @given(_expression_mutations())
 def test_mutated_expressions_keep_the_exit_contract(mutation):
     _assert_exit_contract(*mutation)

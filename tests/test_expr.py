@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (_well_conditioned, dense_jet_blocks_reference, random_expr,
-                     random_pair)
+from helpers import random_expr, random_pair
 from qholo import expr as ex, forms
 
 
@@ -240,33 +239,6 @@ def test_finite_diff_jet_calls_a_callable_once_on_every_stencil_point():
         ex.finite_diff_jet(lambda pts: 4.0, np.array([2.0 + 0j]))
 
 
-def _jet_scale(j):
-    return max(abs(j.value), np.max(np.abs(j.g_z)), np.max(np.abs(j.g_zb)),
-               np.max(np.abs(j.h_zz)), np.max(np.abs(j.h_zzb)),
-               np.max(np.abs(j.h_zbzb)), 1.0)
-
-
-def _jet_rel_err(exact, fd):
-    # normalized by the jet's overall magnitude: the shared-stencil oracle's
-    # error in any one block scales with the largest block present, so an
-    # exactly-zero block cannot be resolved better than that
-    scale = _jet_scale(exact)
-    worst = abs(exact.value - fd.value)
-    for name in ("g_z", "g_zb", "h_zz", "h_zzb", "h_zbzb"):
-        worst = max(worst, np.max(np.abs(np.asarray(getattr(exact, name))
-                                         - np.asarray(getattr(fd, name)))))
-    return worst / scale
-
-
-def test_jets_match_finite_differences():
-    rng = np.random.default_rng(7)
-    for _ in range(150):
-        e, z = random_pair(rng)
-        exact = ex.eval_jet2(e, z)
-        fd = ex.finite_diff_jet(e, z, h=1e-4)
-        assert _jet_rel_err(exact, fd) <= 1e-5
-
-
 def test_conjugation_swaps_jet_blocks():
     rng = np.random.default_rng(23)
     for _ in range(60):
@@ -331,7 +303,7 @@ def test_printer_round_trip_samples():
         _check_round_trip(e, n, rng)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        depth=st.integers(min_value=0, max_value=6))
 def test_printer_round_trip_property(seed, depth):
@@ -373,7 +345,7 @@ def _assert_rows_are_scalar_jets(e, pts, batch):
             assert _same_bits(block[k], getattr(j, name)), name
 
 
-def test_jet2_batch_rows_match_scalar_and_oracle():
+def test_jet2_batch_rows_match_the_scalar_jets():
     rng = np.random.default_rng(61)
     for _ in range(60):
         e, z = random_pair(rng)
@@ -384,10 +356,6 @@ def test_jet2_batch_rows_match_scalar_and_oracle():
         assert [b.shape for b in batch] == [(7,), (7, n), (7, n), (7, n, n),
                                             (7, n, n), (7, n, n)]
         _assert_rows_are_scalar_jets(e, pts, batch)
-        for k, p in enumerate(pts):
-            if _well_conditioned(e, p, rng):
-                row = ex.Jet2(complex(batch.value[k]), *(b[k] for b in batch[1:]))
-                assert _jet_rel_err(row, ex.finite_diff_jet(e, p, h=1e-4)) <= 1e-5
 
 
 def test_jet2_batch_across_chunks_equals_rows():
@@ -400,7 +368,7 @@ def test_jet2_batch_across_chunks_equals_rows():
     _assert_rows_are_scalar_jets(e, pts, ex.eval_jet2_batch(e, pts))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 600))
 def test_jet1_batch_is_the_first_blocks_of_jet2_bit_for_bit(seed, m):
     # the Newton step of levi.sample_boundary reads only these blocks, so
@@ -574,65 +542,8 @@ def test_jet_arrays_read_only():
 
 
 # ---------------------------------------------------------------------------
-# Zero blocks: the interpreter skips structurally zero derivative blocks and
-# must still equal the dense interpreter (helpers) bit for bit.
-
-
-def _jets_or_error(fn, e, pts, *order):
-    try:
-        return fn(e, pts, *order)
-    except ex.EvalError:
-        return None
-
-
-def _assert_equals_dense(e, pts):
-    for order, fn in ((2, ex.eval_jet2_batch), (1, ex.eval_jet1_batch)):
-        want = _jets_or_error(dense_jet_blocks_reference, e, pts, order)
-        got = _jets_or_error(fn, e, pts)
-        assert (want is None) == (got is None)
-        if got is not None:
-            assert len(got) == len(want) == 3 * order
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and np.array_equal(a, b)
-                assert not a.flags.writeable
-
-
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300))
-def test_zero_block_jets_equal_the_dense_interpreter(seed, m):
-    # m crosses the chunk boundaries (64 rows at n=4, 256 at n=2)
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    e = random_expr(rng, n, int(rng.integers(0, 7)))
-    pts = rng.uniform(-1.5, 1.5, size=(m, n)) + 1j * rng.uniform(-1.5, 1.5, size=(m, n))
-    _assert_equals_dense(e, pts)
-
-
-def _edge_cases(n):
-    z1, z2 = ex.Var(n, 1), ex.Var(n, 2)
-    c = ex.Const(n, 0.5 - 2j)
-    return {
-        "constant": ex.Const(n, 2 + 3j) * c - ex.Const(n, 1.0),
-        "affine": c * z1 - ex.Const(n, 1 + 1j) * ex.CVar(n, 2) + 3.0 - (-z2),
-        "pow0": (z1 * ex.CVar(n, 1) + z2) ** 0,
-        "pow1": (z1 * ex.CVar(n, 2)) ** 1,
-        "pow-of-constant": c ** 3 * z1,
-        "div-by-constant": (z1 * ex.CVar(n, 1)) / ex.Const(n, 3.0),
-        "constant-over-affine": c / (z1 + 4.0),
-        "exp-of-constant": ex.Exp(n, c) * z2 + ex.Exp(n, ex.Const(n, 1.0)),
-        "exp-of-affine": ex.Exp(n, c * z1 + ex.CVar(n, 2)),
-    }
-
-
-@pytest.mark.parametrize("case", list(_edge_cases(2)))
-def test_zero_block_edge_cases_equal_the_dense_interpreter(case):
-    n = 2
-    e = _edge_cases(n)[case]
-    rows = ex._BUDGET // n ** 2
-    rng = np.random.default_rng(71)
-    for m in (1, rows, 2 * rows + 5):
-        pts = rng.uniform(-1, 1, size=(m, n)) + 1j * rng.uniform(-1, 1, size=(m, n))
-        _assert_equals_dense(e, pts)
+# Zero blocks: the interpreter skips structurally zero derivative blocks (the
+# jet row of test_oracles checks such jets against finite differences).
 
 
 def test_constant_jets_are_read_only_zero_blocks():
@@ -660,8 +571,11 @@ def test_affine_expressions_build_no_outer_products(monkeypatch):
     monkeypatch.setattr(ex, "_outer", counting_outer)
     n = 3
     pts = np.full((7, n), 0.3 - 0.2j)
-    for case in ("constant", "affine", "exp-of-constant"):
-        v, gz, gzb, *h = ex.eval_jet2_batch(_edge_cases(n)[case], pts)
+    z1, c = ex.Var(n, 1), ex.Const(n, 0.5 - 2j)
+    for e in (ex.Const(n, 2 + 3j) * c - ex.Const(n, 1.0),
+              c * z1 - ex.Const(n, 1 + 1j) * ex.CVar(n, 2) + 3.0 - (-ex.Var(n, 2)),
+              ex.Exp(n, c) * ex.Var(n, 2) + ex.Exp(n, ex.Const(n, 1.0))):
+        v, gz, gzb, *h = ex.eval_jet2_batch(e, pts)
         assert not any(b.any() for b in h)
     assert calls == []
     ex.eval_jet2_batch(ex.Var(n, 1) * ex.CVar(n, 2), pts)
@@ -682,7 +596,7 @@ def _jets_or_error_text(fn, e, pts):
         return str(err)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 600))
 def test_mixed_jets_are_blocks_of_the_full_jets(seed, m):
     # at n >= 3, m crosses the chunk boundaries of both rules
@@ -699,10 +613,9 @@ def test_mixed_jets_are_blocks_of_the_full_jets(seed, m):
     assert [b.shape for b in got] == [(m,), (m, n), (m, n), (m, n, n)]
     if isinstance(full, str):
         return      # only h_zz or h_zbzb overflows
-    for want in (full, dense_jet_blocks_reference(e, pts)):
-        for a, k in zip(got, _MIXED_OF_FULL):
-            assert np.array_equal(a, want[k])
-            assert not a.flags.writeable
+    for a, k in zip(got, _MIXED_OF_FULL):
+        assert np.array_equal(a, full[k])
+        assert not a.flags.writeable
 
 
 @pytest.mark.parametrize("m", [1, 7, 3 * (ex._HESSIAN_ENTRIES // 9) + 1])

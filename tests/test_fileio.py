@@ -213,7 +213,7 @@ def _csv_cases(draw):
     return draw(st.integers(1, max(m // 2, 1))), points, extra
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(case=_csv_cases())
 def test_csv_writer_matches_the_reference_on_random_columns(tmp_path_factory, case):
     block, pts, extra = case
@@ -291,7 +291,7 @@ _JSON = st.recursive(
     max_leaves=24)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(obj=_JSON)
 def test_dump_json_bytes_equal_the_json_module(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("json") / "x.json"
@@ -368,7 +368,7 @@ def _records(draw):
     return fileio.Records(columns), rows
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(pair=_records())
 def test_records_write_as_their_list_of_dicts(tmp_path_factory, pair):
     records, rows = pair

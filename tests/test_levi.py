@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     jacobi_eigh, levi_form, random_hermitian, random_unitary,
-    sample_boundary_reference, tangent_frame_reference, tangent_restrict,
+    sample_boundary_reference, tangent_restrict,
 )
 from qholo import expr as ex
 from qholo import levi
@@ -77,20 +77,6 @@ def test_signature_oracle_fixtures():
         == (2, 0, 0)
     assert levi.signature_oracle(levi.LeviMatrix(np.diag([1.0, -1.0])),
                                  1e-8).as_tuple() == (1, 1, 0)
-
-
-def test_signature_engines_agree():
-    # LAPACK primary, real-embedding oracle and the test-only Jacobi engine
-    rng = np.random.default_rng(3)
-    for _ in range(250):
-        m = int(rng.integers(1, 9))
-        h = levi.LeviMatrix(random_hermitian(rng, m))
-        a = levi.eig_signature(h, 1e-8)
-        b = levi.signature_oracle(h, 1e-8)
-        vals, _ = jacobi_eigh(h)
-        c = (int(np.sum(vals > 1e-8)), int(np.sum(vals < -1e-8)),
-             int(np.sum(np.abs(vals) <= 1e-8)))
-        assert a.as_tuple() == b.as_tuple() == c
 
 
 def test_signature_unitary_invariance():
@@ -256,7 +242,7 @@ def test_stacked_records_hold_arrays_and_single_ones_python_scalars():
     assert _rows(cls.signatures) == [(2, 0, 0)] * 3
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), k=st.integers(1, 5),
        explicit=st.booleans(), rotate=st.booleans())
 def test_stacked_signature_engines_agree_row_by_row(seed, m, k, explicit, rotate):
@@ -289,7 +275,7 @@ def test_stacked_signature_engines_agree_row_by_row(seed, m, k, explicit, rotate
         assert levi.default_ztol(one) == levi.default_ztol(stack)[i]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 50), n=st.integers(2, 6),
        pivot=st.integers(0, 5))
 def test_stacked_tangent_frames_are_the_one_gradient_frames_bit_for_bit(seed, m, n, pivot):
@@ -298,10 +284,12 @@ def test_stacked_tangent_frames_are_the_one_gradient_frames_bit_for_bit(seed, m,
     g *= 10.0 ** rng.uniform(-4, 4, size=(m, 1))
     g[0, pivot % n] = 0.0                           # the zero-phase branch
     frames = levi.tangent_frame(g, pivot=pivot % n)
+    assert frames.shape == (m, n, n - 1)
     for row, frame in zip(g, frames):
-        want = tangent_frame_reference(row, pivot=pivot % n)
-        assert frame.shape == want.shape and frame.tobytes() == want.tobytes()
-        assert levi.tangent_frame(row, pivot=pivot % n).tobytes() == want.tobytes()
+        assert levi.tangent_frame(row, pivot=pivot % n).tobytes() == frame.tobytes()
+        # orthonormal columns that the gradient annihilates
+        assert np.max(np.abs(frame.conj().T @ frame - np.eye(n - 1))) <= 1e-13
+        assert np.max(np.abs(row @ frame)) <= 1e-13 * np.linalg.norm(row)
 
 
 _INDEFINITE3 = ex.parse("abs2(z1)+abs2(z2)-abs2(z3)-1", 3)

@@ -325,7 +325,9 @@ def _verify_rngs(seed):
 
 
 @pytest.mark.parametrize("fixture", [0, 1], ids=["ball3-q2", "ellipsoid3-q1"])
-def test_closed_form_jets_match_finite_differences(fixture):
+def test_closed_form_jets_are_the_extension_in_the_cutoff_tube(fixture):
+    # the points on which the PeakExtension row of test_oracles checks these
+    # jets against finite differences
     dom, p, q = _fixtures()[fixture]
     _, f = pk.assemble_peak(dom, p, q, seed=0)
     pts = pk._residual_points(f, dom, p, 200, _verify_rngs(0)[1])
@@ -334,15 +336,6 @@ def test_closed_form_jets_match_finite_differences(fixture):
     blocks = f.jet2_batch(pts)
     assert isinstance(blocks, ex.Jet2) and blocks.n == dom.n
     assert np.allclose(blocks[0], f(pts), rtol=1e-13, atol=0.0)
-    worst = 0.0
-    for k, z in enumerate(pts):
-        fd = ex.finite_diff_jet(f, z, h=3e-5, n=dom.n)
-        fd = (fd.value, fd.g_z, fd.g_zb, fd.h_zz, fd.h_zzb, fd.h_zbzb)
-        # criterion 1's measure: relative to the jet's largest block
-        scale = max(1.0, *(np.max(np.abs(blk[k])) for blk in blocks))
-        worst = max(worst, max(np.max(np.abs(blk[k] - o))
-                               for blk, o in zip(blocks, fd)) / scale)
-    assert worst <= 1e-5
     rep = pk.verify_peak(f, dom, p, q, residual_points=200, seed=0)
     assert rep.passed and rep.max_residual <= 1e-12
 
