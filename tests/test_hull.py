@@ -1,5 +1,6 @@
 """Weighted-reciprocal family, discrete hulls, and the separation sweep."""
 
+import math
 import re
 
 import numpy as np
@@ -662,6 +663,40 @@ def test_certification_points_avoid_region(seed, n, count, centers, radius):
         assert got and int(got[1]) == count
         return
     assert more[:count].tobytes() == pts.tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 31), n=st.integers(1, 4), count=st.integers(1, 400),
+       centers=st.integers(0, 3), radius=st.floats(0.05, 4.0))
+def test_certification_points_match_the_draw_at_a_time_reference(
+        seed, n, count, centers, radius):
+    # one (k, 2n) uniform draw reads the generator as k draws of 2n do, so
+    # the block-drawn sample is the one-draw-per-step loop's bit for bit,
+    # stall message included; the loop measures distances in Python floats
+    rng = np.random.default_rng(seed)
+    avoid = (rng.uniform(-1, 1, size=(centers, n)) + 1j * rng.uniform(-1, 1, size=(centers, n))
+             if centers else None)
+    kwargs = dict(halfwidth=1.0, avoid=avoid, avoid_radius=radius)
+    balls = [] if avoid is None else [(a.real.tolist(), a.imag.tolist()) for a in avoid]
+    draws = np.random.default_rng(np.random.SeedSequence([seed, 0x63657274]))
+    kept, drawn = [], 0
+    while len(kept) < count and drawn < 100 * count:
+        drawn += 1
+        x = draws.uniform(-1.0, 1.0, size=2 * n)
+        re_, im_ = x[:n].tolist(), x[n:].tolist()
+        if all(math.sqrt(sum((u - v) ** 2 for u, v in zip(re_, ar))
+                         + sum((u - v) ** 2 for u, v in zip(im_, ai))) >= radius
+               for ar, ai in balls):
+            kept.append(x[:n] + 1j * x[n:])
+    if len(kept) < count:
+        with pytest.raises(RuntimeError) as got:
+            hull.certification_points(n, seed, count, **kwargs)
+        assert str(got.value) == (f"certification sampling stalled: {len(kept)}/{count} "
+                                  f"points after {drawn} draws")
+        return
+    got = hull.certification_points(n, seed, count, **kwargs)
+    assert got.shape == (count, n)
+    assert got.tobytes() == np.array(kept).tobytes()
 
 
 @pytest.mark.parametrize("count, seed, radius, stall", [
