@@ -498,17 +498,15 @@ class _Parser:
 
     def _fold2(self, node, a, b):
         """node(a, b), folded to a Const when both are constants.  The fold
-        runs the tape's numpy operation on one-row arrays, in the tape's
-        operand order, so it rounds as evaluation at a point does (numpy's
-        complex product is not bitwise commutative)."""
+        runs the tape's rule on one-row values without derivative blocks, in
+        the tape's operand order, so it rounds as evaluation at a point does
+        (numpy's complex product is not bitwise commutative)."""
         if (type(a) is Const and type(b) is Const
                 and (node is not Div or b.value != 0)):
-            v = _FOLD[node](np.array([a.value]), np.array([b.value]))
+            v, _ = _jet_op(_OPCODE[node], None, None, (np.array([a.value]), None),
+                           (np.array([b.value]), None))
             return Const(self.n, complex(v[0]))
         return node(self.n, a, b)
-
-
-_FOLD = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide}
 
 
 def parse(text: str, n: int) -> Expr:
@@ -613,8 +611,8 @@ def to_text(e: Expr) -> str:
 # Evaluation
 #
 # An expression is lowered once to a linear post-order tape (one instruction
-# per node) and a single interpreter runs the tape over a batch of points, for
-# values alone or for jets in forward (Taylor) mode.  A batch jet of order 2
+# per node) and a single interpreter runs the tape over a batch of points in
+# forward (Taylor) mode, with one rule per operation.  A batch jet of order 2
 # is a triple (v, G, H): v (m,) values, G (m, 2n) the gradient in the
 # coordinates (z, conj z) and H the block hb = (rows, cols) of the Hessian in
 # those coordinates: all of it, (m, 2n, 2n) with upper blocks h_zz, h_zzb and
@@ -633,6 +631,10 @@ def to_text(e: Expr) -> str:
 # unchanged; numpy's SIMD complex multiply is not bitwise commutative, so each
 # product keeps the dense formula's operand order (ag * bv, not bv * ag), and
 # the jets equal dense evaluation's bit for bit (up to the sign of zeros).
+# Values alone (order 0) are jets without derivative blocks: every leaf is the
+# pair (v, None).  A rule's value reads only its operands' values (a quotient's
+# is a / b, its derivatives those of a * (1/b)), so every order gives
+# eval_batch's values bit for bit.
 
 _CONST, _VAR, _CVAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW, _EXP = range(10)
 _OPCODE = {Const: _CONST, Var: _VAR, CVar: _CVAR, Neg: _NEG, Add: _ADD,
@@ -741,13 +743,23 @@ def _jet_product(a, b, hb):
 def _jet_reciprocal(b, hb):
     bv, bg = b[:2]
     iv = 1.0 / bv
+    if bg is None:
+        return (iv,) + b[1:]
     iv2 = iv * iv
-    out = (iv, None if bg is None else -bg * iv2[:, None])
+    out = (iv, -bg * iv2[:, None])
     if len(b) == 2:
         return out
     iv3 = iv2 * iv
-    h = None if bg is None else 2.0 * _outer(bg, bg, hb) * iv3[:, None, None]
+    h = 2.0 * _outer(bg, bg, hb) * iv3[:, None, None]
     return out + (_minus(h, None if b[2] is None else b[2] * iv2[:, None, None]),)
+
+
+def _jet_quotient(a, b, hb):
+    """a / b: the value a[0] / b[0], the derivatives those of a * (1/b)."""
+    q = a[0] / b[0]
+    if a[1] is None and b[1] is None:
+        return (q,) + a[1:]
+    return (q,) + _jet_product(a, _jet_reciprocal(b, hb), hb)[1:]
 
 
 def _jet_power(a, k, hb):
@@ -756,12 +768,14 @@ def _jet_power(a, k, hb):
         return (np.ones_like(av),) + (None,) * (len(a) - 1)
     if k == 1:
         return a
+    if ag is None:
+        return (av ** k,) + a[1:]
     c1 = k * av ** (k - 1)
-    out = (av ** k, None if ag is None else c1[:, None] * ag)
+    out = (av ** k, c1[:, None] * ag)
     if len(a) == 2:
         return out
     c2 = k * (k - 1) * av ** (k - 2)
-    h = None if ag is None else c2[:, None, None] * _outer(ag, ag, hb)
+    h = c2[:, None, None] * _outer(ag, ag, hb)
     return out + (_plus(h, None if a[2] is None else c1[:, None, None] * a[2]),)
 
 
@@ -775,7 +789,7 @@ def _jet_exp(a, hb):
 
 
 def _leaf(op, index_or_value, pts, order):
-    """Values (order 0) or the batch jet of a constant or a coordinate."""
+    """The batch jet of a constant or a coordinate; (v, None) at order 0."""
     m, n = pts.shape
     if op == _CONST:
         v = np.full(m, index_or_value, dtype=complex)
@@ -783,29 +797,11 @@ def _leaf(op, index_or_value, pts, order):
         v = pts[:, index_or_value].copy()
     else:
         v = np.conj(pts[:, index_or_value])
-    if not order:
-        return v
-    if op == _CONST:
-        return (v,) + (None,) * order
+    if op == _CONST or not order:
+        return (v,) + (None,) * max(order, 1)
     g = np.zeros((m, 2 * n), dtype=complex)
     g[:, index_or_value if op == _VAR else n + index_or_value] = 1.0
     return (v, g) + (None,) * (order - 1)
-
-
-def _value_op(op, payload, a, b=None):
-    if op == _MUL:
-        return a * b
-    if op == _ADD:
-        return a + b
-    if op == _SUB:
-        return a - b
-    if op == _DIV:
-        return a / b
-    if op == _NEG:
-        return -a
-    if op == _POW:
-        return a ** payload
-    return np.exp(a)
 
 
 def _jet_op(op, payload, hb, a, b=None):
@@ -816,7 +812,7 @@ def _jet_op(op, payload, hb, a, b=None):
     if op == _SUB:
         return tuple(_minus(x, y) for x, y in zip(a, b))
     if op == _DIV:
-        return _jet_product(a, _jet_reciprocal(b, hb), hb)
+        return _jet_quotient(a, b, hb)
     if op == _NEG:
         return tuple(None if x is None else -x for x in a)
     if op == _POW:
@@ -856,18 +852,14 @@ def _run(tape, pts, order, hb=None):
     first_div = None
     for k, (op, args, payload, free) in enumerate(tape):
         if op == _DIV:
-            first_div = _near_zero(
-                first_div, slots[args[1]][0] if order else slots[args[1]], k)
+            first_div = _near_zero(first_div, slots[args[1]][0], k)
         if op <= _CVAR:
             slots[k] = _leaf(op, payload, pts, order)
-        elif order:
-            slots[k] = _jet_op(op, payload, hb, *[slots[a] for a in args])
         else:
-            slots[k] = _value_op(op, payload, *[slots[a] for a in args])
+            slots[k] = _jet_op(op, payload, hb, *[slots[a] for a in args])
         for a in free:
             slots[a] = None
-    if not order:
-        return (slots[-1],), first_div
+    # zip stops at _jet_shapes' entries: the values alone at order 0
     return tuple(np.zeros((m,) + s, dtype=complex) if d is None else d
                  for s, d in zip(_jet_shapes(n, order, hb), slots[-1])), first_div
 

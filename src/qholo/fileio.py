@@ -54,6 +54,8 @@ def format_complex(c) -> str:
 
 
 def parse_complex(text) -> complex:
+    if isinstance(text, bool):      # a bool is an int, but not a number here
+        raise ValueError(f"not a complex number: {text!r}")
     if isinstance(text, (int, float)):
         return complex(text)
     if isinstance(text, complex):

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .expr import Expr, Jet2, eval_jet2, eval_mixed_jet_batch
+from .expr import Expr, Jet2, _as_point, eval_jet2, eval_mixed_jet_batch
 
 __all__ = [
     "residual_from_jet", "q_holo_residual", "q_holo_residuals",
@@ -138,14 +138,16 @@ def q_holo_residual(e: Expr, z, q: int) -> float:
     """Sup coefficient modulus of dbar(e) wedge ddbar(e)^(q-1) at z.
 
     Zero means the q-holomorphicity condition holds exactly at the point.
-    q may exceed the dimension; the residual is then zero by degree.
+    q may exceed the dimension; the residual is then zero by degree.  It is
+    q_holo_residuals at a batch of one, and fails as that batch does.
     """
-    return residual_from_jet(eval_jet2(e, z), q)
+    return float(q_holo_residuals(e, _as_point(z, e.n)[None, :], q)[0])
 
 
 def q_holo_residuals(e: Expr, pts, q: int) -> np.ndarray:
     """q_holo_residual at every row of pts (shape (m, n)), from one batch of
-    jets; row k equals q_holo_residual(e, pts[k], q)."""
+    mixed jets (eval_mixed_jet_batch); row k equals q_holo_residual(e,
+    pts[k], q)."""
     _, _, g_zb, h_zzb = eval_mixed_jet_batch(e, pts)
     return _residuals(g_zb, h_zzb, q)
 

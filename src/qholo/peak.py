@@ -396,7 +396,8 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
     closure = np.concatenate([interior, boundary], axis=0)
     d = closure - p[None, :]
     w_sup = float(np.max(np.linalg.norm(d @ np.conj(m_basis), axis=1)))
-    b_sup = float(np.max(np.linalg.norm(d @ np.conj(comp), axis=1)))
+    b_closure = np.linalg.norm(d @ np.conj(comp), axis=1)
+    b_sup = float(np.max(b_closure))
     scale = max(dom.box_halfwidth, 1e-3)
     rho_w0 = 1.1 * w_sup + 0.1 * scale
     r0 = 0.5 * b_sup if r == "auto" else float(r)
@@ -418,9 +419,7 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
             if min_phi < 0.0:
                 last_witness = wall[int(np.argmin(phi_wall))]
                 continue
-            b_cl = np.linalg.norm(d @ np.conj(comp), axis=1)
-            in_tube = b_cl < r_try
-            cap = in_tube & (h_vals_closure >= 1.0)
+            cap = (b_closure < r_try) & (h_vals_closure >= 1.0)
             cap_max = float(np.max(dist_closure[cap])) if np.any(cap) else 0.0
             if cap_max > rho_V:
                 last_witness = closure[cap][int(np.argmax(dist_closure[cap]))]

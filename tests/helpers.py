@@ -698,4 +698,12 @@ def cli_fixtures():
             "samples": {"boundary": 60, "interior": 60, "tube": 200},
             "seed": 0,
         }),
+        # r exceeds the ball's diameter, so no closure point has ||b|| >= r
+        # and verify_peak checks the vanishing on its own ring points
+        ("peak_short_ring", "peak", {
+            "domain": {"model": "ball", "n": 2},
+            "p": ["1+0i", "0+0i"], "q": 1, "r": 4.0,
+            "samples": {"boundary": 60, "interior": 60, "tube": 200},
+            "seed": 0,
+        }),
     ]

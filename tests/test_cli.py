@@ -1075,11 +1075,16 @@ def test_peak_numbers_the_steps_cannot_use_are_config_error(tmp_path, capsys, cf
      "ztoll"),
     ("qholo", {"n": 2, "q": 1, "function": "z1",
                "points": {"random": {"count": 4, "cuont": 5}}}, "cuont"),
+    ("qholo", {"n": 2, "q": 1, "function": "z1*z2", "points": [[True, False]]},
+     "points[0][0]: not a complex number: True"),
+    ("peak", dict(_BALL2_PEAK, p=[True, 0]), "p[0]: not a complex number: True"),
 ], ids=["points-random-scalar", "peak-samples-scalar", "thm2-batch-list",
-        "points-list-of-scalars", "family-p-nan", "unknown-key", "unknown-nested-key"])
+        "points-list-of-scalars", "family-p-nan", "unknown-key", "unknown-nested-key",
+        "point-bools", "peak-p-bool"])
 def test_structural_errors_are_config_errors(tmp_path, capsys, command, cfg, named):
     # each escaped cli.run (AttributeError, TypeError, the library's
-    # ValueError), or, for the unknown keys, was ignored
+    # ValueError), or, for the unknown keys, was ignored; a boolean
+    # coordinate, a Python int, ran as 1 or 0
     assert named in _assert_config_error(tmp_path, capsys, command, cfg)
 
 

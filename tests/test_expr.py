@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_expr, random_pair
@@ -153,6 +153,15 @@ def test_constant_folding_rounds_as_the_tape_does():
     e2 = ex.parse(ex.to_text(e), 2)
     assert ex.parse(ex.to_text(e2), 2) == e2
     assert ex.eval_value(e2, z) == ex.eval_value(e, z)
+
+
+def test_a_folded_quotient_is_the_tapes_value():
+    # (1+2i)/(3-i) rounds to 0.1+0.7000000000000001i, (1+2i)*(1/(3-i)) to
+    # 0.1+0.7i: the fold is the quotient a point evaluation computes
+    div = ex.Div(1, ex.Const(1, 1 + 2j), ex.Const(1, 3 - 1j))
+    folded = ex.parse("(1+2*i)/(3-i)", 1)
+    assert type(folded) is ex.Const
+    assert _same_bits(folded.value, ex.eval_value(div, [0.0]))
 
 
 def test_node_validation():
@@ -386,6 +395,31 @@ def test_jet1_batch_is_the_first_blocks_of_jet2_bit_for_bit(seed, m):
     for a, b in zip(got, want):
         assert _same_bits(a, b)
         assert not a.flags.writeable
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 60), text=st.none())
+@example(seed=0, m=60, text="z1/z2")
+def test_every_order_gives_the_values_bit_for_bit(seed, m, text):
+    # one rule per operation: a jet's value is eval_batch's value, also at a
+    # division; small chunks put chunk edges inside the batch
+    rng = np.random.default_rng(seed)
+    n = 2 if text else int(rng.integers(1, 5))
+    e = (ex.parse(text, n) if text
+         else random_expr(rng, n, int(rng.integers(1, 6)), allow_div=True))
+    pts = rng.uniform(-1.5, 1.5, size=(m, n)) + 1j * rng.uniform(-1.5, 1.5, size=(m, n))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, rows in (("_VALUE_ROWS", 7), ("_BUDGET", 16), ("_HESSIAN_ENTRIES", 64)):
+            mp.setattr(ex, name, rows)
+        failing = [bad for _, bad, _ in (
+            ex._values(e, pts), ex._jet_blocks(e, pts, order=1),
+            ex._jet_blocks(e, pts), ex._jet_blocks(e, pts, mixed=True))]
+        ok = pts[~np.logical_or.reduce([np.zeros(m, bool) if b is None else b
+                                        for b in failing])]
+        want = ex.eval_batch(e, ok)
+        assert _same_bits(ex.eval_jet1_batch(e, ok)[0], want)
+        assert _same_bits(ex.eval_jet2_batch(e, ok).value, want)
+        assert _same_bits(ex.eval_mixed_jet_batch(e, ok)[0], want)
 
 
 def test_jet2_batch_with_a_pole_raises():
@@ -658,3 +692,4 @@ def test_mixed_jets_ignore_an_overflow_of_h_zz_alone():
     assert np.isfinite(v).all() and np.isfinite(gz).all()
     assert not gzb.any() and not h.any()
     assert forms.q_holo_residuals(e, pts, 1).tolist() == [0.0]
+    assert forms.q_holo_residual(e, pts[0], 1) == 0.0

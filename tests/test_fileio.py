@@ -36,7 +36,7 @@ def test_parse_complex_accepts_numbers():
     assert fileio.parse_complex(1 - 1j) == 1 - 1j
 
 
-@pytest.mark.parametrize("bad", ["", "1+2", "2j", "i2", "1+2ii", "one"])
+@pytest.mark.parametrize("bad", ["", "1+2", "2j", "i2", "1+2ii", "one", True, False])
 def test_parse_complex_rejects(bad):
     with pytest.raises(ValueError, match="not a complex number"):
         fileio.parse_complex(bad)

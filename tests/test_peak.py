@@ -1,12 +1,15 @@
 """Slice selection, cutoff, and the local peak extension on model domains."""
 
+import json
+
 import numpy as np
 import pytest
 
 import qholo.expr as ex
 import qholo.peak as pk
-from helpers import jacobi_eigh, residual_points_reference
+from helpers import cli_fixtures, jacobi_eigh, residual_points_reference
 from qholo import levi
+from qholo.cli import run as cli_run
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +377,24 @@ def test_verify_peak_without_residual_points():
     rep = pk.verify_peak(f, dom, p, 1, boundary_samples=40,
                          interior_samples=40, residual_points=0, seed=0)
     assert rep.residual_points == 0 and rep.max_residual == 0.0
+
+
+def test_the_short_ring_fixture_takes_the_ring_branch(tmp_path, monkeypatch):
+    # the golden fixture peak_short_ring reaches _ring_points, run as the
+    # golden digests are (--seed 42)
+    calls, ring_points = [], pk._ring_points
+
+    def spy(f, p, count, rng):
+        calls.append(count)
+        return ring_points(f, p, count, rng)
+
+    monkeypatch.setattr(pk, "_ring_points", spy)
+    (cfg,) = [c for name, _, c in cli_fixtures() if name == "peak_short_ring"]
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_run(["peak", "--config", str(cfg_path), "--out", str(out),
+                    "--seed", "42"]) == 0
+    rep = json.loads((out / "peak_report.json").read_text())
+    assert calls == [25]
+    assert rep["passed"] is True
+    assert rep["checks"]["vanish"] == {"max": 0.0, "points": 25, "ok": True}
