@@ -272,22 +272,27 @@ def _fixed_axes(value, what, env):
 
 
 def _grid_candidates(grid, env):
+    """Grid points Z (m, n), axes re1, im1, ..., imN, and Z's (2n, m) index on them."""
     n, per, hw = env["n"], grid["per_axis"], grid["halfwidth"]
     fixed = list(grid["fixed_axes"].values())   # re1, im1, ..., imN
     dims = [per if v is None else 1 for v in fixed]
     total = math.prod(dims)
     if total > MAX_GRID:
         raise ConfigError(f"grid has {total} points; fix more axes")
-    bases = [part for c in grid["center"] for part in (c.real, c.imag)]
+    bases = [float(part) for c in grid["center"] for part in (c.real, c.imag)]
+    if any(v is None and math.isinf(abs(b) + hw) for v, b in zip(fixed, bases)):
+        raise ConfigError("grid axes overflow: center +- halfwidth is not finite")
     axes = [np.linspace(b - hw, b + hw, per) if v is None else np.array([v])
             for v, b in zip(fixed, bases)]
     # Coordinate k is re + 1j * im on axes 2k, 2k + 1 alone (a meshgrid's
-    # zero signs), broadcast over the row-major grid.
+    # zero signs), broadcast over the row-major grid.  On finite axes its
+    # parts equal (==) the axis values.
     Z = np.empty(dims + [n], dtype=complex)
     for k in range(n):
         Z[..., k] = (axes[2 * k][:, None] + 1j * axes[2 * k + 1]).reshape(
             dims[2 * k:2 * k + 2] + [1] * (2 * n - 2 * k - 2))
-    return Z.reshape(total, n)
+    idx = np.indices(dims, dtype=np.min_scalar_type(per - 1)).reshape(2 * n, total)
+    return Z.reshape(total, n), axes, idx
 
 
 def _same_n(value, what, env):
@@ -576,14 +581,12 @@ def _key(x):
     """Coordinates rounded to 12 decimals, kept where scaling by 1e12 overflows."""
     with np.errstate(over="ignore"):
         r = np.round(x, 12)
-    if r.size and (r.max() == np.inf or r.min() == -np.inf):
-        r = np.where(np.isinf(r), x, r)
-    return r
+    return np.where(np.isinf(r), x, r)
 
 
 def cmd_hull(cfg, out_dir):
     """Outer hull approximation of K against a certified finite family."""
-    n, run_seed, K, Z = cfg["n"], cfg["seed"], cfg["K"], cfg["candidates"]
+    n, run_seed, K, (Z, axes, idx) = cfg["n"], cfg["seed"], cfg["K"], cfg["candidates"]
     basener = itertools.count()     # one running index over every entry
     members = [(e, q, f"basener[{next(basener)}]" if name is None else name, avoid)
                for entry in cfg["family"] for e, q, name, avoid in entry]
@@ -594,27 +597,23 @@ def cmd_hull(cfg, out_dir):
         raise ConfigError(str(e))
 
     fileio.write_points_csv(
-        os.path.join(out_dir, "hull_points.csv"), Z,
-        extra=[("member", result.members.astype(int)),
+        os.path.join(out_dir, "hull_points.csv"), fileio._Column((axes, idx)),
+        extra=[("member", fileio._Column((np.arange(2), result.members.view(np.uint8)))),
                ("margin", result.margins)])
 
     # K points that appear among the candidates must be flagged members.
-    # A per-coordinate prefilter keeps the exact row check to the few
-    # candidates that can match; rounding and == treat -0.0 as 0.0.  A binary
-    # search of the sorted K column needs far less scratch memory than isin.
+    # A prefilter, a binary search of each sorted K column for its axis's
+    # values gathered to the rows, keeps the exact row check to the few
+    # candidates that can match; rounding and == treat -0.0 as 0.0.
     k_flat = _key(K.view(float).reshape(len(K), -1))
     k_rows = set(map(tuple, k_flat.tolist()))
-    z_flat = Z.view(float).reshape(len(Z), -1)
     hit = np.ones(len(Z), dtype=bool)
-    for c in range(z_flat.shape[1]):
-        keys = np.sort(k_flat[:, c])
-        zc = _key(z_flat[:, c])
-        idx = np.searchsorted(keys, zc)
-        np.minimum(idx, len(keys) - 1, out=idx)
-        hit &= keys[idx] == zc
+    for c, (axis, at) in enumerate(zip(axes, idx)):
+        keys, zc = np.sort(k_flat[:, c]), _key(axis)
+        hit &= (keys[np.minimum(np.searchsorted(keys, zc), len(keys) - 1)] == zc)[at]
     hits = np.flatnonzero(hit)
     k_in_z_ok = all(result.members[i] for i, row in zip(
-        hits.tolist(), _key(z_flat[hits]).tolist()) if tuple(row) in k_rows)
+        hits.tolist(), _key(Z[hits].view(float)).tolist()) if tuple(row) in k_rows)
     excluded = result.margins[~result.members & ~result.singular]
     members = int(np.count_nonzero(result.members))
     summary = {

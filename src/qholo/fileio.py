@@ -96,16 +96,21 @@ def parse_point(entries, n: int | None = None) -> np.ndarray:
 _CSV_BLOCK_ROWS = 4096
 
 
+class _Column(tuple):
+    """A column as the pair (array of values, index of each row's value)."""
+
+
 def _text_table(col):
     """A NUL-padded bytes item of the repr of each distinct value of col, and
     the item of each entry of col, in the smallest uint."""
-    uniq, inv = np.unique(col, return_inverse=True)     # -0.0 joins 0.0
+    uniq, inv = (col if isinstance(col, _Column)
+                 else np.unique(col, return_inverse=True))  # -0.0 joins 0.0
     if uniq.dtype.kind == "f":
-        uniq += 0.0                                     # and prints as 0.0
+        uniq = uniq + 0.0                                   # and prints as 0.0
     chunks = [np.array(list(map(repr, uniq[lo:lo + _CSV_BLOCK_ROWS].tolist())), "S")
               for lo in range(0, len(uniq), _CSV_BLOCK_ROWS)]
     table = np.concatenate(chunks) if chunks else np.zeros(0, "S1")
-    return table, inv.astype(np.min_scalar_type(len(uniq)))
+    return table, inv.astype(np.min_scalar_type(len(uniq)), copy=False)
 
 
 def write_points_csv(path, points, extra=None):
@@ -116,19 +121,23 @@ def write_points_csv(path, points, extra=None):
     or all-float.  Floats print as repr with -0.0 flushed to 0.0, other
     values as str, each distinct value of a column once.  Rows are built as
     bytes a block at a time from tables padded with NUL, which no number's
-    text holds.
+    text holds.  Privately, an extra column may be a _Column, and points
+    that of a grid: its axes re1, im1, ... and their (2n, m) index.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=complex))
-    m, n = points.shape
-    extra = extra or []
-    cols = list(np.ascontiguousarray(points).view(float).T)   # re1, im1, ...
-    for name, vals in extra:
-        col = np.asarray(vals)
-        if col.dtype.kind == "f" and all(isinstance(v, int) for v in vals):
-            col = np.array(vals, dtype=object)      # ints past int64, not floats
-        if len(col) != m:
-            raise ValueError(f"extra column {name!r} has {len(col)} values "
-                             f"for {m} rows")
+    if isinstance(points, _Column):
+        cols, m = list(map(_Column, zip(*points))), points[1].shape[1]
+    else:
+        points = np.atleast_2d(np.asarray(points, dtype=complex))
+        cols, m = list(np.ascontiguousarray(points).view(float).T), len(points)  # re1, im1, ...
+    n, extra = len(cols) // 2, extra or []
+    for name, col in extra:
+        if not isinstance(col, _Column):
+            vals, col = col, np.asarray(col)
+            if col.dtype.kind == "f" and all(isinstance(v, int) for v in vals):
+                col = np.array(vals, dtype=object)      # ints past int64, not floats
+        got = len(col[1] if isinstance(col, _Column) else col)
+        if got != m:
+            raise ValueError(f"extra column {name!r} has {got} values for {m} rows")
         cols.append(col)
     tables = list(map(_text_table, cols))
     widths = [table.itemsize + 1 for table, _ in tables]     # text, separator

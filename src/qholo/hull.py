@@ -61,14 +61,20 @@ class Lambda(ex._Frozen):
         return np.array(self.entries, dtype=complex)
 
 
-def _weights(d):
-    """conj(d) / ||d||^2 row by row, so that f_lambda(d) = _weights(d) @ lambda.
+def _rowsum(a):
+    """np.sum(a, axis=-1) with its bits, faster on a short last axis: numpy
+    adds fewer than 8 entries left to right, from +0.0."""
+    return sum(np.moveaxis(a, -1, 0), 0.0) if 0 < a.shape[-1] < 8 else np.sum(a, axis=-1)
+
+
+def _weights(d, mags=None):
+    """conj(d) / ||d||^2 per row (mags = np.abs(d)): f_lambda(d) = _weights(d) @ lambda.
 
     For d (..., D, n) and lams (..., L, n), leading axes broadcast,
     _weights(d) @ swapaxes(lams) is the (..., D, L) table of f_lambda(d) for
     every lambda row at every row of d, one batched matmul.
     """
-    return np.conj(d) / np.sum(np.abs(d) ** 2, axis=-1)[..., None]
+    return np.conj(d) / _rowsum((np.abs(d) if mags is None else mags) ** 2)[..., None]
 
 
 def _align(d):
@@ -294,8 +300,9 @@ def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
     Z = np.asarray(z_samples, dtype=complex)
     if p.shape != (n,):
         raise ValueError(f"center has shape {p.shape}, expected ({n},)")
-    if len(K) == 0 or len(Z) == 0:
-        raise ValueError("K and the candidate set must be nonempty")
+    for what, a, rows in (("K", K, "k"), ("z_samples", Z, "z")):
+        if a.ndim != 2 or a.shape[1] != n or len(a) == 0:
+            raise ValueError(f"{what} has shape {a.shape}, expected a nonempty ({rows}, {n})")
     with np.errstate(over="ignore", invalid="ignore"):  # _chain rejects the result
         dk, dz = K - p, Z - p
     rep = _chain(n, np.array([r]), dk[None], dz[None])
@@ -311,8 +318,8 @@ def _chain(n, r, dk, dz) -> Thm2Report:
     configuration's row does not depend on the stack it came in.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
-        dk_norm = np.linalg.norm(dk, axis=-1)
-        dz_norm = np.linalg.norm(dz, axis=-1)
+        # np.linalg.norm(d, axis=-1), bit for bit
+        dk_norm, dz_norm = (np.sqrt(_rowsum((d.conj() * d).real)) for d in (dk, dz))
     for bad, what in ((dk_norm < r[:, None] * (1 - 1e-12), "K points inside B(p, r)"),
                       (~(dk_norm <= _FAR), f"K points not within {_FAR:g} of p"),
                       (~((dz_norm < r[:, None] / np.sqrt(n)) & (dz_norm > 0)),
@@ -321,17 +328,14 @@ def _chain(n, r, dk, dz) -> Thm2Report:
             raise ValueError(
                 f"{what}: indices {np.flatnonzero(bad[bad.any(axis=1)][0]).tolist()}")
 
-    closed_k = np.sum(np.abs(dk), axis=-1) / dk_norm ** 2  # K-side middle term
+    mk, mz = np.abs(dk), np.abs(dz)
+    closed_k = _rowsum(mk) / dk_norm ** 2                  # K-side middle term
     guard_k = _REL_GUARD * np.max(closed_k, axis=1)
     k_bound = np.sqrt(n) / dk_norm
 
     lams = _align(dz)                                      # one lambda per z
-    # |f_lambda(t (z-p))| t at t = 1 and, for the radial scaling check, 0.5, 2
-    ts = np.array([1.0, 0.5, 2.0])[:, None, None]
-    scaled = np.abs(_weights((ts[..., None] * dz)[..., None, :])
-                    @ lams[..., None])[..., 0, 0] * ts
-    lhs = scaled[0]
-    closed = np.sum(np.abs(dz), axis=-1) / dz_norm ** 2
+    lhs = np.abs(_weights(dz, mz)[..., None, :] @ lams[..., None])[..., 0, 0]
+    closed = _rowsum(mz) / dz_norm ** 2
     # link 1: evaluated |f_lambda(z-p)| equals its closed form
     err1 = np.abs(lhs - closed) / np.maximum(1.0, closed)
     # link 2: sum|d_i|/||d||^2 >= 1/||d||
@@ -345,15 +349,27 @@ def _chain(n, r, dk, dz) -> Thm2Report:
     # a time: its table holds |f|, then the slacks; running min and max
     chunk = max(1, _STACK_PAIRS // 8 // (len(r) * dz.shape[1]))
     s5, f_max = np.full(lhs.shape, np.inf), np.full(lhs.shape, -np.inf)
-    wk, lt = _weights(dk), np.swapaxes(lams, -1, -2)
+    wk, lt = _weights(dk, mk), np.swapaxes(lams, -1, -2)
     for lo in range(0, dk.shape[1], chunk):
         f = np.abs(wk[:, lo:lo + chunk] @ lt)
         np.maximum(f_max, np.max(f, axis=1), out=f_max)
         np.minimum(s5, np.min(np.subtract(closed_k[:, lo:lo + chunk, None], f, out=f),
                               axis=1), out=s5)
     margins = lhs - f_max
-    # radial scaling |f(t d)| t = |f(d)|, per (t, z)
-    mono = np.abs(scaled[1:] - lhs) / np.maximum(1.0, lhs)
+    # radial scaling |f(t d)| t = |f(d)|, per (t, z) for t in (0.5, 2), holds
+    # bit for bit where every nonzero part of d lies in [2^-150, 2^150]:
+    # scaling by 2^k commutes with a rounded +, -, *, /, sqrt or fma whose
+    # operands and result are normal, and abs scales its input itself.  There
+    # the nonzero |t d_i|^2 and ||t d||^2 lie in [2^-302, n 2^304], the nonzero
+    # parts of the weights in [2^-455 / n, 2^453] and of lambda (made from d)
+    # in [2^-301, 1]; so their products, and sums of those, are 0 or multiples
+    # of 2^-862 / n, all normal, and f(t d) = f(d) / t.  Only the candidates
+    # outside the window are evaluated.
+    parts = np.abs(np.stack([dz.real, dz.imag]))
+    far = np.any((parts > 2.0 ** 150) | ((parts < 2.0 ** -150) & (parts > 0)), axis=(0, 3))
+    ts, one, mono = np.array([[0.5], [2.0]]), lhs[far], np.zeros((2,) + lhs.shape)
+    g = np.abs(_weights(ts[..., None] * dz[far])[..., None, :] @ lams[far][..., None])
+    mono[:, far] = np.abs(g[..., 0, 0] * ts - one) / np.maximum(1.0, one)
 
     violations = (np.sum(err1 > 1e-12, axis=1)
                   + np.sum(s2 < -_REL_GUARD * closed, axis=1)
@@ -442,8 +458,10 @@ def _outside_balls(rngs, pr, r, count, halfwidth_factor=2.5):
 
     def make(idx, _, u):
         idx = list(idx)
-        d = ((half[idx] - -half[idx]) * u - half[idx] + pr[idx]) - pr[idx]
-        return d, _outside(d, r[idx, None])
+        h, p = half[idx], pr[idx]       # ((h - -h) u - h + p) - p, in u's buffer
+        for op, x in ((np.multiply, h - -h), (np.subtract, h), (np.add, p), (np.subtract, p)):
+            op(u, x, out=u)
+        return u, _outside(u, r[idx, None])
 
     return _first_kept(rngs, make, count, pr.shape[-1])
 
@@ -515,8 +533,9 @@ def sample_ball(n: int, p, radius: float, count: int, seed: int,
 
 # (K point, candidate) pairs per stack of configurations in the batched
 # chain, whose K chunks hold an eighth of them.  A 1000-configuration batch
-# (k 200, z 50) peaks at 40.4 MB VmHWM in a fresh process (43.8 at 2 ** 18
-# with whole-K tables); 2 ** 18 and 2 ** 20 ran 1-5% slower.
+# (k 200, z 50, seed 0) peaks at 42.1 MB VmHWM in a fresh process that imports
+# qholo.hull alone (42.2-42.3 MB with the full radial scaling table); 2 ** 18
+# and 2 ** 20 ran 1-5% slower.
 _STACK_PAIRS = 2 ** 19
 
 

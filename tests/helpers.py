@@ -14,7 +14,7 @@ import numpy as np
 from qholo import expr as ex
 from qholo.expr import Jet2
 from qholo.forms import q_holo_residual
-from qholo.hull import _REL_GUARD, Thm2Report, _align
+from qholo.hull import _FAR, _REL_GUARD, _STACK_PAIRS, Thm2Report, _align
 from qholo.levi import EPS_BDRY, EPS_GRAD, LeviMatrix, _as_matrix, tangent_frame
 
 
@@ -578,6 +578,59 @@ def theorem2_reference(n, p, r, K, z_samples):
         monotonicity_err=float(np.max(mono)))
 
 
+# The stacked separation chain as it was before the radial scaling check was
+# pruned to the candidates outside its proven window and the K-side norms were
+# shared: numpy's own row sums and norms, and the full (3, C, z, 1, n) weights
+# table for t in (1, 0.5, 2).  Kept as the bit-for-bit reference of its report.
+def _weights_reference(d):
+    return np.conj(d) / np.sum(np.abs(d) ** 2, axis=-1)[..., None]
+
+
+def chain_reference(n, r, dk, dz):
+    dk_norm = np.linalg.norm(dk, axis=-1)
+    dz_norm = np.linalg.norm(dz, axis=-1)
+    for bad, what in ((dk_norm < r[:, None] * (1 - 1e-12), "K points inside B(p, r)"),
+                      (~(dk_norm <= _FAR), f"K points not within {_FAR:g} of p"),
+                      (~((dz_norm < r[:, None] / np.sqrt(n)) & (dz_norm > 0)),
+                       "candidates outside (0, r/sqrt(n))")):
+        if bad.any():
+            raise ValueError(
+                f"{what}: indices {np.flatnonzero(bad[bad.any(axis=1)][0]).tolist()}")
+    closed_k = np.sum(np.abs(dk), axis=-1) / dk_norm ** 2
+    guard_k = _REL_GUARD * np.max(closed_k, axis=1)
+    k_bound = np.sqrt(n) / dk_norm
+    lams = _align(dz)
+    ts = np.array([1.0, 0.5, 2.0])[:, None, None]
+    scaled = np.abs(_weights_reference((ts[..., None] * dz)[..., None, :])
+                    @ lams[..., None])[..., 0, 0] * ts
+    lhs = scaled[0]
+    closed = np.sum(np.abs(dz), axis=-1) / dz_norm ** 2
+    err1 = np.abs(lhs - closed) / np.maximum(1.0, closed)
+    s2 = closed - 1.0 / dz_norm
+    s3 = 1.0 / dz_norm - np.max(k_bound, axis=1, keepdims=True)
+    s4 = np.min(k_bound - closed_k, axis=1)
+    chunk = max(1, _STACK_PAIRS // 8 // (len(r) * dz.shape[1]))
+    s5, f_max = np.full(lhs.shape, np.inf), np.full(lhs.shape, -np.inf)
+    wk, lt = _weights_reference(dk), np.swapaxes(lams, -1, -2)
+    for lo in range(0, dk.shape[1], chunk):
+        f = np.abs(wk[:, lo:lo + chunk] @ lt)
+        np.maximum(f_max, np.max(f, axis=1), out=f_max)
+        np.minimum(s5, np.min(np.subtract(closed_k[:, lo:lo + chunk, None], f, out=f),
+                              axis=1), out=s5)
+    margins = lhs - f_max
+    mono = np.abs(scaled[1:] - lhs) / np.maximum(1.0, lhs)
+    violations = (np.sum(err1 > 1e-12, axis=1)
+                  + np.sum(s2 < -_REL_GUARD * closed, axis=1)
+                  + np.sum(s3 <= 0, axis=1) + (s4 < -guard_k)
+                  + np.sum(s5 < -guard_k[:, None], axis=1)
+                  + np.sum(margins <= 0, axis=1) + np.sum(mono > 1e-12, axis=(0, 2)))
+    slacks = np.stack([-np.max(err1, axis=1), np.min(s2, axis=1),
+                       np.min(s3, axis=1), s4, np.min(s5, axis=1)], axis=1)
+    return Thm2Report(n=n, z_count=dz.shape[1], k_count=dk.shape[1],
+                      violations=violations, min_margin=np.min(margins, axis=1),
+                      link_slacks=slacks, monotonicity_err=np.max(mono, axis=(0, 2)))
+
+
 # The per-configuration samplers the stacked thm2 sampler replaced, kept as
 # the reference for its draws.
 def sample_outside_ball_reference(rng, n, p, r, count, halfwidth_factor=2.5):
@@ -692,6 +745,10 @@ def cli_fixtures():
         ("thm2_batch", "thm2", {"batch": {"configs": 25, "seed": 9}}),
         # several stacks per n, the last one ragged, and several K chunks each
         ("thm2_batch_stacks", "thm2", {"batch": {"configs": 400, "seed": 9}}),
+        # every candidate has parts above 2 ** 150, outside the window where
+        # the radial scaling check is exact by proof, so the chain evaluates it
+        ("thm2_batch_far", "thm2", {"batch": {"configs": 12, "seed": 9,
+                                              "r_range": [1e99, 1e100]}}),
         ("peak", "peak", {
             "domain": {"model": "ball", "n": 2},
             "p": ["1+0i", "0+0i"], "q": 1,

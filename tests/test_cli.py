@@ -574,7 +574,7 @@ def test_thm2_invalid_config_is_config_error(tmp_path, capsys, cfg):
 ], ids=["batch", "single"])
 def test_thm2_planted_fault_exits_1(tmp_path, monkeypatch, cfg):
     exact = hull._weights
-    monkeypatch.setattr(hull, "_weights", lambda d: exact(d) * (1 + 1e-6))
+    monkeypatch.setattr(hull, "_weights", lambda d, *mags: exact(d, *mags) * (1 + 1e-6))
     path = _write(tmp_path, "t.json", cfg)
     out = tmp_path / "out"
     assert run(["thm2", "--config", path, "--out", str(out)]) == 1
@@ -915,9 +915,65 @@ def test_grid_candidates_equal_the_meshgrid_construction(n, center, fixed):
     # which depend on the sign of the imaginary part
     spec = {"grid": {"center": [fileio.format_complex(c) for c in center],
                      "halfwidth": 0.75, "per_axis": 6, "fixed_axes": fixed}}
-    got = cli._CANDIDATES(spec, "candidates", {"n": n})
+    got, axes, idx = cli._CANDIDATES(spec, "candidates", {"n": n})
     want = grid_candidates_reference(np.array(center, dtype=complex), 0.75, 6, fixed)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the index rebuilds every coordinate column from its axis (== sees
+    # through zero signs), the writer's and the K-in-Z check's input
+    assert idx.dtype == np.uint8 and idx.shape == (2 * n, len(got))
+    for col, axis, at in zip(got.view(float).T, axes, idx):
+        assert np.array_equal(col, axis[at])
+
+
+def test_grid_whose_axes_overflow_is_config_error(tmp_path, capsys):
+    # center + halfwidth past the float limit made inf and nan candidates,
+    # with numpy warnings on stderr
+    cfg = _hull_cfg()
+    cfg["candidates"]["grid"].update(center=["1.7976931348623157e308+0i", "0+0i"],
+                                     halfwidth=1e300, fixed_axes={})
+    assert "grid axes overflow" in _assert_config_error(tmp_path, capsys, "hull", cfg)
+
+
+def _k_in_z_reference(K, Z, members):
+    """Every candidate row whose rounded coordinates are a K point's is a
+    member: the check over all rows, with no prefilter."""
+    k_rows = set(map(tuple, cli._key(K.view(float).reshape(len(K), -1)).tolist()))
+    z_rows = cli._key(Z.view(float).reshape(len(Z), -1)).tolist()
+    return all(m for m, row in zip(members.tolist(), z_rows) if tuple(row) in k_rows)
+
+
+@pytest.mark.parametrize("shift, expected", [
+    (0.0, False), (1e-12, None), (-1e-12, None), (4e-13, None), (1e-11, True)])
+def test_grid_keyed_k_in_z_check_equals_the_row_check(tmp_path, monkeypatch, shift, expected):
+    # K holds grid points and sphere points; two of the grid points are
+    # shifted by about 1e-12 in one coordinate, a near miss or a match after
+    # rounding to 12 decimals.  Forcing their grid rows out of the hull
+    # makes the check read whether they match
+    grid = {"center": ["0.1+0.2i", "-0.3+0i"], "halfwidth": 0.4, "per_axis": 5,
+            "fixed_axes": {"im2": -0.0}}
+    Z, _, _ = cli._CANDIDATES({"grid": grid}, "candidates", {"n": 2})
+    planted = Z[[0, 7, 31, 74]].copy()
+    planted[1:3, 0] += shift
+    fileio.write_points_csv(str(tmp_path / "k.csv"), np.concatenate(
+        [planted, hull.sample_sphere(2, np.zeros(2), 1.0, 20, seed=3)]))
+    K = fileio.read_points_csv(str(tmp_path / "k.csv"))
+    discrete_hull, seen = hull.discrete_hull, []
+
+    def spy(prob):
+        res = discrete_hull(prob)
+        members = res.members.copy()
+        members[[7, 31]] = False
+        seen.append(members)
+        return res._replace(members=members)
+
+    monkeypatch.setattr(hull, "discrete_hull", spy)
+    path = _write(tmp_path, "h.json", dict(_hull_cfg(), K={"file": "k.csv"},
+                                           candidates={"grid": grid}))
+    code = run(["hull", "--config", path, "--out", str(tmp_path / "out")])
+    want = _k_in_z_reference(K, Z, seen[0])
+    assert _read_json(tmp_path / "out", "hull_summary.json")["k_in_z_all_member"] is want
+    assert code == (0 if want else 1)
+    assert expected is None or want is expected
 
 
 def test_k_in_z_check_keeps_huge_coordinates_apart(tmp_path):

@@ -226,6 +226,34 @@ def test_csv_writer_matches_the_reference_on_random_columns(tmp_path_factory, ca
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("block", [3, fileio._CSV_BLOCK_ROWS])
+def test_csv_writer_takes_columns_as_values_and_index(tmp_path, monkeypatch, block):
+    # a grid's axes, with -0.0 values and one-value fixed axes, and a bool
+    # member column as an index into [0, 1], against the full columns
+    monkeypatch.setattr(fileio, "_CSV_BLOCK_ROWS", block)
+    axes = [np.array([-0.0, 0.5, 1e-300, -1 / 3]), np.array([-0.0]),
+            np.array([2.5, -0.0, 1e300]), np.array([0.1])]
+    idx = np.indices([len(a) for a in axes], dtype=np.uint8).reshape(4, -1)
+    m = idx.shape[1]
+    pts = np.empty((m, 2), dtype=complex)
+    pts.real, pts.imag = (np.stack([axes[a][idx[a]] for a in (0, 2)], axis=1),
+                          np.stack([axes[a][idx[a]] for a in (1, 3)], axis=1))
+    rng = np.random.default_rng(block)
+    members = rng.random(m) < 0.5
+    margins = rng.choice([-0.0, 0.25, np.inf, -1e-9], size=m)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    fileio.write_points_csv(got, fileio._Column((axes, idx)), extra=[
+        ("member", fileio._Column((np.arange(2), members.view(np.uint8)))),
+        ("margin", margins)])
+    write_points_csv_reference(want, pts, extra=[("member", members.astype(int)),
+                                                 ("margin", margins)])
+    assert got.read_bytes() == want.read_bytes()
+    assert np.signbit(axes[0][0]) and np.signbit(axes[1][0])     # inputs kept
+    with pytest.raises(ValueError, match=f"has 2 values for {m} rows"):
+        fileio.write_points_csv(got, fileio._Column((axes, idx)), extra=[
+            ("member", fileio._Column((np.arange(2), np.zeros(2, np.uint8))))])
+
+
 def test_csv_writer_rejects_short_extra_column(tmp_path):
     with pytest.raises(ValueError, match="has 1 values for 2 rows"):
         fileio.write_points_csv(tmp_path / "x.csv", [[1j], [2j]],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qholo.expr as ex
 import qholo.hull as hull
-from helpers import sample_inner_ball_reference, thm2_config_reference
+from helpers import chain_reference, sample_inner_ball_reference, thm2_config_reference
 from qholo.forms import q_holo_residual
 
 
@@ -393,6 +393,19 @@ def test_theorem2_rejects_z_outside():
         hull.theorem2_experiment(n, p, r, K, Z)
 
 
+@pytest.mark.parametrize("k_shape, z_shape, match", [
+    ((10,), (5, 2), r"K has shape \(10,\), expected a nonempty \(k, 2\)"),
+    ((10, 2), (5,), r"z_samples has shape \(5,\), expected a nonempty \(z, 2\)"),
+    ((10, 3), (5, 2), r"K has shape \(10, 3\), expected a nonempty \(k, 2\)"),
+], ids=["K-1d", "z-1d", "K-wrong-n"])
+def test_theorem2_rejects_misshapen_input(k_shape, z_shape, match):
+    # numpy's AxisError and broadcast error escaped before
+    K = np.full(k_shape, 3.0 + 0j)
+    Z = np.full(z_shape, 0.1 + 0j)
+    with pytest.raises(ValueError, match=match):
+        hull.theorem2_experiment(2, np.zeros(2, complex), 1.0, K, Z)
+
+
 def test_theorem2_rejects_empty_input():
     n, r = 2, 1.0
     p = np.zeros(n, complex)
@@ -513,8 +526,8 @@ def test_theorem2_batch_does_not_depend_on_the_stack_size(monkeypatch, seed):
             seen.append(np.asarray(self)[key])
             return seen[-1]
 
-    monkeypatch.setattr(hull, "_weights",
-                        lambda d: weights(d).view(Chunks) if d.ndim == 3 else weights(d))
+    monkeypatch.setattr(hull, "_weights", lambda d, *mags: (
+        weights(d, *mags).view(Chunks) if d is args[1] else weights(d, *mags)))
     monkeypatch.setattr(hull, "_STACK_PAIRS", 8 * 7 * 24 * 20)
     chunked = hull._chain(3, *args)
     assert [w.shape[1] for w in seen] == [7] * 8 + [4]
@@ -524,10 +537,102 @@ def test_theorem2_batch_does_not_depend_on_the_stack_size(monkeypatch, seed):
         assert np.array_equal(got, want)
 
 
+def _assert_same_report(got, want):
+    assert got[:3] == want[:3]
+    for a, b in zip(got[3:], want[3:]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _chain_or_error(chain, *args):
+    try:
+        return chain(*args)
+    except ValueError as e:
+        return str(e)
+
+
+# Magnitudes of the candidates' parts: the edges of the window where the
+# radial scaling check is exact by proof, one ulp either side, and parts far
+# below it (their squares are subnormal or 0) and above it.
+_EDGES = [np.nextafter(e, e * s) for e in (2.0 ** -150, 2.0 ** 150) for s in (0.5, 1, 2)]
+_PARTS = st.sampled_from(_EDGES + [1e-300, 1e-160, 2.0 ** -537, 1e-40, 0.3, 1.0, 1e44, 1e140])
+
+
+@st.composite
+def _chain_stacks(draw):
+    """(n, r, dk, dz) of a stack: candidates of one mode (one nonzero
+    coordinate) or of every mode, parts from _PARTS; r just above
+    sqrt(n) times the largest candidate norm; K at r to 3 r or near 1e150."""
+    n, c, z, k = (draw(st.integers(1, hi)) for hi in (4, 3, 4, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mags = np.array(draw(st.lists(_PARTS, min_size=2 * c * z * n, max_size=2 * c * z * n)))
+    parts = mags.reshape(2, c, z, n) * rng.choice([-1.0, 1.0], size=(2, c, z, n))
+    parts[:, rng.random((c, z)) < 0.5] *= np.arange(n) == rng.integers(n)   # single mode
+    dz = parts[0] + 1j * parts[1]
+    with np.errstate(under="ignore"):
+        r = 1.5 * np.sqrt(n) * np.max(np.linalg.norm(dz, axis=-1), axis=1)
+    dirs = rng.normal(size=(c, k, n)) + 1j * rng.normal(size=(c, k, n))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    far = rng.random((c, k, 1)) < 0.3
+    dk = dirs * np.where(far, 0.999e150, r[:, None, None] * rng.uniform(1.0, 3.0, (c, k, 1)))
+    return n, r, dk, dz
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_chain_stacks())
+def test_chain_equals_the_full_radial_scaling_table(stack):
+    # the pruned chain evaluates t = 0.5, 2 only outside the window, and
+    # takes numpy's row sums and norms its own way: every field of its
+    # report, row for row, must have the full table's bits
+    with np.errstate(all="ignore"):     # tiny parts: the squares underflow
+        got = _chain_or_error(hull._chain, *stack)
+        want = _chain_or_error(chain_reference, *stack)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("r_range", [(0.1, 2.0), (1e-8, 1e-8), (1e99, 1e100)])
+def test_sampled_stacks_equal_the_full_radial_scaling_table(r_range):
+    # at (1e99, 1e100) every candidate has parts above 2^150 and takes the
+    # fallback evaluation; its scaling check still reads 0
+    for n in (1, 2, 4):
+        args = hull._sample_configs(np.random.SeedSequence([n, 3]).spawn(6), n,
+                                    r_range, 30, 12)
+        got, want = hull._chain(n, *args), chain_reference(n, *args)
+        _assert_same_report(got, want)
+        assert not got.violations.any() and not got.monotonicity_err.any()
+
+
+_SUM_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan, 1e308, -1.5]
+
+
+@pytest.mark.parametrize("length", range(1, 13))
+def test_rowsum_and_norm_have_numpys_bits(length):
+    rng = np.random.default_rng(length)
+    for special_share in (0.0, 0.3, 0.9):
+        shape = (3, 40, length)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        y = rng.normal(size=shape) * 10.0 ** rng.integers(-170, 170, size=shape)
+        for a in (x, y):
+            pick = rng.random(shape) < special_share
+            a[pick] = rng.choice(_SUM_SPECIALS, size=int(pick.sum()))
+        x[0, 0] = -0.0                  # a row of -0.0 sums to +0.0
+        d = np.empty(shape, complex)
+        d.real, d.imag = x, y
+        with np.errstate(all="ignore"):
+            prod = (d.conj() * d).real  # strided, as np.linalg.norm sums it
+            assert not prod.flags.c_contiguous
+            for a in (x, prod, np.abs(d), x[:, ::2], -np.abs(d)[::-1]):
+                assert hull._rowsum(a).tobytes() == np.sum(a, axis=-1).tobytes()
+            assert (np.sqrt(hull._rowsum(prod)).tobytes()
+                    == np.linalg.norm(d, axis=-1).tobytes())
+
+
 def test_theorem2_planted_fault_counts_in_both_modes(monkeypatch):
     # a relative error of 1e-6 in f_lambda must break link 1 on every candidate
     exact = hull._weights
-    monkeypatch.setattr(hull, "_weights", lambda d: exact(d) * (1 + 1e-6))
+    monkeypatch.setattr(hull, "_weights", lambda d, *mags: exact(d, *mags) * (1 + 1e-6))
     n, r = 2, 1.0
     p = np.zeros(n, complex)
     K = hull.sample_sphere(n, p, 1.25, 40, seed=1)
