@@ -566,13 +566,13 @@ def cmd_qholo(cfg, out_dir):
             forms.q_holo_residuals(f, cfg["points"], cfg["q"]), dtype=float)
     except ValueError as e:     # EvalError, or an empty point set
         raise ConfigError(f"evaluation failed: {e}")
-    worst = max(residuals.tolist())
+    fails, worst = ex._verdict(residuals, threshold, np.less_equal)
     report = {"n": cfg["n"], "q": cfg["q"], "function": name,
               "points": len(residuals), "threshold": _jnum(threshold),
               "max_residual": _jnum(worst), "residuals": _jnums(residuals),
-              "passed": bool(worst <= threshold)}
+              "passed": not fails}
     fileio.dump_json(os.path.join(out_dir, "qholo_report.json"), report)
-    return 0 if worst <= threshold else 1
+    return 1 if fails else 0
 
 
 # ---------------------------------------------------------------- hull
@@ -686,25 +686,25 @@ def cmd_peak(cfg, out_dir):
     except (ValueError, RuntimeError) as e:    # EvalError, stalled sampling
         raise ConfigError(str(e))
 
-    report.update(assembled=True, passed=rep.passed, parameters={
+    checks = {
+        "peak_value": {"err": _jnum(rep.peak_value_err), "tol": _jnum(rep.peak_tol)},
+        "sup_outside": {"sup": _jnum(rep.sup_outside),
+                        "margin": _jnum(rep.sup_margin),
+                        "min_margin": _jnum(rep.margin_min)},
+        "residual": {"max": _jnum(rep.max_residual),
+                     "points": rep.residual_points, "tol": _jnum(rep.residual_tol)},
+        "vanish": {"max": _jnum(rep.vanish_max), "points": rep.vanish_points},
+    }
+    for name, check in checks.items():
+        check["ok"] = name not in rep.failed
+    report.update(assembled=True, passed=not rep.failed, parameters={
         "r": _jnum(cons.r), "rho_W": _jnum(cons.rho_W),
         "r_halvings": cons.r_halvings, "w_steps": cons.w_steps,
         "tube_min_phi": _jnum(cons.tube_min_phi),
         "cap_max_dist": _jnum(cons.cap_max_dist),
-    }, checks={
-        "peak_value": {"err": _jnum(rep.peak_value_err),
-                       "tol": _jnum(rep.peak_tol), "ok": rep.peak_ok},
-        "sup_outside": {"sup": _jnum(rep.sup_outside),
-                        "margin": _jnum(rep.sup_margin),
-                        "min_margin": _jnum(rep.margin_min), "ok": rep.sup_ok},
-        "residual": {"max": _jnum(rep.max_residual),
-                     "points": rep.residual_points,
-                     "tol": _jnum(rep.residual_tol), "ok": rep.residual_ok},
-        "vanish": {"max": _jnum(rep.vanish_max),
-                   "points": rep.vanish_points, "ok": rep.vanish_ok},
-    })
+    }, checks=checks)
     fileio.dump_json(path, report)
-    return 0 if rep.passed else 1
+    return 1 if rep.failed else 0
 
 
 # ---------------------------------------------------------------- driver

@@ -92,6 +92,16 @@ class _Frozen:
         return hash(self.__getstate__())
 
 
+def _verdict(x, bound, holds, axis=None, **initial):
+    """qholo's one pass/fail rule for float checks: an entry of x fails unless
+    holds(x, bound) (np.less_equal, np.greater, ...) is true, so NaN fails.
+    Returns the failed count along axis (per entry for axis=()) and the worst
+    x along it, the max under an upper bound, else the min; initial, as np.max
+    takes it, is the worst of an empty x."""
+    worst = np.max if holds in (np.less, np.less_equal) else np.min
+    return np.count_nonzero(~holds(x, bound), axis=axis), worst(x, axis=axis, **initial)
+
+
 class Expr(_Frozen):
     """Base node.  All nodes carry the ambient dimension n and are immutable.
     Every node's constructor validates and sets n through Expr.__init__."""

@@ -168,15 +168,16 @@ def certify_member(e: ex.Expr, q: int, sample_pts, tol: float = 1e-8,
                    name: str = "") -> FamilyMember:
     """Measure the q-holomorphicity residual over a documented sample.
 
-    Raises ValueError when the measured bound exceeds tol: the family must be
-    certified, not assumed.
+    Raises ValueError unless every residual is at most tol (a NaN is not):
+    the family must be certified, not assumed.
     """
-    worst = float(np.max(q_holo_residuals(e, sample_pts, q), initial=0.0))
-    if worst > tol:
+    fails, worst = ex._verdict(q_holo_residuals(e, sample_pts, q), tol, np.less_equal,
+                               initial=0.0)
+    if fails:
         raise ValueError(
             f"family member {name or ex.to_text(e)!r} failed certification: "
             f"residual {worst:.3e} > {tol:.1e} for q={q}")
-    return FamilyMember(expr=e, q=q, residual_bound=worst, name=name)
+    return FamilyMember(expr=e, q=q, residual_bound=float(worst), name=name)
 
 
 def certification_points(n: int, seed: int, count: int = 100,
@@ -241,7 +242,7 @@ def discrete_hull(prob: HullProblem) -> HullResult:
         np.maximum(worst, dev, out=worst)
         sing |= False if bad is None else bad
     margins = np.where(sing, np.inf, worst)
-    members = (~sing) & (margins <= 0.0)
+    members = ex._verdict(margins, 0.0, np.less_equal, ())[0] == 0
     for arr in (members, margins, sing):
         arr.setflags(write=False)
     return HullResult(members=members, margins=margins, singular=sing,
@@ -266,10 +267,11 @@ class Thm2Report(NamedTuple):
 
     A violation is one failing (link, candidate) pair: links 1-3 and 5 and
     the final margin count once per candidate, link 4 (which involves K
-    alone) once per run, and the radial scaling check once per (candidate,
-    t) for t in (0.5, 2).  The link-2 guard is relative to each candidate's
-    own closed form, the link-4 and link-5 guards to the largest K-side
-    closed form.
+    alone) once per configuration, and the radial scaling check once per
+    (candidate, t) for t in (0.5, 2).  A check that does not provably hold
+    fails, so a NaN (from an overflow) is a violation.  The link-2 guard is
+    relative to each candidate's own closed form, the link-4 and link-5
+    guards to the largest K-side closed form.
     """
 
     n: int
@@ -310,6 +312,7 @@ def theorem2_experiment(n: int, p, r: float, K, z_samples) -> Thm2Report:
     return Thm2Report(n, len(Z), len(K), v, mm, tuple(ls), me)
 
 
+@np.errstate(over="ignore", invalid="ignore")     # an overflow fails a check
 def _chain(n, r, dk, dz) -> Thm2Report:
     """The separation chain for a stack of configurations of one dimension n.
 
@@ -317,9 +320,8 @@ def _chain(n, r, dk, dz) -> Thm2Report:
     stack's Thm2Report.  Every reduction runs within one configuration, so a
     configuration's row does not depend on the stack it came in.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
-        # np.linalg.norm(d, axis=-1), bit for bit
-        dk_norm, dz_norm = (np.sqrt(_rowsum((d.conj() * d).real)) for d in (dk, dz))
+    # np.linalg.norm(d, axis=-1), bit for bit
+    dk_norm, dz_norm = (np.sqrt(_rowsum((d.conj() * d).real)) for d in (dk, dz))
     for bad, what in ((dk_norm < r[:, None] * (1 - 1e-12), "K points inside B(p, r)"),
                       (~(dk_norm <= _FAR), f"K points not within {_FAR:g} of p"),
                       (~((dz_norm < r[:, None] / np.sqrt(n)) & (dz_norm > 0)),
@@ -371,16 +373,15 @@ def _chain(n, r, dk, dz) -> Thm2Report:
     g = np.abs(_weights(ts[..., None] * dz[far])[..., None, :] @ lams[far][..., None])
     mono[:, far] = np.abs(g[..., 0, 0] * ts - one) / np.maximum(1.0, one)
 
-    violations = (np.sum(err1 > 1e-12, axis=1)
-                  + np.sum(s2 < -_REL_GUARD * closed, axis=1)
-                  + np.sum(s3 <= 0, axis=1) + (s4 < -guard_k)
-                  + np.sum(s5 < -guard_k[:, None], axis=1)
-                  + np.sum(margins <= 0, axis=1) + np.sum(mono > 1e-12, axis=(0, 2)))
-    slacks = np.stack([-np.max(err1, axis=1), np.min(s2, axis=1),
-                       np.min(s3, axis=1), s4, np.min(s5, axis=1)], axis=1)
+    fails, (max_err1, *min_slacks, min_margin, max_mono) = zip(*(ex._verdict(*c) for c in (
+        (err1, 1e-12, np.less_equal, 1), (s2, -_REL_GUARD * closed, np.greater_equal, 1),
+        (s3, 0.0, np.greater, 1), (s4, -guard_k, np.greater_equal, ()),
+        (s5, -guard_k[:, None], np.greater_equal, 1), (margins, 0.0, np.greater, 1),
+        (mono, 1e-12, np.less_equal, (0, 2)))))
     return Thm2Report(n=n, z_count=dz.shape[1], k_count=dk.shape[1],
-                      violations=violations, min_margin=np.min(margins, axis=1),
-                      link_slacks=slacks, monotonicity_err=np.max(mono, axis=(0, 2)))
+                      violations=sum(fails), min_margin=min_margin,
+                      link_slacks=np.stack([-max_err1, *min_slacks], axis=1),
+                      monotonicity_err=max_mono)
 
 
 class BatchReport(NamedTuple):

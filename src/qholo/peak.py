@@ -440,7 +440,8 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
 
 
 class PeakReport(NamedTuple):
-    """The four verification checks with their measured quantities."""
+    """The four verification checks with their measured quantities and the
+    names of the failed ones (passed when none); a NaN quantity fails."""
 
     peak_value_err: float          # (a) |f(p) - 1|
     sup_outside: float             # (b) sampled sup |f| on closure minus B(p, rho_V)
@@ -452,26 +453,7 @@ class PeakReport(NamedTuple):
     peak_tol: float
     margin_min: float
     residual_tol: float
-
-    @property
-    def peak_ok(self):
-        return self.peak_value_err <= self.peak_tol
-
-    @property
-    def sup_ok(self):
-        return self.sup_margin >= self.margin_min
-
-    @property
-    def residual_ok(self):
-        return self.max_residual <= self.residual_tol
-
-    @property
-    def vanish_ok(self):
-        return self.vanish_max == 0.0
-
-    @property
-    def passed(self):
-        return self.peak_ok and self.sup_ok and self.residual_ok and self.vanish_ok
+    failed: tuple                  # of "peak_value", "sup_outside", "residual", "vanish"
 
 
 def verify_peak(f: PeakExtension, dom: ModelDomain, p, q: int,
@@ -493,7 +475,7 @@ def verify_peak(f: PeakExtension, dom: ModelDomain, p, q: int,
     seq = np.random.SeedSequence([seed, 0x76657269])
     rng_int, rng_res = (np.random.default_rng(s) for s in seq.spawn(2))
 
-    peak_value_err = abs(f(p) - 1.0)
+    peak_value = abs(f(p) - 1.0)
 
     interior = dom.sample_interior(interior_samples, rng_int)
     boundary = dom.sample_boundary(boundary_samples, seed + 17)
@@ -503,21 +485,26 @@ def verify_peak(f: PeakExtension, dom: ModelDomain, p, q: int,
     sup_outside = float(np.max(np.abs(f(away)))) if len(away) else 0.0
 
     pts = _residual_points(f, dom, p, residual_points, rng_res)
-    worst = float(np.max(residual_from_jet(f.jet2_batch(pts), q + 1), initial=0.0))
+    residuals = residual_from_jet(f.jet2_batch(pts), q + 1)
 
     b_all = f.b_norms(closure)
     ring = closure[b_all >= f.r]
     if len(ring) < 10:
         extra = _ring_points(f, p, 25, rng_res)
         ring = np.concatenate([ring, extra], axis=0) if len(ring) else extra
-    vanish_max = float(np.max(np.abs(f(ring))))
 
+    checks = {      # name: (failed count, worst quantity)
+        "peak_value": ex._verdict(peak_value, peak_tol, np.less_equal),
+        "sup_outside": ex._verdict(1.0 - sup_outside, margin_min, np.greater_equal),
+        "residual": ex._verdict(residuals, residual_tol, np.less_equal, initial=0.0),
+        "vanish": ex._verdict(np.abs(f(ring)), 0.0, np.less_equal)}
+    peak_value_err, sup_margin, worst, vanish_max = (float(w) for _, w in checks.values())
     return PeakReport(
-        peak_value_err=float(peak_value_err), sup_outside=sup_outside,
-        sup_margin=float(1.0 - sup_outside), max_residual=float(worst),
-        residual_points=len(pts),
+        peak_value_err=peak_value_err, sup_outside=sup_outside,
+        sup_margin=sup_margin, max_residual=worst, residual_points=len(pts),
         vanish_max=vanish_max, vanish_points=len(ring),
-        peak_tol=peak_tol, margin_min=margin_min, residual_tol=residual_tol)
+        peak_tol=peak_tol, margin_min=margin_min, residual_tol=residual_tol,
+        failed=tuple(name for name, (fails, _) in checks.items() if fails))
 
 
 def _residual_points(f: PeakExtension, dom: ModelDomain, p, count, rng):

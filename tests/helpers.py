@@ -619,11 +619,12 @@ def chain_reference(n, r, dk, dz):
                               axis=1), out=s5)
     margins = lhs - f_max
     mono = np.abs(scaled[1:] - lhs) / np.maximum(1.0, lhs)
-    violations = (np.sum(err1 > 1e-12, axis=1)
-                  + np.sum(s2 < -_REL_GUARD * closed, axis=1)
-                  + np.sum(s3 <= 0, axis=1) + (s4 < -guard_k)
-                  + np.sum(s5 < -guard_k[:, None], axis=1)
-                  + np.sum(margins <= 0, axis=1) + np.sum(mono > 1e-12, axis=(0, 2)))
+    # a check that does not provably hold fails, NaN included
+    violations = (np.sum(~(err1 <= 1e-12), axis=1)
+                  + np.sum(~(s2 >= -_REL_GUARD * closed), axis=1)
+                  + np.sum(~(s3 > 0), axis=1) + ~(s4 >= -guard_k)
+                  + np.sum(~(s5 >= -guard_k[:, None]), axis=1)
+                  + np.sum(~(margins > 0), axis=1) + np.sum(~(mono <= 1e-12), axis=(0, 2)))
     slacks = np.stack([-np.max(err1, axis=1), np.min(s2, axis=1),
                        np.min(s3, axis=1), s4, np.min(s5, axis=1)], axis=1)
     return Thm2Report(n=n, z_count=dz.shape[1], k_count=dk.shape[1],

@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from qholo import cli, expr, fileio, forms, hull, levi
+from qholo import cli, expr, fileio, forms, hull, levi, peak
 from qholo.cli import MAX_SAMPLES, run
 
 from helpers import format_complex_reference, grid_candidates_reference
@@ -579,6 +579,21 @@ def test_thm2_planted_fault_exits_1(tmp_path, monkeypatch, cfg):
     out = tmp_path / "out"
     assert run(["thm2", "--config", path, "--out", str(out)]) == 1
     assert _read_json(out, "thm2_report.json")["violations"] > 0
+
+
+def test_thm2_chain_that_turns_nan_fails_without_a_warning(tmp_path):
+    # |z - p| = 1e-160: ||z - p||^2 is subnormal, the weights overflow and
+    # the margin and two slacks read NaN; that reported 0 violations, exit 0
+    (tmp_path / "z.csv").write_text("re1,im1,re2,im2\n1e-160,0,0,0\n")
+    path = _write(tmp_path, "t.json", {"single": {
+        "n": 2, "p": [0, 0], "r": 3e-160, "K": {"sphere": {"r": 1e-159, "count": 5}},
+        "z": {"file": "z.csv"}}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["thm2", "--config", path, "--out", str(out)]) == 1
+    rep = _read_json(out, "thm2_report.json")
+    assert rep["violations"] >= 1 and rep["min_margin"] == "nan"
 
 
 # ---------------------------------------------------------------------------
@@ -1238,3 +1253,45 @@ def test_residual_form_past_the_cap_is_rejected_unbuilt(tmp_path, capsys, comman
     assert forms._insertion_table.cache_info().misses == built
     for n, q in [(5, 5), (4, 4), (10, 5), (2, 2)]:    # perfbench's and the tests'
         assert forms.form_width(n, q) <= cli.MAX_FORM
+
+
+# ---------------------------------------------------------------------------
+# fail-closed verdicts
+
+
+# Each float verdict: the function whose result feeds it (module, name, row
+# axis of the result) and a run of the verdict.
+_NAN_SITES = {
+    "thm2-single": (hull, "_weights", -2, "thm2", _thm2_single_cfg()),
+    "thm2-batch": (hull, "_weights", -2, "thm2", {"batch": {"configs": 3, "seed": 4}}),
+    "qholo": (forms, "q_holo_residuals", 0, "qholo", {
+        "n": 2, "q": 1, "function": "z1*z2", "points": [["0.1", "0.2i"], ["0.3", "0"]]}),
+    "certify_member": (hull, "q_holo_residuals", 0, "hull", _hull_cfg()),
+    "verify_peak": (peak, "residual_from_jet", 0, "peak", _BALL2_PEAK),
+}
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first-row", "last-row"])
+@pytest.mark.parametrize("site", _NAN_SITES)
+def test_a_planted_nan_fails_its_verdict(tmp_path, capsys, monkeypatch, site, row):
+    # every comparison with NaN is false, so a check written as "fails when
+    # x > bound" passes it; a Python max over a list keeps a NaN only in front
+    module, name, axis, command, cfg = _NAN_SITES[site]
+    exact = getattr(module, name)
+
+    def planted(*args):
+        got = np.array(exact(*args))
+        if got.shape[axis]:     # the chain's far candidates may be none
+            np.moveaxis(got, axis, 0)[row] = np.nan
+        return got
+
+    monkeypatch.setattr(module, name, planted)
+    path, out = _write(tmp_path, "c.json", cfg), tmp_path / "out"
+    code = run([command, "--config", path, "--out", str(out)])
+    if command == "hull":       # an uncertified family member is an input error
+        assert code == 2 and "failed certification" in capsys.readouterr().err
+        return
+    rep = _read_json(out, f"{command}_report.json")
+    assert code == 1
+    assert rep["violations"] >= 1 if command == "thm2" else rep["passed"] is False
+    assert command != "peak" or rep["checks"]["residual"]["ok"] is False

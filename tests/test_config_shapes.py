@@ -195,7 +195,8 @@ def test_mutated_configs_keep_the_exit_contract(mutation):
 
 def _assert_exit_contract(command, docs):
     """Exit 0, 1 or 2 without a warning; exit 2 prints one error line and
-    leaves the out directory empty."""
+    leaves the out directory empty; exit 0 writes a JSON report without a
+    NaN (a check on a NaN quantity fails)."""
     with tempfile.TemporaryDirectory() as work:
         code, err, out, caught = _run(command, docs, work)
         event(f"{command} exit {code}")
@@ -204,6 +205,10 @@ def _assert_exit_contract(command, docs):
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert not os.path.exists(out) or not os.listdir(out)
+        if code == 0:
+            for name in [n for n in os.listdir(out) if n.endswith(".json")]:
+                with open(os.path.join(out, name)) as fh:
+                    assert '"nan"' not in fh.read(), name
 
 
 # Every expression string of the cases, as (command, docs, file name, path).
