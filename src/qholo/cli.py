@@ -418,8 +418,7 @@ _SHAPES = {
                 "{'file': csv} or {'count': ..., 'seed': ...}", (_has("file"), _CSV),
                 (dict, _obj({"count": (_COUNT, 50), "seed": (_SEED, 0)},
                             lambda z, env: hull.sample_ball(
-                                env["n"], env["p"],
-                                env["r"] / np.sqrt(env["n"]) * (1 - 1e-12),
+                                env["n"], env["p"], hull._inner_radius(env["r"], env["n"]),
                                 z["count"], z["seed"])))),
         })})),
         (dict, _obj({"seed": _RUN_SEED, "batch": (_obj({

@@ -49,7 +49,7 @@ class Lambda(ex._Frozen):
         if not vec:
             raise ValueError("lambda must have at least one entry")
         for v in vec:
-            if abs(abs(v) - 1.0) > 1e-12:
+            if not abs(abs(v) - 1.0) <= 1e-12:
                 raise ValueError(f"lambda entry {v} is not unit modulus")
         object.__setattr__(self, "entries", vec)
 
@@ -490,6 +490,11 @@ def _inner_balls(rngs, pr, radius, count, floor=1e-9):
     return _first_kept(rngs, make, count, 1, width)
 
 
+def _inner_radius(r, n):
+    """The radius thm2 draws candidates within: just inside r/sqrt(n)."""
+    return r / np.sqrt(n) * (1 - 1e-12)
+
+
 def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5):
     """Radii r (C,) and displacements K - p (C, k_count, n), Z - p
     (C, z_count, n) of a stack of configurations of dimension n.
@@ -505,7 +510,7 @@ def _sample_configs(children, n, r_range, k_count, z_count, halfwidth_factor=2.5
         rng.random(out=row)
     lo, hi = (float(v) for v in r_range)
     r, pr = lo + (hi - lo) * u[:, -1], 2.0 * u[:, None, :-1] - 1.0
-    inner = r / np.sqrt(n) * (1 - 1e-12)
+    inner = _inner_radius(r, n)
     _above_floor(inner, 1e-9)
     dk = _outside_balls(rngs, pr, r, k_count, halfwidth_factor)
     return r, _complex(dk), _complex(_inner_balls(rngs, pr, inner, z_count) - pr)

@@ -31,7 +31,6 @@ __all__ = [
     "classify_function", "classify_boundary_point", "sample_boundary", "default_ztol",
 ]
 
-EPS_HERM = 1e-10
 EPS_GRAD = 1e-10
 EPS_BDRY = 1e-10
 
@@ -71,11 +70,10 @@ class LeviMatrix(_Frozen):
     construction.
 
     herm_dev records the relative deviation of the input from Hermitian
-    symmetry (Frobenius norms), a float or, for a stack, an (m,) array;
-    inputs beyond EPS_HERM indicate a caller bug but are still symmetrized
-    rather than rejected.  A non-finite entry, or an overflow while
-    symmetrizing or taking norms, raises ValueError: no eigensolver gives a
-    meaningful signature for such a matrix.
+    symmetry (Frobenius norms), a float or, for a stack, an (m,) array; a
+    non-Hermitian input is symmetrized rather than rejected.  A non-finite
+    entry, or an overflow while symmetrizing or taking norms, raises
+    ValueError: no eigensolver gives a meaningful signature for such a matrix.
     """
 
     __slots__ = ("mat", "herm_dev")

@@ -28,8 +28,7 @@ from .forms import residual_from_jet
 
 __all__ = [
     "ModelDomain", "CutoffG", "SliceBasis", "PeakConstruction", "PeakExtension",
-    "PeakReport", "TubeError", "select_slice", "build_peak_h", "assemble_peak",
-    "verify_peak",
+    "PeakReport", "TubeError", "select_slice", "assemble_peak", "verify_peak",
 ]
 
 
@@ -48,7 +47,7 @@ class ModelDomain(ex._Frozen):
 
     @staticmethod
     def ball(n: int, radius: float = 1.0, center=None) -> "ModelDomain":
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError("radius must be positive")
         if center is None:
             center = np.zeros(n, dtype=complex)
@@ -77,7 +76,7 @@ class ModelDomain(ex._Frozen):
         if len(b) != n or n < 1:
             raise ValueError("coefficient lists must have equal positive length")
         gaps = [ai - abs(bi) for ai, bi in zip(a, b)]
-        if min(gaps) <= 0:
+        if not all(g > 0 for g in gaps):
             raise ValueError(
                 "not strictly convex: need a_i > |b_i| on every axis")
         phi = None
@@ -206,13 +205,13 @@ def _canonical_phases(cols):
     return cols
 
 
-def select_slice(dom: ModelDomain, p, q: int, ztol: float | None = None) -> SliceBasis:
+def select_slice(dom: ModelDomain, p, q: int) -> SliceBasis:
     """Normal direction plus n-q orthonormal Levi-positive tangent directions.
 
     The tangent directions are eigenvectors of the Levi form restricted to
     the complex tangent space, lifted back through the Householder frame;
-    fewer than n-q positive restricted eigenvalues is an error (the boundary
-    point is not strictly q-pseudoconvex).
+    fewer than n-q eigenvalues above levi.default_ztol is an error (the
+    boundary point is not strictly q-pseudoconvex).
     """
     n = dom.n
     if not 1 <= q <= n - 1:
@@ -224,9 +223,7 @@ def select_slice(dom: ModelDomain, p, q: int, ztol: float | None = None) -> Slic
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    if ztol is None:
-        ztol = levi.default_ztol(restricted)
-    n_pos = int(np.sum(vals > ztol))
+    n_pos = int(np.sum(vals > levi.default_ztol(restricted)))
     need = n - q
     if n_pos < need:
         raise ValueError(
@@ -240,30 +237,10 @@ def select_slice(dom: ModelDomain, p, q: int, ztol: float | None = None) -> Slic
                       eigenvalues=vals, n_pos=n_pos, gram_err=gram_err)
 
 
-def build_peak_h(p, nu, c: float) -> ex.Expr:
-    """The exponential peak h(z) = exp(c sum_j conj(nu_j) (z_j - p_j)).
-
-    h(p) = 1 exactly; on a strictly convex domain whose outward normal at p
-    is nu, the exponent has negative real part on the closure minus {p},
-    so |h| < 1 there.
-    """
-    if c <= 0:
-        raise ValueError("peak scale c must be positive")
-    p = np.asarray(p, dtype=complex)
-    nu = np.asarray(nu, dtype=complex)
-    n = p.shape[0]
-    arg = None
-    for k in range(n):
-        coef = complex(c * np.conj(nu[k]))
-        if coef == 0:
-            continue
-        v = ex.Var(n, k + 1)
-        d = v if p[k] == 0 else v - p[k]
-        term = d if coef == 1 else coef * d
-        arg = term if arg is None else arg + term
-    if arg is None:
-        raise ValueError("direction nu must be nonzero")
-    return ex.Exp(n, arg)
+def _tube(pts, p, nu, comp):
+    """<z-p, nu> and b = (z-p) conj(comp) at the rows of pts (m, n)."""
+    d = np.atleast_2d(np.asarray(pts, dtype=complex)) - p[None, :]
+    return d @ np.conj(nu), d @ np.conj(comp)
 
 
 class PeakExtension(ex._Frozen):
@@ -279,17 +256,13 @@ class PeakExtension(ex._Frozen):
         self._set((p, nu, c, complement, cutoff, r))
 
     def b_norms(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=complex))
-        b = (pts - self.p[None, :]) @ np.conj(self.complement)
-        return np.linalg.norm(b, axis=1)
+        return np.linalg.norm(_tube(pts, self.p, self.nu, self.complement)[1], axis=1)
 
     def __call__(self, z):
-        pts = np.asarray(z, dtype=complex)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        t = self.b_norms(pts)
+        scalar = np.ndim(z) == 1
+        w1, b = _tube(z, self.p, self.nu, self.complement)
+        t = np.linalg.norm(b, axis=1)
         on = ~(t >= self.r)     # f is exactly 0 off the tube, where h may overflow
-        w1 = (pts - self.p[None, :]) @ np.conj(self.nu)
         vals = np.zeros(len(t), dtype=complex)
         vals[on] = np.exp(self.c * w1[on]) * self.cutoff(t[on])
         return complex(vals[0]) if scalar else vals
@@ -297,17 +270,17 @@ class PeakExtension(ex._Frozen):
     def jet2_batch(self, pts):
         """Closed-form 2-jets of f = h G(s) at the rows of pts, shape (m, n).
 
-        Returns one stacked Jet2, as eval_jet2_batch does.  h's jet comes
-        from eval_jet2_batch; s = ||b||^2 with b = (z-p) A, A = conj(comp),
-        has s_z = conj(b) A^T, s_zb = b A^H, s_zzb = A A^H and s_zz = 0; and
-        G(s) = g(sqrt s) has G' = g'/(2t), G'' = (t g'' - g')/(4t^3), both 0
-        where the cutoff is flat.
+        Returns one stacked Jet2, as eval_jet2_batch does.  With k = c conj(nu),
+        h = exp(c <z-p, nu>) has h_z = h k and h_zz = h k k^T; s = ||b||^2
+        with b = (z-p) A, A = conj(comp), has s_z = conj(b) A^T, s_zb = b A^H,
+        s_zzb = A A^H and s_zz = 0; and G(s) = g(sqrt s) has G' = g'/(2t),
+        G'' = (t g'' - g')/(4t^3), both 0 where the cutoff is flat.  A row
+        whose jet is not finite (h overflows for a large c) raises EvalError
+        with that row.
         """
-        pts = np.asarray(pts, dtype=complex)
-        hv, h_z, _, h_zz, _, _ = ex.eval_jet2_batch(
-            build_peak_h(self.p, self.nu, self.c), pts)
+        w1, b = _tube(pts, self.p, self.nu, self.complement)
         a = np.conj(self.complement)
-        b = (pts - self.p[None, :]) @ a
+        k = self.c * np.conj(self.nu)
         s_z = np.conj(b) @ a.T
         s_zb = b @ a.conj().T
         t = np.linalg.norm(b, axis=1)
@@ -315,41 +288,38 @@ class PeakExtension(ex._Frozen):
         ts = np.where((d1 == 0.0) & (d2 == 0.0), 1.0, t)   # G' = G'' = 0 there
         gp = d1 / (2.0 * ts)
         gpp = (ts * d2 - d1) / (4.0 * ts ** 3)
-        hp, hpp = hv * gp, hv * gpp
-        value = hv * g
-        g_z = h_z * g[:, None] + hp[:, None] * s_z
-        g_zb = hp[:, None] * s_zb
-        cross = h_z[:, :, None] * s_z[:, None, :]
-        f_zz = (h_zz * g[:, None, None]
-                + gp[:, None, None] * (cross + np.swapaxes(cross, 1, 2))
-                + hpp[:, None, None] * s_z[:, :, None] * s_z[:, None, :])
-        f_zzb = ((h_z * gp[:, None] + hpp[:, None] * s_z)[:, :, None] * s_zb[:, None, :]
-                 + hp[:, None, None] * (a @ a.conj().T)[None])
-        f_zbzb = hpp[:, None, None] * s_zb[:, :, None] * s_zb[:, None, :]
-        return ex.Jet2(value, g_z, g_zb, f_zz, f_zzb, f_zbzb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hv = np.exp(self.c * w1)
+            h_z = hv[:, None] * k
+            hp, hpp = hv * gp, hv * gpp
+            g_z = h_z * g[:, None] + hp[:, None] * s_z
+            g_zb = hp[:, None] * s_zb
+            cross = h_z[:, :, None] * s_z[:, None, :]
+            f_zz = (hv[:, None, None] * np.outer(k, k) * g[:, None, None]
+                    + gp[:, None, None] * (cross + np.swapaxes(cross, 1, 2))
+                    + hpp[:, None, None] * s_z[:, :, None] * s_z[:, None, :])
+            f_zzb = ((h_z * gp[:, None] + hpp[:, None] * s_z)[:, :, None] * s_zb[:, None, :]
+                     + hp[:, None, None] * (a @ a.conj().T)[None])
+            f_zbzb = hpp[:, None, None] * s_zb[:, :, None] * s_zb[:, None, :]
+            jet = ex.Jet2(hv * g, g_z, g_zb, f_zz, f_zzb, f_zbzb)
+        bad = ~np.logical_and.reduce(
+            [np.isfinite(x).all(axis=tuple(range(1, x.ndim))) for x in jet])
+        if bad.any():
+            err = ex.EvalError("non-finite 2-jet of the peak extension")
+            err.row = int(np.argmax(bad))
+            raise err
+        return jet
 
 
 class PeakConstruction(NamedTuple):
-    p: np.ndarray
-    q: int
-    nu: np.ndarray
-    L: np.ndarray
-    M: np.ndarray             # n x (n-q), first column nu
-    complement: np.ndarray    # n x q
-    c: float
+    """The tube that assemble_peak's tuning settled on."""
+
     rho_W: float
     r: float
-    rho_V: float
-    cutoff: CutoffG
     r_halvings: int
     w_steps: int
     tube_min_phi: float       # min phi over the sampled wall of the tube
     cap_max_dist: float       # max ||z-p|| among sampled tube points with |h|>=1
-    slice_info: SliceBasis
-
-    def __repr__(self):     # without slice_info
-        fields = zip(self._fields[:-1], self)
-        return f"PeakConstruction({', '.join(f'{f}={v!r}' for f, v in fields)})"
 
 
 def _tube_wall_points(rng, p, m_basis, comp, rho_w, r, count):
@@ -366,10 +336,15 @@ def _tube_wall_points(rng, p, m_basis, comp, rho_w, r, count):
     return p[None, :] + w @ m_basis.T + b @ comp.T
 
 
+# Closure draws that size the first tube, and the tuning limits.
+_ESTIMATE_SAMPLES = 400
+_MAX_R_HALVINGS = 20
+_MAX_W_STEPS = 10
+
+
 def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
                   rho_V: float = 0.5, r="auto", seed: int = 0,
-                  tube_samples: int = 500, estimate_samples: int = 400,
-                  max_r_halvings: int = 20, max_w_steps: int = 10):
+                  tube_samples: int = 500):
     """Build the peak extension, tuning the tube to the sampled invariants.
 
     Two sampled conditions must hold: the tube wall (||w|| = rho_W, ||b|| < r)
@@ -380,6 +355,8 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
     """
     if not dom.convex_certified:
         raise ValueError("domain slices are not certified strictly convex")
+    if not c > 0:
+        raise ValueError("peak scale c must be positive")
     n = dom.n
     p = np.asarray(p, dtype=complex)
     info = select_slice(dom, p, q)
@@ -391,26 +368,27 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
     seq = np.random.SeedSequence([seed, 0x7065616b])
     rng_est, rng_tube, rng_cap = (np.random.default_rng(s) for s in seq.spawn(3))
 
-    interior = dom.sample_interior(estimate_samples, rng_est)
-    boundary = dom.sample_boundary(max(estimate_samples // 2, 50), seed + 1)
+    interior = dom.sample_interior(_ESTIMATE_SAMPLES, rng_est)
+    boundary = dom.sample_boundary(max(_ESTIMATE_SAMPLES // 2, 50), seed + 1)
     closure = np.concatenate([interior, boundary], axis=0)
     d = closure - p[None, :]
     w_sup = float(np.max(np.linalg.norm(d @ np.conj(m_basis), axis=1)))
-    b_closure = np.linalg.norm(d @ np.conj(comp), axis=1)
+    w1, b = _tube(closure, p, nu, comp)
+    b_closure = np.linalg.norm(b, axis=1)
     b_sup = float(np.max(b_closure))
     scale = max(dom.box_halfwidth, 1e-3)
     rho_w0 = 1.1 * w_sup + 0.1 * scale
     r0 = 0.5 * b_sup if r == "auto" else float(r)
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError("tube radius must be positive")
 
-    h_vals_closure = np.abs(np.exp(c * (d @ np.conj(nu))))
+    h_vals_closure = np.abs(np.exp(c * w1))
     dist_closure = np.linalg.norm(d, axis=1)
 
     last_witness = None
-    for w_step in range(max_w_steps + 1):
+    for w_step in range(_MAX_W_STEPS + 1):
         rho_w = rho_w0 * (1.0 + 0.25 * w_step)
-        for halving in range(max_r_halvings + 1):
+        for halving in range(_MAX_R_HALVINGS + 1):
             r_try = r0 / 2 ** halving
             wall = _tube_wall_points(rng_tube, p, m_basis, comp, rho_w,
                                      r_try, tube_samples)
@@ -424,15 +402,11 @@ def assemble_peak(dom: ModelDomain, p, q: int, c: float = 1.0,
             if cap_max > rho_V:
                 last_witness = closure[cap][int(np.argmax(dist_closure[cap]))]
                 continue
-            cutoff = CutoffG(r_try)
             extension = PeakExtension(p=p, nu=nu, c=float(c), complement=comp,
-                                      cutoff=cutoff, r=float(r_try))
+                                      cutoff=CutoffG(r_try), r=float(r_try))
             cons = PeakConstruction(
-                p=p, q=q, nu=nu, L=info.L, M=m_basis, complement=comp,
-                c=float(c), rho_W=float(rho_w), r=float(r_try),
-                rho_V=float(rho_V), cutoff=cutoff, r_halvings=halving,
-                w_steps=w_step, tube_min_phi=min_phi, cap_max_dist=cap_max,
-                slice_info=info)
+                rho_W=float(rho_w), r=float(r_try), r_halvings=halving,
+                w_steps=w_step, tube_min_phi=min_phi, cap_max_dist=cap_max)
             return cons, extension
     raise TubeError(
         "tube conditions unsatisfiable within parameter limits; "

@@ -3,6 +3,7 @@ expression strings), README caps."""
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from qholo import cli
+from qholo import cli, hull, levi, peak
 from qholo import expr as ex
 
 from helpers import random_expr
@@ -129,6 +130,40 @@ def test_cases_reach_every_declared_key():
     for command in cli._SHAPES:
         present = set().union(*(_config_keys(d) for c, d in CASES if c == command))
         assert _shape_keys(command, lambda r: True) <= present, command
+
+
+def _defaults(fn):
+    return {k: v.default for k, v in inspect.signature(fn).parameters.items()}
+
+
+def _read(command, cfg):
+    return cli._SHAPES[command](cfg, "", {"dir": ".", "--seed": None})
+
+
+def test_cli_defaults_are_the_library_defaults(monkeypatch):
+    # a key left out of a config means what leaving out the argument means
+    cfg = _read("peak", {"domain": {"model": "ball", "n": 2}, "p": ["1", "0"], "q": 1})
+    assemble, verify = _defaults(peak.assemble_peak), _defaults(peak.verify_peak)
+    assert [cfg[k] for k in ("c", "rho_V", "r")] == [assemble[k] for k in ("c", "rho_V", "r")]
+    assert cfg["samples"] == {"tube": assemble["tube_samples"],
+                              "boundary": verify["boundary_samples"],
+                              "interior": verify["interior_samples"]}
+    for k in ("residual_tol", "margin_min", "peak_tol"):
+        assert cfg[k] == verify[k], k
+    batch, thm2 = _read("thm2", {"batch": {}})["batch"], _defaults(hull.run_theorem2_batch)
+    assert {k: list(np.atleast_1d(v)) for k, v in batch.items()} == {
+        k: list(np.atleast_1d(thm2[k])) for k in thm2}
+    wanted, calls = _defaults(hull.certification_points), []
+    monkeypatch.setattr(hull, "certification_points", lambda *a, **kw: calls.append(kw))
+    _read("qholo", {"n": 2, "q": 1, "function": "z1*z2", "points": {"random": {}}})
+    for k in ("count", "halfwidth", "avoid_radius"):
+        assert [call[k] for call in calls] == [wanted[k]], k
+    cfg = _read("classify", {"n": 2, "defining": "abs2(z1)-1", "boundary_samples": 1})
+    assert cfg["box"] == _defaults(levi.sample_boundary)["box"]
+    cfg = _read("hull", {"n": 2, "family": [{"builtin": "basener", "lambda": ["1", "1"]}],
+                         "K": {"sphere": {"r": 1.0}},
+                         "candidates": {"grid": {"halfwidth": 0.5, "per_axis": 2}}})
+    assert cfg["fam"] == _defaults(hull.build_problem)["tol"]
 
 
 def test_every_case_is_valid(tmp_path):

@@ -1,6 +1,7 @@
 """Slice selection, cutoff, and the local peak extension on model domains."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import qholo.expr as ex
 import qholo.peak as pk
 from helpers import cli_fixtures, jacobi_eigh, residual_points_reference
-from qholo import levi
+from qholo import hull, levi
 from qholo.cli import run as cli_run
 
 
@@ -184,6 +185,21 @@ def test_select_slice_matches_jacobi_eigenvectors():
     assert np.max(np.abs(info.tangent_vectors - lifted)) <= 1e-12
 
 
+@pytest.mark.parametrize("make,named", [
+    (lambda: hull.Lambda([math.nan, 1.0]), "lambda entry"),
+    (lambda: pk.ModelDomain.ball(2, radius=math.nan), "radius"),
+    (lambda: pk.ModelDomain.ellipsoid([math.nan, 1.0], [0.0, 0.0]), r"a_i > \|b_i\|"),
+    (lambda: pk.ModelDomain.ellipsoid([1.0, 1.0], [0.0, math.nan]), r"a_i > \|b_i\|"),
+    (lambda: pk.assemble_peak(pk.ModelDomain.ball(2), [1, 0], 1, c=math.nan), "scale c"),
+    (lambda: pk.assemble_peak(pk.ModelDomain.ball(2), [1, 0], 1, c=0.0), "scale c"),
+], ids=["lambda", "ball-radius", "ellipsoid-a", "ellipsoid-b", "c", "c-zero"])
+def test_a_bad_parameter_is_rejected_by_name(make, named):
+    # each check passed NaN, which then failed unnamed inside Const, or (a
+    # lambda entry) made basener_value return nan; assemble_peak took any c
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
 def test_select_slice_rejects_bad_inputs():
     dom = pk.ModelDomain.ball(2)
     p = np.array([1.0, 0.0], dtype=complex)
@@ -197,32 +213,41 @@ def test_select_slice_rejects_bad_inputs():
 # The holomorphic factor
 
 
-def test_build_peak_h_is_one_at_p():
+def _core_extension(p, nu, c):
+    """The extension at p with normal nu and a complement orthogonal to nu;
+    its cutoff is exactly 1 where ||b|| < 1e-3, so f = h there."""
+    u, _, _ = np.linalg.svd(nu[:, None])
+    comp = u[:, 1:2]
+    return pk.PeakExtension(p, nu, c, comp, pk.CutoffG(1.0), 1.0)
+
+
+def test_extension_is_one_at_p():
     p = np.array([0.3 + 0.4j, -0.2j], dtype=complex)
     nu = np.array([0.6, 0.8j], dtype=complex)
-    h = pk.build_peak_h(p, nu, 1.5)
-    assert ex.eval_value(h, p) == 1.0
+    f = _core_extension(p, nu, 1.5)
+    assert f(p) == 1.0 and f.jet2_batch(p).value[0] == 1.0
 
 
-def test_build_peak_h_ball_fixture():
-    # p = (1, 0), nu = e1, c = 1: h(0, 0) = exp(-1)
+def test_extension_ball_fixture():
+    # p = (1, 0), nu = e1, c = 1: h(0, 0) = exp(-1), and the origin has b = 0
     p = np.array([1.0, 0.0], dtype=complex)
-    nu = np.array([1.0, 0.0], dtype=complex)
-    h = pk.build_peak_h(p, nu, 1.0)
-    v = ex.eval_value(h, np.zeros(2, dtype=complex))
-    assert abs(v - np.exp(-1.0)) <= 1e-15
+    f = _core_extension(p, np.array([1.0, 0.0], dtype=complex), 1.0)
+    for v in (f(np.zeros(2)), f.jet2_batch(np.zeros(2)).value[0]):
+        assert abs(v - np.exp(-1.0)) <= 1e-15
 
 
-def test_build_peak_h_modulus_law():
+def test_extension_modulus_law():
     rng = np.random.default_rng(6)
     p = rng.normal(size=3) + 1j * rng.normal(size=3)
     nu = rng.normal(size=3) + 1j * rng.normal(size=3)
     nu /= np.linalg.norm(nu)
-    h = pk.build_peak_h(p, nu, 0.8)
-    for _ in range(25):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        want = np.exp(0.8 * np.real(np.sum(np.conj(nu) * (z - p))))
-        assert abs(abs(ex.eval_value(h, z)) - want) <= 1e-12 * want
+    f = _core_extension(p, nu, 0.8)
+    zs = rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))
+    zs -= (zs - p) @ np.conj(f.complement) @ f.complement.T     # onto b = 0
+    assert np.all(f.b_norms(zs) < 1e-3)
+    want = np.exp(0.8 * np.real((zs - p) @ np.conj(nu)))
+    for got in (f(zs), f.jet2_batch(zs).value):
+        assert np.all(np.abs(np.abs(got) - want) <= 1e-12 * want)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +261,11 @@ def test_assemble_ball2_basic_properties():
     assert abs(f(p) - 1.0) == 0.0
     assert cons.r > 0 and cons.rho_W > 0
     # far outside the tube in the complement direction: exactly zero
-    far = p + 2.0 * cons.r * cons.complement[:, 0]
+    far = p + 2.0 * cons.r * f.complement[:, 0]
     assert f(far) == 0.0
     # deep in the tube core the cutoff is exactly 1, so f = h there
-    core = p - 0.05 * cons.nu
-    assert f(core) == complex(np.exp(cons.c * np.sum(np.conj(cons.nu) * (core - p))))
+    core = p - 0.05 * f.nu
+    assert f(core) == complex(np.exp(f.c * np.sum(np.conj(f.nu) * (core - p))))
 
 
 def test_assemble_deterministic():
@@ -336,6 +361,31 @@ def test_closed_form_jets_are_the_extension_in_the_cutoff_tube(fixture):
     assert np.allclose(blocks[0], f(pts), rtol=1e-13, atol=0.0)
     rep = pk.verify_peak(f, dom, p, q, residual_points=200, seed=0)
     assert not rep.failed and rep.max_residual <= 1e-12
+
+
+def test_jet_values_are_the_extension_bit_for_bit():
+    # perfbench's peak-hull ellipsoid point; h compiled through the tape
+    # differed from f in the last bit on 90 of these 400 rows
+    dom = pk.ModelDomain.ellipsoid([1.0, 1.5, 2.0], [0.2, -0.3, 0.5])
+    p = np.array([complex(v.replace("i", "j")) for v in (
+        "0.2824756097093917+0.41954465578217387i",
+        "0.1634313709160992+0.12050456103175339i",
+        "-0.17600504310454643-0.6469416352545985i")])
+    _, f = pk.assemble_peak(dom, p, 1, seed=0)
+    pts = dom.sample_interior(400, np.random.default_rng(0))
+    assert np.array_equal(f(pts).view(np.uint64), f.jet2_batch(pts).value.view(np.uint64))
+
+
+def test_a_jet_that_overflows_raises_at_its_row():
+    p = np.array([1.0, 0.0], dtype=complex)
+    nu = np.array([1.0, 0.0], dtype=complex)
+    f = _core_extension(p, nu, 1e154)
+    # h_zz = h c^2 stays finite at p and at p - nu, where h underflows to 0;
+    # h overflows at p + nu
+    assert np.all([np.isfinite(block).all() for block in f.jet2_batch([p, p - nu])])
+    with pytest.raises(ex.EvalError, match="non-finite") as info:
+        f.jet2_batch(np.array([p, p - nu, p + nu]))
+    assert info.value.row == 2
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -154,7 +154,8 @@ def test_field_order_and_defaults():
         "n", "phi", "name", "box_halfwidth", "box_center", "convex_certified")
     assert ex.Pow._fields == ("n", "base", "exponent")
     assert ex.Add._fields == ("n", "left", "right")
-    assert "slice_info" not in repr(peak.PeakConstruction(*range(16)))
+    assert peak.PeakConstruction._fields == (
+        "rho_W", "r", "r_halvings", "w_steps", "tube_min_phi", "cap_max_dist")
     # perfbench's tracer replaces the samplers in the class __dict__
     for name in ("sample_interior", "sample_boundary"):
         assert inspect.isfunction(vars(peak.ModelDomain)[name])
