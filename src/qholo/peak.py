@@ -270,7 +270,7 @@ class PeakExtension(ex._Frozen):
     def jet2_batch(self, pts):
         """Closed-form 2-jets of f = h G(s) at the rows of pts, shape (m, n).
 
-        Returns one stacked Jet2, as eval_jet2_batch does.  With k = c conj(nu),
+        Returns one stacked Jet2, a row per point.  With k = c conj(nu),
         h = exp(c <z-p, nu>) has h_z = h k and h_zz = h k k^T; s = ||b||^2
         with b = (z-p) A, A = conj(comp), has s_z = conj(b) A^T, s_zb = b A^H,
         s_zzb = A A^H and s_zz = 0; and G(s) = g(sqrt s) has G' = g'/(2t),
